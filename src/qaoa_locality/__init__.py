@@ -48,6 +48,7 @@ from .qaoa import (
 from .trees import (
     CanonicalTree,
     TreeExpectation,
+    TreePathSum,
     build_canonical_tree,
     neighborhood_expectation,
     predicted_ensemble_cost,

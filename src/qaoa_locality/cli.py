@@ -209,7 +209,7 @@ def _cmd_optimize(options: dict) -> dict:
             "grid_resolution": result.grid_resolution,
             "refinement_iterations": result.refinement_iterations,
             "converged": result.converged,
-            "evaluations": len(result.trace),
+            "evaluations": result.evaluations,
         },
     )
 

@@ -17,13 +17,11 @@ from .qaoa import (
     DEFAULT_QUBIT_CAP,
     CostModel,
     QaoaParams,
-    _edge_marginals,
     _mix_inplace,
     cost_table,
-    edge_cost,
     prepare_initial,
 )
-from .trees import build_canonical_tree
+from .trees import TreePathSum, build_canonical_tree
 
 __all__ = [
     "SearchDomain",
@@ -62,9 +60,10 @@ class OptResult:
     """Search outcome.
 
     ``trace`` lists ((gammas, betas), value) evaluations: every grid point
-    for grid searches plus each accepted refinement point. ``best_value``
-    is always a fresh re-evaluation of ``best_params`` through the plain
-    simulation path.
+    for grid searches plus each accepted refinement point. ``evaluations``
+    counts every value computed: grid points plus objective calls.
+    ``best_value`` is always a fresh re-evaluation of ``best_params``
+    through the objective.
     """
 
     best_params: QaoaParams
@@ -75,11 +74,16 @@ class OptResult:
     grid_resolution: int = 0
     refinement_iterations: int = 0
     converged: bool = True
+    evaluations: int = 0
 
 
 class _TreeObjective:
-    """Middle-edge expectation on the canonical tree as a callable, with the
-    tree, cost table, and initial state built once."""
+    """Middle-edge expectation on the canonical tree as a callable.
+
+    ``value`` evaluates the tree by its path sum. The tree's statevector
+    pieces (cost table, initial state, rotated edge cost) are built once
+    for the grid scan, which sweeps whole layers of the statevector.
+    """
 
     def __init__(self, d, p, model, initial="plus", qubit_cap=DEFAULT_QUBIT_CAP):
         self.d = int(d)
@@ -92,29 +96,16 @@ class _TreeObjective:
         self.table = cost_table(model, g)
         self.start = prepare_initial(self.m, initial, qubit_cap).amplitudes
         self.domain = SearchDomain.for_model(model, p)
-        self.cost2 = np.array(
-            [[float(edge_cost(model, a, b)) for b in (0, 1)] for a in (0, 1)]
-        )
+        self.path_sum = TreePathSum(d, p, model, initial)
         # Diagonal of the edge cost in the local 2-qubit basis 2*b1 + b0
-        # (middle edge endpoints are tree vertices 0 and 1).
-        self.cdiag = np.array(
-            [
-                float(edge_cost(model, 0, 0)),
-                float(edge_cost(model, 1, 0)),
-                float(edge_cost(model, 0, 1)),
-                float(edge_cost(model, 1, 1)),
-            ]
-        )
+        # (middle edge endpoints are tree vertices 0 and 1); the path sum's
+        # table is indexed [b0, b1].
+        self.cdiag = self.path_sum.cost.T.reshape(-1)
         self.evaluations = 0
 
     def value(self, gammas, betas) -> float:
         self.evaluations += 1
-        amps = self.start.copy()
-        for gamma, beta in zip(gammas, betas):
-            amps *= np.exp((-1j * float(gamma)) * self.table)
-            _mix_inplace(amps, self.m, float(beta))
-        P = _edge_marginals(amps, self.m, 0, 1)
-        return float(np.sum(P * self.cost2))
+        return self.path_sum.value(gammas, betas)
 
     def value_x(self, x) -> float:
         p = self.p
@@ -175,6 +166,7 @@ def grid_search(
         raise ResourceError(
             f"grid of {total} evaluations exceeds the budget of {budget}"
         )
+    calls = obj.evaluations
     trace: list[tuple[tuple[float, ...], tuple[float, ...], float]] = []
     if p == 0:
         v = obj.value((), ())
@@ -210,12 +202,16 @@ def grid_search(
             best_g, best_b, best_v = gs, bs, val
             best_key = key
     params = QaoaParams(best_g, best_b)
+    best_value = obj.value(params.gammas, params.betas)
+    # At p=0 the single trace entry is itself an objective call.
+    scanned = len(trace) if p > 0 else 0
     return OptResult(
         best_params=params,
-        best_value=obj.value(params.gammas, params.betas),
+        best_value=best_value,
         trace=trace,
         grid_resolution=resolution,
         refinement_iterations=0,
+        evaluations=scanned + obj.evaluations - calls,
     )
 
 
@@ -278,10 +274,11 @@ def refine(
     obj = _objective if _objective is not None else _TreeObjective(
         d, p, model, initial, qubit_cap
     )
+    calls = obj.evaluations
     fx = obj.value(start.gammas, start.betas)
     trace = [(start.gammas, start.betas, fx)]
     if p == 0:
-        return OptResult(start, fx, trace, 0, 0, True)
+        return OptResult(start, fx, trace, 0, 0, True, 1)
     x = list(start.gammas) + list(start.betas)
     xtol = max(tolerance * 0.25, 1e-12)
     step = float(initial_step)
@@ -310,7 +307,10 @@ def refine(
         step = max(0.5 * step, 0.5 * tolerance)
         passes += 1
     params = QaoaParams(tuple(x[:p]), tuple(x[p:]))
-    return OptResult(params, obj.value_x(x), trace, 0, passes, converged)
+    best_value = obj.value_x(x)
+    return OptResult(
+        params, best_value, trace, 0, passes, converged, obj.evaluations - calls
+    )
 
 
 def optimize(
@@ -358,11 +358,13 @@ def optimize(
         key = _params_key(res.best_params.gammas, res.best_params.betas)
         if _better(res.best_value, key, best_value, best_key):
             best_params, best_value, best_key = res.best_params, res.best_value, key
+    best_value = obj.value(best_params.gammas, best_params.betas)
     return OptResult(
         best_params=best_params,
-        best_value=obj.value(best_params.gammas, best_params.betas),
+        best_value=best_value,
         trace=grid.trace,
         grid_resolution=resolution,
         refinement_iterations=total_passes,
         converged=all_converged,
+        evaluations=len(grid.trace) + obj.evaluations,
     )

@@ -10,14 +10,19 @@ whole-ensemble predictions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InputError, ResourceError
 from .graphs import Graph, Neighborhood
 from .qaoa import (
     DEFAULT_QUBIT_CAP,
+    INITIAL_STATES,
     CostModel,
     QaoaParams,
+    edge_cost,
     expect_edge,
     run_qaoa,
 )
@@ -25,6 +30,7 @@ from .qaoa import (
 __all__ = [
     "CanonicalTree",
     "TreeExpectation",
+    "TreePathSum",
     "tree_vertex_count",
     "build_canonical_tree",
     "tree_expectation",
@@ -113,6 +119,79 @@ def tree_expectation(
     state = run_qaoa(tree.graph, model, params, initial, qubit_cap)
     value = expect_edge(state, tree.graph.edges[tree.middle_edge], model)
     return TreeExpectation(model, d, p, params, initial, value)
+
+
+class TreePathSum:
+    """Middle-edge value of the canonical tree as an exact sum over paths.
+
+    Inserting basis resolutions between the layers gives every vertex
+    2p+1 slice bits, ordered (a_1..a_p, a_0, a'_p..a'_1): the ket bits at
+    the p phase layers, the measured bit, and the bra bits in reverse. The
+    initial state and the mixers give each vertex the weight f over these
+    bits. Each edge contributes the kernel K, a Kronecker product of one
+    2x2 factor per slice: exp(-i*gamma_k*c) on the ket slices, its
+    conjugate on the bra slices and ones on the measured slice, where c is
+    the model's edge-cost table. On a tree the sum factors into messages
+    passed up from the leaves, H <- (K (f*H))**(d-1) once per level, and
+    the value is Re g.(K_c g) with g = f*H at the root, where K_c puts c on
+    the measured slice. A level costs O(p * 4**p) whatever the size of the
+    tree (Basso, Farhi, Marwaha, Villalonga & Zhou, arXiv:2110.14206).
+
+    Build one per (d, p, model, initial) and call :meth:`value` per angle
+    schedule; it equals :func:`tree_expectation` without the qubit cap.
+    """
+
+    def __init__(self, d: int, p: int, model: CostModel, initial: str = "plus"):
+        if d < 2:
+            raise InputError("degree must be at least 2")
+        if p < 0:
+            raise InputError("radius must be nonnegative")
+        if initial not in INITIAL_STATES:
+            raise InputError(f"unknown initial state {initial!r}")
+        self.d = int(d)
+        self.p = int(p)
+        self.cost = np.array(
+            [[float(edge_cost(model, a, b)) for b in (0, 1)] for a in (0, 1)]
+        )
+        amp = [1.0, 0.0] if initial == "zero" else [math.sqrt(0.5)] * 2
+        self.start = np.array([amp], dtype=np.complex128)
+        slices = 2 * self.p + 1
+        # Slice j as the middle axis of a (2**j, 2, rest) view, so a 2x2
+        # factor acts on it by one broadcast matmul.
+        self._views = [(1 << j, 2, 1 << (slices - 1 - j)) for j in range(slices)]
+        self._ones = np.ones((2, 2))
+
+    def _weight(self, betas) -> np.ndarray:
+        # Ket chain over (a_1..a_p, a_0): initial amplitude times the mixer
+        # element between consecutive slices; the mixer matrix is symmetric.
+        ket = self.start
+        for beta in betas:
+            c = math.cos(beta)
+            s = -1j * math.sin(beta)
+            mixer = np.array([[c, s], [s, c]])
+            ket = (ket[:, :, None] * mixer).reshape(-1, 2)
+        # The bra chain is the conjugate over (a_0, a'_p..a'_1).
+        bra = ket.conj().reshape((2,) * (self.p + 1)).transpose().reshape(2, -1)
+        return (ket[:, :, None] * bra[None, :, :]).reshape(-1)
+
+    def _apply(self, factors, x: np.ndarray) -> np.ndarray:
+        for factor, view in zip(factors, self._views):
+            x = factor @ x.reshape(view)
+        return x.reshape(-1)
+
+    def value(self, gammas, betas) -> float:
+        if len(gammas) != self.p or len(betas) != self.p:
+            raise InputError(f"angle schedule must have exactly {self.p} layers")
+        f = self._weight(betas)
+        ket = [np.exp((-1j * float(g)) * self.cost) for g in gammas]
+        bra = [e.conj() for e in reversed(ket)]
+        kernel = ket + [self._ones] + bra
+        h = np.ones_like(f)
+        for _ in range(self.p):
+            h = self._apply(kernel, f * h) ** (self.d - 1)
+        g = f * h
+        measured = ket + [self.cost] + bra
+        return float(np.real(np.dot(g, self._apply(measured, g))))
 
 
 def neighborhood_expectation(

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -30,8 +31,8 @@ def test_search_domain_periods():
 
 
 def test_grid_fast_path_matches_direct_evaluation():
-    """The last layer of the grid scan closes with reduced 4x4 algebra;
-    every trace value must equal the plain simulation path."""
+    """The statevector grid scan closes its last layer with reduced 4x4
+    algebra; every trace value must equal the objective's path sum."""
     for model, p, res in ((MC, 1, 6), (MIS3, 1, 6), (MC, 2, 3)):
         obj = _TreeObjective(3, p, model)
         result = grid_search(3, p, model, resolution=res, _objective=obj)
@@ -71,6 +72,8 @@ def test_grid_p0_single_evaluation():
     assert result.best_params.p == 0
     assert abs(result.best_value - 0.5) < 1e-12
     assert len(result.trace) == 1
+    # the single point, then its re-evaluation as best_value
+    assert result.evaluations == 2
 
 
 def test_refine_tolerance_one_returns_start():
@@ -107,6 +110,25 @@ def test_optimize_depth1_known_values():
     result = optimize(3, 1, MC)
     assert abs(result.best_value - D3_P1_OPT) < 1e-9
     assert abs(optimize(2, 1, MC).best_value - 0.75) < 1e-9
+
+
+def test_optimize_counts_grid_points_and_objective_calls(monkeypatch):
+    module = importlib.import_module("qaoa_locality.optimize")
+    built = []
+
+    class Recording(_TreeObjective):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(module, "_TreeObjective", Recording)
+    result = optimize(2, 1, MC, resolution=8)
+    (obj,) = built
+    assert obj.evaluations > 0
+    assert result.evaluations == 8**2 + obj.evaluations
+    assert len(result.trace) == 8**2
+    # the grid alone: every scanned point plus the re-evaluated best one
+    assert grid_search(3, 1, MC, resolution=4).evaluations == 4**2 + 1
 
 
 def test_optimize_depth2_degree2_hits_five_sixths():
