@@ -31,8 +31,6 @@ from .qaoa import (
     CostModel,
     QaoaParams,
     Statevector,
-    apply_mixer,
-    apply_phase,
     bit_values,
     bits_to_index,
     cost_table,

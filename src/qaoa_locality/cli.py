@@ -186,7 +186,6 @@ def _cmd_optimize(options: dict) -> dict:
     initial = _initial(options)
     resolution = _int_opt(options, "resolution")
     budget = _int_opt(options, "budget", DEFAULT_BUDGET)
-    seed = _int_opt(options, "seed", 0)
     result = optimize(
         d, p, model, initial, resolution=resolution, budget=budget
     )
@@ -197,7 +196,6 @@ def _cmd_optimize(options: dict) -> dict:
         "init": initial,
         "resolution": result.grid_resolution,
         "budget": budget,
-        "seed": seed,
     }
     return make_report(
         "optimize",
@@ -445,7 +443,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--init", choices=["zero", "plus"], default="plus")
     sp.add_argument("--resolution", type=int)
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(handler=_cmd_optimize)
 
     sp = sub.add_parser(

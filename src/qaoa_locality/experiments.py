@@ -594,7 +594,7 @@ def end_to_end(
         raise InputError("need at least one trial")
     if samples < 0:
         raise InputError("sample count must be nonnegative")
-    opt = optimize(spec.d, p, model, initial, budget=budget, qubit_cap=qubit_cap)
+    opt = optimize(spec.d, p, model, initial, budget=budget)
     params = opt.best_params
     tree_value = opt.best_value
     children = derive_seeds(seed, 2 * trials)

@@ -2,26 +2,20 @@
 
 Two stages: an exhaustive periodic grid, then derivative-free local ascent
 (coordinate-wise golden-section) restarted from the best grid points. Both
-stages are fully deterministic; ties are broken toward the lexicographically
-smallest (gammas, betas) vector.
+stages evaluate the tree by its path sum and are fully deterministic; ties
+are broken toward the lexicographically smallest (gammas, betas) vector.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .qaoa import (
-    DEFAULT_QUBIT_CAP,
-    CostModel,
-    QaoaParams,
-    _mix_inplace,
-    cost_table,
-    prepare_initial,
-)
-from .trees import TreePathSum, build_canonical_tree
+from .qaoa import CostModel, QaoaParams
+from .trees import TreePathSum
 
 __all__ = [
     "SearchDomain",
@@ -62,8 +56,8 @@ class OptResult:
     ``trace`` lists ((gammas, betas), value) evaluations: every grid point
     for grid searches plus each accepted refinement point. ``evaluations``
     counts every value computed: grid points plus objective calls.
-    ``best_value`` is always a fresh re-evaluation of ``best_params``
-    through the objective.
+    ``best_value`` is the objective's value at ``best_params``, as computed
+    when that point was evaluated.
     """
 
     best_params: QaoaParams
@@ -80,27 +74,14 @@ class OptResult:
 class _TreeObjective:
     """Middle-edge expectation on the canonical tree as a callable.
 
-    ``value`` evaluates the tree by its path sum. The tree's statevector
-    pieces (cost table, initial state, rotated edge cost) are built once
-    for the grid scan, which sweeps whole layers of the statevector.
+    ``value`` evaluates the tree by its path sum and counts the calls; the
+    grid scan calls ``path_sum`` directly, a whole row of betas at a time.
     """
 
-    def __init__(self, d, p, model, initial="plus", qubit_cap=DEFAULT_QUBIT_CAP):
-        self.d = int(d)
+    def __init__(self, d, p, model, initial="plus"):
         self.p = int(p)
-        self.model = model
-        self.initial = initial
-        self.tree = build_canonical_tree(d, p, qubit_cap)
-        g = self.tree.graph
-        self.m = g.n
-        self.table = cost_table(model, g)
-        self.start = prepare_initial(self.m, initial, qubit_cap).amplitudes
         self.domain = SearchDomain.for_model(model, p)
         self.path_sum = TreePathSum(d, p, model, initial)
-        # Diagonal of the edge cost in the local 2-qubit basis 2*b1 + b0
-        # (middle edge endpoints are tree vertices 0 and 1); the path sum's
-        # table is indexed [b0, b1].
-        self.cdiag = self.path_sum.cost.T.reshape(-1)
         self.evaluations = 0
 
     def value(self, gammas, betas) -> float:
@@ -110,23 +91,6 @@ class _TreeObjective:
     def value_x(self, x) -> float:
         p = self.p
         return self.value(tuple(x[:p]), tuple(x[p:]))
-
-    def rotated_cost(self, beta: float) -> np.ndarray:
-        # Conjugate the middle-edge cost by the final mixer restricted to the
-        # two middle qubits; mixers on all other qubits commute with the edge
-        # cost and cancel, so the last layer closes with 4x4 algebra.
-        c = math.cos(beta)
-        s = math.sin(beta)
-        rot = np.array([[c, -1j * s], [-1j * s, c]])
-        r2 = np.kron(rot, rot)
-        return r2.conj().T @ (self.cdiag[:, None] * r2)
-
-
-def _edge_rho(amps: np.ndarray, m: int) -> np.ndarray:
-    # 4x4 reduced density matrix of qubits (0, 1), basis index 2*b1 + b0.
-    view = amps.reshape(-1, 2, 2)
-    rho = np.einsum("hij,hkl->ijkl", view, view.conj())
-    return rho.reshape(4, 4)
 
 
 def _params_key(gammas, betas):
@@ -147,19 +111,19 @@ def grid_search(
     resolution: int = 64,
     *,
     budget: int = DEFAULT_BUDGET,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
     _objective: "_TreeObjective | None" = None,
 ) -> OptResult:
     """Evaluate every point of the periodic grid and return the argmax.
 
     The grid has ``resolution`` points per axis over the half-open periods,
     so p layers cost resolution**(2p) evaluations; exceeding ``budget``
-    raises before any work happens.
+    raises before any work happens. One path-sum call per gamma tuple
+    evaluates every beta tuple at once; the trace lists gammas outermost.
     """
     if resolution < 2:
         raise InputError("resolution must be at least 2")
     obj = _objective if _objective is not None else _TreeObjective(
-        d, p, model, initial, qubit_cap
+        d, p, model, initial
     )
     total = resolution ** (2 * p) if p > 0 else 1
     if total > budget:
@@ -175,25 +139,11 @@ def grid_search(
         dom = obj.domain
         gvals = [dom.gamma_period * k / resolution for k in range(resolution)]
         bvals = [dom.beta_period * k / resolution for k in range(resolution)]
-        phase = {g: np.exp((-1j * g) * obj.table) for g in gvals}
-        rotated = {b: obj.rotated_cost(b) for b in bvals}
-
-        def scan(amps, gs, bs, layer):
-            last = layer == p - 1
-            for gam in gvals:
-                a2 = amps * phase[gam]
-                if last:
-                    rho = _edge_rho(a2, obj.m)
-                    for bet in bvals:
-                        val = float(np.real(np.einsum("ij,ji->", rotated[bet], rho)))
-                        trace.append((gs + (gam,), bs + (bet,), val))
-                else:
-                    for bet in bvals:
-                        a3 = a2.copy()
-                        _mix_inplace(a3, obj.m, bet)
-                        scan(a3, gs + (gam,), bs + (bet,), layer + 1)
-
-        scan(obj.start, (), (), 0)
+        btuples = list(itertools.product(bvals, repeat=p))
+        columns = np.array(btuples).T
+        for gs in itertools.product(gvals, repeat=p):
+            values = obj.path_sum.value(gs, columns).tolist()
+            trace.extend(zip(itertools.repeat(gs), btuples, values))
     best_g, best_b, best_v = trace[0]
     best_key = _params_key(best_g, best_b)
     for gs, bs, val in trace[1:]:
@@ -201,13 +151,11 @@ def grid_search(
         if _better(val, key, best_v, best_key):
             best_g, best_b, best_v = gs, bs, val
             best_key = key
-    params = QaoaParams(best_g, best_b)
-    best_value = obj.value(params.gammas, params.betas)
     # At p=0 the single trace entry is itself an objective call.
     scanned = len(trace) if p > 0 else 0
     return OptResult(
-        best_params=params,
-        best_value=best_value,
+        best_params=QaoaParams(best_g, best_b),
+        best_value=best_v,
         trace=trace,
         grid_resolution=resolution,
         refinement_iterations=0,
@@ -255,7 +203,6 @@ def refine(
     *,
     initial_step: float = 0.25,
     max_passes: int = 80,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
     _objective: "_TreeObjective | None" = None,
 ) -> OptResult:
     """Coordinate-wise golden-section ascent from ``start``.
@@ -272,7 +219,7 @@ def refine(
     if start.p != p:
         raise InputError(f"start has depth {start.p}, expected {p}")
     obj = _objective if _objective is not None else _TreeObjective(
-        d, p, model, initial, qubit_cap
+        d, p, model, initial
     )
     calls = obj.evaluations
     fx = obj.value(start.gammas, start.betas)
@@ -307,9 +254,8 @@ def refine(
         step = max(0.5 * step, 0.5 * tolerance)
         passes += 1
     params = QaoaParams(tuple(x[:p]), tuple(x[p:]))
-    best_value = obj.value_x(x)
     return OptResult(
-        params, best_value, trace, 0, passes, converged, obj.evaluations - calls
+        params, fx, trace, 0, passes, converged, obj.evaluations - calls
     )
 
 
@@ -323,7 +269,6 @@ def optimize(
     budget: int = DEFAULT_BUDGET,
     top_k: int = 5,
     tolerance: float = 1e-6,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> OptResult:
     """Grid search, then refinement from the ``top_k`` best grid points.
 
@@ -332,10 +277,9 @@ def optimize(
     """
     if resolution is None:
         resolution = 64 if p <= 1 else 16
-    obj = _TreeObjective(d, p, model, initial, qubit_cap)
+    obj = _TreeObjective(d, p, model, initial)
     grid = grid_search(
-        d, p, model, initial, resolution,
-        budget=budget, qubit_cap=qubit_cap, _objective=obj,
+        d, p, model, initial, resolution, budget=budget, _objective=obj
     )
     if p == 0:
         return grid
@@ -350,15 +294,13 @@ def optimize(
     all_converged = True
     for gs, bs, _ in starts:
         res = refine(
-            QaoaParams(gs, bs), d, p, model, initial, tolerance,
-            qubit_cap=qubit_cap, _objective=obj,
+            QaoaParams(gs, bs), d, p, model, initial, tolerance, _objective=obj
         )
         total_passes += res.refinement_iterations
         all_converged = all_converged and res.converged
         key = _params_key(res.best_params.gammas, res.best_params.betas)
         if _better(res.best_value, key, best_value, best_key):
             best_params, best_value, best_key = res.best_params, res.best_value, key
-    best_value = obj.value(best_params.gammas, best_params.betas)
     return OptResult(
         best_params=best_params,
         best_value=best_value,

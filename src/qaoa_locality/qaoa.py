@@ -35,8 +35,6 @@ __all__ = [
     "cost_value",
     "cost_table",
     "prepare_initial",
-    "apply_phase",
-    "apply_mixer",
     "run_qaoa",
     "expect_edge",
     "expect_total",
@@ -239,21 +237,6 @@ def _mix_inplace(amps: np.ndarray, m: int, beta: float) -> None:
         a1 = view[:, 1, :]
         view[:, 0, :] = c * a0 - 1j * s * a1
         view[:, 1, :] = c * a1 - 1j * s * a0
-
-
-def apply_phase(state: Statevector, g: Graph, model: CostModel, gamma: float) -> Statevector:
-    """Multiply each amplitude by exp(-i*gamma*C(b))."""
-    if state.m != g.n:
-        raise InputError("state register and graph sizes differ")
-    table = cost_table(model, g)
-    return Statevector(state.m, state.amplitudes * np.exp((-1j * float(gamma)) * table))
-
-
-def apply_mixer(state: Statevector, beta: float) -> Statevector:
-    """Apply exp(-i*beta*X) to every qubit."""
-    amps = state.amplitudes.copy()
-    _mix_inplace(amps, state.m, float(beta))
-    return Statevector(state.m, amps)
 
 
 def run_qaoa(

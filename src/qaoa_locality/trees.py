@@ -139,6 +139,9 @@ class TreePathSum:
 
     Build one per (d, p, model, initial) and call :meth:`value` per angle
     schedule; it equals :func:`tree_expectation` without the qubit cap.
+    ``betas`` of shape (p, n) evaluates n beta schedules at once: the batch
+    rides as a trailing axis through the same code, and the n values come
+    back as an array.
     """
 
     def __init__(self, d: int, p: int, model: CostModel, initial: str = "plus"):
@@ -155,43 +158,51 @@ class TreePathSum:
         )
         amp = [1.0, 0.0] if initial == "zero" else [math.sqrt(0.5)] * 2
         self.start = np.array([amp], dtype=np.complex128)
-        slices = 2 * self.p + 1
         # Slice j as the middle axis of a (2**j, 2, rest) view, so a 2x2
-        # factor acts on it by one broadcast matmul.
-        self._views = [(1 << j, 2, 1 << (slices - 1 - j)) for j in range(slices)]
+        # factor acts on it by one broadcast matmul; the later slices and
+        # any batch axis fold into the last axis.
+        self._views = [(1 << j, 2, -1) for j in range(2 * self.p + 1)]
+        # Reverses the p+1 bits of a ket-chain index: the bra-chain order.
+        bits = (2,) * (self.p + 1)
+        self._reversed = np.arange(1 << (self.p + 1)).reshape(bits).transpose().reshape(-1)
         self._ones = np.ones((2, 2))
 
-    def _weight(self, betas) -> np.ndarray:
+    def _weight(self, betas: np.ndarray) -> np.ndarray:
         # Ket chain over (a_1..a_p, a_0): initial amplitude times the mixer
         # element between consecutive slices; the mixer matrix is symmetric.
-        ket = self.start
-        for beta in betas:
-            c = math.cos(beta)
-            s = -1j * math.sin(beta)
+        batch = betas.shape[1:]
+        ket = self.start.reshape((1, 2) + (1,) * len(batch))
+        for c, s in zip(np.cos(betas), -1j * np.sin(betas)):
             mixer = np.array([[c, s], [s, c]])
-            ket = (ket[:, :, None] * mixer).reshape(-1, 2)
+            ket = (ket[:, :, None] * mixer).reshape((-1, 2) + batch)
         # The bra chain is the conjugate over (a_0, a'_p..a'_1).
-        bra = ket.conj().reshape((2,) * (self.p + 1)).transpose().reshape(2, -1)
-        return (ket[:, :, None] * bra[None, :, :]).reshape(-1)
+        trailing = ket.shape[2:]
+        bra = ket.reshape((-1,) + trailing)[self._reversed].conj()
+        bra = bra.reshape((2, -1) + trailing)
+        return (ket[:, :, None] * bra[None]).reshape((-1,) + trailing)
 
     def _apply(self, factors, x: np.ndarray) -> np.ndarray:
+        shape = x.shape
         for factor, view in zip(factors, self._views):
             x = factor @ x.reshape(view)
-        return x.reshape(-1)
+        return x.reshape(shape)
 
-    def value(self, gammas, betas) -> float:
+    def value(self, gammas, betas):
         if len(gammas) != self.p or len(betas) != self.p:
             raise InputError(f"angle schedule must have exactly {self.p} layers")
+        betas = np.asarray(betas, dtype=float)
         f = self._weight(betas)
         ket = [np.exp((-1j * float(g)) * self.cost) for g in gammas]
         bra = [e.conj() for e in reversed(ket)]
         kernel = ket + [self._ones] + bra
-        h = np.ones_like(f)
+        # At p=0 the weight has no beta to carry the batch; h brings it in.
+        h = np.ones(f.shape[:1] + betas.shape[1:])
         for _ in range(self.p):
             h = self._apply(kernel, f * h) ** (self.d - 1)
         g = f * h
         measured = ket + [self.cost] + bra
-        return float(np.real(np.dot(g, self._apply(measured, g))))
+        values = (g * self._apply(measured, g)).sum(axis=0).real
+        return float(values) if values.ndim == 0 else values
 
 
 def neighborhood_expectation(

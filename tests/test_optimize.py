@@ -31,14 +31,15 @@ def test_search_domain_periods():
 
 
 def test_grid_fast_path_matches_direct_evaluation():
-    """The statevector grid scan closes its last layer with reduced 4x4
-    algebra; every trace value must equal the objective's path sum."""
+    """The grid evaluates a whole row of betas per path-sum call; every
+    trace value must equal the statevector on the tree, an independent
+    engine."""
     for model, p, res in ((MC, 1, 6), (MIS3, 1, 6), (MC, 2, 3)):
-        obj = _TreeObjective(3, p, model)
-        result = grid_search(3, p, model, resolution=res, _objective=obj)
+        result = grid_search(3, p, model, resolution=res)
         assert len(result.trace) == res ** (2 * p)
         for gammas, betas, value in result.trace:
-            assert abs(value - obj.value(gammas, betas)) < 1e-12
+            want = tree_expectation(3, p, model, QaoaParams(gammas, betas)).value
+            assert abs(value - want) < 1e-12
 
 
 def test_grid_flat_landscape_breaks_ties_lexicographically():
@@ -72,8 +73,8 @@ def test_grid_p0_single_evaluation():
     assert result.best_params.p == 0
     assert abs(result.best_value - 0.5) < 1e-12
     assert len(result.trace) == 1
-    # the single point, then its re-evaluation as best_value
-    assert result.evaluations == 2
+    # the single point is the one objective call
+    assert result.evaluations == 1
 
 
 def test_refine_tolerance_one_returns_start():
@@ -127,8 +128,8 @@ def test_optimize_counts_grid_points_and_objective_calls(monkeypatch):
     assert obj.evaluations > 0
     assert result.evaluations == 8**2 + obj.evaluations
     assert len(result.trace) == 8**2
-    # the grid alone: every scanned point plus the re-evaluated best one
-    assert grid_search(3, 1, MC, resolution=4).evaluations == 4**2 + 1
+    # the grid alone: every scanned point, and no objective call
+    assert grid_search(3, 1, MC, resolution=4).evaluations == 4**2
 
 
 def test_optimize_depth2_degree2_hits_five_sixths():

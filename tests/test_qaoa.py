@@ -12,15 +12,12 @@ from qaoa_locality.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
-    path_graph,
     sample_graph,
 )
 from qaoa_locality.qaoa import (
     CostModel,
     QaoaParams,
     Statevector,
-    apply_mixer,
-    apply_phase,
     bit_values,
     bits_to_index,
     cost_table,
@@ -194,16 +191,6 @@ def test_norm_preserved_through_layers():
         for p in (1, 2, 3):
             st = run_qaoa(g, model, random_params(model, p, rng))
             assert abs(st.norm() - 1.0) < 1e-12
-
-
-def test_apply_phase_and_mixer_compose_like_run():
-    g = path_graph(4)
-    params = QaoaParams((0.7, 0.2), (0.3, 1.1))
-    st = prepare_initial(g.n, "plus")
-    for gamma, beta in zip(params.gammas, params.betas):
-        st = apply_mixer(apply_phase(st, g, MC, gamma), beta)
-    direct = run_qaoa(g, MC, params)
-    assert np.max(np.abs(st.amplitudes - direct.amplitudes)) < 1e-12
 
 
 # ------------------------------------------------------------ expectations

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qaoa_locality.errors import InputError
+from qaoa_locality.optimize import grid_search, refine
 from qaoa_locality.qaoa import CostModel, QaoaParams
 from qaoa_locality.trees import TreePathSum, tree_expectation, tree_vertex_count
 
@@ -72,6 +73,32 @@ def test_invariances_beyond_the_qubit_cap(model):
         assert abs(path_sum.value(gammas, shifted) - base) < 1e-12
     negated = path_sum.value([-g for g in gammas], [-b for b in betas])
     assert abs(negated - base) < 1e-12
+
+
+@pytest.mark.parametrize("p", range(4))
+@pytest.mark.parametrize("initial", ["plus", "zero"])
+def test_batched_betas_match_scalar_calls(p, initial):
+    rng = np.random.default_rng(50 + p)
+    for model in (MC, CostModel.mis(3)):
+        path_sum = TreePathSum(3, p, model, initial)
+        gammas = rng.uniform(-model.gamma_period, model.gamma_period, p)
+        columns = rng.uniform(-math.pi, math.pi, (p, 7))
+        batched = path_sum.value(gammas, columns)
+        assert batched.shape == (7,)
+        for k in range(7):
+            single = path_sum.value(gammas, columns[:, k])
+            assert isinstance(single, float)
+            assert abs(batched[k] - single) < 1e-14
+
+
+def test_optimizer_runs_beyond_the_qubit_cap():
+    # the d=3, p=3 tree has 30 qubits; the optimizer never builds it
+    grid = grid_search(3, 3, MC, resolution=3)
+    assert len(grid.trace) == 3**6
+    start = grid.best_params
+    refined = refine(start, 3, 3, MC, tolerance=1e-3)
+    assert refined.best_value >= TreePathSum(3, 3, MC).value(start.gammas, start.betas)
+    assert refined.best_value >= grid.best_value - 1e-12
 
 
 def test_zero_angles_and_single_edge():
