@@ -27,9 +27,9 @@ from .experiments import (
 )
 from .graphs import EnsembleSpec, count_cycles, read_edgelist, sample_graph, write_edgelist
 from .optimize import DEFAULT_BUDGET, SearchDomain, optimize
-from .qaoa import DEFAULT_QUBIT_CAP, MAXCUT, MIS, CostModel, QaoaParams
+from .qaoa import MAXCUT, MIS, CostModel, QaoaParams
 from .rng import as_generator
-from .trees import tree_expectation, tree_vertex_count
+from .trees import TreePathSum, tree_vertex_count
 
 __all__ = ["main"]
 
@@ -138,7 +138,7 @@ def _cmd_generate(options: dict) -> dict:
 
 def _cmd_cycles(options: dict) -> dict:
     kmax = _int_opt(options, "kmax", 6)
-    path = options.get("in") or options.get("in_path")
+    path = options.get("in")
     if path is not None:
         g = read_edgelist(path)
         census = count_cycles(g, kmax)
@@ -163,7 +163,7 @@ def _cmd_tree_expect(options: dict) -> dict:
     model = _build_model(options, d)
     initial = _initial(options)
     params = _params_for(options, p)
-    result = tree_expectation(d, p, model, params, initial)
+    value = TreePathSum(d, p, model, initial).value(params.gammas, params.betas)
     config = {
         "d": d,
         "p": p,
@@ -175,7 +175,7 @@ def _cmd_tree_expect(options: dict) -> dict:
     return make_report(
         "tree-expect",
         config,
-        {"value": result.value, "tree_vertices": tree_vertex_count(d, p)},
+        {"value": value, "tree_vertices": tree_vertex_count(d, p)},
     )
 
 
@@ -276,7 +276,7 @@ def _cmd_ratio_bound(options: dict) -> dict:
 
 
 def _cmd_prune(options: dict) -> dict:
-    path = options.get("in") or options.get("in_path")
+    path = options.get("in")
     if path is None:
         raise InputError("missing required option 'in'")
     bits = str(_require(options, "bits"))
@@ -412,26 +412,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("generate", help="sample a graph and write its edge list")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--kind", choices=["general", "bipartite"], default="general")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--kind", choices=["general", "bipartite"])
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--out", required=True)
     sp.set_defaults(handler=_cmd_generate)
 
     sp = sub.add_parser("cycles", help="cycle census of a file or an ensemble")
-    sp.add_argument("--in", dest="in_path")
+    sp.add_argument("--in")
     sp.add_argument("--n", type=int)
     sp.add_argument("--d", type=int)
-    sp.add_argument("--kind", choices=["general", "bipartite"], default="general")
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--kmax", type=int, default=6)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--kind", choices=["general", "bipartite"])
+    sp.add_argument("--trials", type=int)
+    sp.add_argument("--kmax", type=int)
+    sp.add_argument("--seed", type=int)
     sp.set_defaults(handler=_cmd_cycles)
 
     sp = sub.add_parser("tree-expect", help="middle-edge value on the canonical tree")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--model", choices=[MAXCUT, MIS], default=MAXCUT)
-    sp.add_argument("--init", choices=["zero", "plus"], default="plus")
+    sp.add_argument("--model", choices=[MAXCUT, MIS])
+    sp.add_argument("--init", choices=["zero", "plus"])
     sp.add_argument("--gamma", help="comma-separated, one per layer")
     sp.add_argument("--beta", help="comma-separated, one per layer")
     sp.set_defaults(handler=_cmd_tree_expect)
@@ -439,10 +439,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("optimize", help="search angles on the canonical tree")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--model", choices=[MAXCUT, MIS], default=MAXCUT)
-    sp.add_argument("--init", choices=["zero", "plus"], default="plus")
+    sp.add_argument("--model", choices=[MAXCUT, MIS])
+    sp.add_argument("--init", choices=["zero", "plus"])
     sp.add_argument("--resolution", type=int)
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=int)
     sp.set_defaults(handler=_cmd_optimize)
 
     sp = sub.add_parser(
@@ -452,9 +452,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--model", choices=[MAXCUT, MIS], default=MAXCUT)
-    sp.add_argument("--trials", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--model", choices=[MAXCUT, MIS])
+    sp.add_argument("--trials", type=int)
+    sp.add_argument("--seed", type=int)
     sp.set_defaults(handler=_cmd_locality_check)
 
     sp = sub.add_parser(
@@ -463,15 +463,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-list", dest="n_list", required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--model", choices=[MAXCUT, MIS], default=MAXCUT)
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--model", choices=[MAXCUT, MIS])
+    sp.add_argument("--trials", type=int)
+    sp.add_argument("--seed", type=int)
     sp.set_defaults(handler=_cmd_equivalence)
 
     sp = sub.add_parser(
         "ratio-bound", help="approximation-ratio ceiling from literature constants"
     )
-    sp.add_argument("--model", choices=[MAXCUT, MIS], default=MAXCUT)
+    sp.add_argument("--model", choices=[MAXCUT, MIS])
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     group = sp.add_mutually_exclusive_group(required=True)
@@ -480,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_ratio_bound)
 
     sp = sub.add_parser("prune", help="repair a bitstring into an independent set")
-    sp.add_argument("--in", dest="in_path", required=True)
+    sp.add_argument("--in", required=True)
     sp.add_argument("--bits", required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.set_defaults(handler=_cmd_prune)
@@ -491,9 +491,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--p-list", dest="p_list", required=True)
-    sp.add_argument("--kind", choices=["general", "bipartite"], default="general")
-    sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--kind", choices=["general", "bipartite"])
+    sp.add_argument("--trials", type=int)
+    sp.add_argument("--seed", type=int)
     sp.set_defaults(handler=_cmd_tree_fraction)
 
     sp = sub.add_parser("run", help="run any command from a JSON config file")
@@ -522,8 +522,6 @@ def main(argv=None) -> int:
         for key, value in vars(args).items()
         if key not in ("handler", "command") and value is not None
     }
-    if "in_path" in options:
-        options["in"] = options.pop("in_path")
     try:
         report = args.handler(options)
     except InputError as exc:

@@ -29,7 +29,6 @@ from .graphs import (
 )
 from .optimize import DEFAULT_BUDGET, optimize
 from .qaoa import (
-    DEFAULT_QUBIT_CAP,
     MAXCUT,
     MIS,
     CostModel,
@@ -42,7 +41,7 @@ from .qaoa import (
     sample_bitstrings,
 )
 from .rng import derive_seeds
-from .trees import neighborhood_expectation, predicted_ensemble_cost, tree_expectation
+from .trees import TreePathSum, neighborhood_expectation, predicted_ensemble_cost
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -288,7 +287,6 @@ def locality_check(
     params: QaoaParams,
     initial: str = "plus",
     trials: int = 10,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> dict:
     """Compare full-graph edge expectations against extracted-neighborhood
     simulations on every edge whose radius-p ball is a tree.
@@ -312,7 +310,7 @@ def locality_check(
     edges_total = 0
     for trial, child in enumerate(seeds):
         g = sample_graph(EnsembleSpec(spec.n, spec.d, spec.kind, child))
-        state = run_qaoa(g, model, params, initial, qubit_cap)
+        state = run_qaoa(g, model, params, initial)
         worst = 0.0
         tree_edges = 0
         for edge in g.edges:
@@ -322,9 +320,7 @@ def locality_check(
             tree_edges += 1
             key = (nb.subgraph.n, tuple(nb.subgraph.edges), nb.middle_edge)
             if key not in cache:
-                cache[key] = neighborhood_expectation(
-                    nb, model, params, initial, qubit_cap
-                )
+                cache[key] = neighborhood_expectation(nb, model, params, initial)
             diff = abs(expect_edge(state, edge, model) - cache[key])
             if diff > worst:
                 worst = diff
@@ -371,7 +367,6 @@ def ensemble_equivalence(
     initial: str = "plus",
     trials: int = 100,
     seed: int = 0,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> dict:
     """Monte Carlo per-edge cost on general versus bipartite ensembles.
 
@@ -389,7 +384,7 @@ def ensemble_equivalence(
         raise InputError("need at least two trials for standard errors")
     if params.p != p:
         raise InputError(f"parameter depth {params.p} must equal p={p}")
-    tree_value = tree_expectation(d, p, model, params, initial, qubit_cap).value
+    tree_value = TreePathSum(d, p, model, initial).value(params.gammas, params.betas)
     kinds = ("general", "bipartite")
     stream = derive_seeds(seed, len(n_list) * len(kinds))
     rows = []
@@ -402,7 +397,7 @@ def ensemble_equivalence(
             nontree = []
             for child in derive_seeds(stream[position], trials):
                 g = sample_graph(EnsembleSpec(n, d, kind, child))
-                state = run_qaoa(g, model, params, initial, qubit_cap)
+                state = run_qaoa(g, model, params, initial)
                 per_edge.append(expect_total(state, g, model) / g.m)
                 nontree.append(1.0 - tree_edge_fraction(g, p))
             position += 1
@@ -581,7 +576,6 @@ def end_to_end(
     initial: str = "plus",
     trials: int = 20,
     samples: int = 64,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> dict:
     """Full pipeline: optimize angles on the canonical tree, predict the
     ensemble cost, check against full simulations at this n, attach the
@@ -608,7 +602,7 @@ def end_to_end(
     prune_input_costs = []
     for t in range(trials):
         g = sample_graph(EnsembleSpec(spec.n, spec.d, spec.kind, children[t]))
-        state = run_qaoa(g, model, params, initial, qubit_cap)
+        state = run_qaoa(g, model, params, initial)
         totals.append(expect_total(state, g, model))
         nontree.append(1.0 - tree_edge_fraction(g, p))
         if model.kind == MIS and samples > 0:

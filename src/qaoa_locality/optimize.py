@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**6
+_STARTS = 5  # optimize refines from this many of the best grid points
+_INITIAL_STEP = 0.25  # half-width of refine's first line-search bracket
 
 
 @dataclass(frozen=True)
@@ -125,25 +127,22 @@ def grid_search(
     obj = _objective if _objective is not None else _TreeObjective(
         d, p, model, initial
     )
-    total = resolution ** (2 * p) if p > 0 else 1
+    total = resolution ** (2 * p)
     if total > budget:
         raise ResourceError(
             f"grid of {total} evaluations exceeds the budget of {budget}"
         )
     calls = obj.evaluations
     trace: list[tuple[tuple[float, ...], tuple[float, ...], float]] = []
-    if p == 0:
-        v = obj.value((), ())
-        trace.append(((), (), v))
-    else:
-        dom = obj.domain
-        gvals = [dom.gamma_period * k / resolution for k in range(resolution)]
-        bvals = [dom.beta_period * k / resolution for k in range(resolution)]
-        btuples = list(itertools.product(bvals, repeat=p))
-        columns = np.array(btuples).T
-        for gs in itertools.product(gvals, repeat=p):
-            values = obj.path_sum.value(gs, columns).tolist()
-            trace.extend(zip(itertools.repeat(gs), btuples, values))
+    dom = obj.domain
+    gvals = [dom.gamma_period * k / resolution for k in range(resolution)]
+    bvals = [dom.beta_period * k / resolution for k in range(resolution)]
+    # At p=0 the one beta tuple is (), so columns has shape (0, 1).
+    btuples = list(itertools.product(bvals, repeat=p))
+    columns = np.array(btuples).T
+    for gs in itertools.product(gvals, repeat=p):
+        values = obj.path_sum.value(gs, columns).tolist()
+        trace.extend(zip(itertools.repeat(gs), btuples, values))
     best_g, best_b, best_v = trace[0]
     best_key = _params_key(best_g, best_b)
     for gs, bs, val in trace[1:]:
@@ -151,15 +150,13 @@ def grid_search(
         if _better(val, key, best_v, best_key):
             best_g, best_b, best_v = gs, bs, val
             best_key = key
-    # At p=0 the single trace entry is itself an objective call.
-    scanned = len(trace) if p > 0 else 0
     return OptResult(
         best_params=QaoaParams(best_g, best_b),
         best_value=best_v,
         trace=trace,
         grid_resolution=resolution,
         refinement_iterations=0,
-        evaluations=scanned + obj.evaluations - calls,
+        evaluations=len(trace) + obj.evaluations - calls,
     )
 
 
@@ -201,18 +198,17 @@ def refine(
     initial: str = "plus",
     tolerance: float = 1e-6,
     *,
-    initial_step: float = 0.25,
     max_passes: int = 80,
     _objective: "_TreeObjective | None" = None,
 ) -> OptResult:
     """Coordinate-wise golden-section ascent from ``start``.
 
-    Each pass line-searches every coordinate inside a shrinking bracket;
-    the loop ends once both the bracket size and the value gained in the
-    last pass fall below ``tolerance`` (so a tolerance at or above the
-    initial bracket returns the start point untouched). The value never
-    drops below the start value; hitting ``max_passes`` first returns the
-    best point so far with ``converged`` false.
+    Each pass line-searches every coordinate inside a shrinking bracket,
+    of half-width 0.25 at first; the loop ends once both the bracket size
+    and the value gained in the last pass fall below ``tolerance`` (so a
+    tolerance of 0.25 or more returns the start point untouched). The
+    value never drops below the start value; hitting ``max_passes`` first
+    returns the best point so far with ``converged`` false.
     """
     if tolerance <= 0:
         raise InputError("tolerance must be positive")
@@ -228,7 +224,7 @@ def refine(
         return OptResult(start, fx, trace, 0, 0, True, 1)
     x = list(start.gammas) + list(start.betas)
     xtol = max(tolerance * 0.25, 1e-12)
-    step = float(initial_step)
+    step = _INITIAL_STEP
     gain = 0.0
     passes = 0
     converged = True
@@ -267,10 +263,8 @@ def optimize(
     *,
     resolution: int | None = None,
     budget: int = DEFAULT_BUDGET,
-    top_k: int = 5,
-    tolerance: float = 1e-6,
 ) -> OptResult:
-    """Grid search, then refinement from the ``top_k`` best grid points.
+    """Grid search, then refinement from the five best grid points.
 
     The default resolution is 64 points per axis up to depth 1 and 16 from
     depth 2 on. Deterministic for fixed arguments.
@@ -286,16 +280,14 @@ def optimize(
     ranked = sorted(
         grid.trace, key=lambda rec: (-rec[2], _params_key(rec[0], rec[1]))
     )
-    starts = ranked[: max(1, int(top_k))]
+    starts = ranked[:_STARTS]
     best_params = grid.best_params
     best_value = grid.best_value
     best_key = _params_key(best_params.gammas, best_params.betas)
     total_passes = 0
     all_converged = True
     for gs, bs, _ in starts:
-        res = refine(
-            QaoaParams(gs, bs), d, p, model, initial, tolerance, _objective=obj
-        )
+        res = refine(QaoaParams(gs, bs), d, p, model, initial, _objective=obj)
         total_passes += res.refinement_iterations
         all_converged = all_converged and res.converged
         key = _params_key(res.best_params.gammas, res.best_params.betas)

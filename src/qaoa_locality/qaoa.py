@@ -41,7 +41,9 @@ __all__ = [
     "sample_bitstrings",
 ]
 
-DEFAULT_QUBIT_CAP = 26  # 2**26 complex128 amplitudes is 1 GiB
+# run_qaoa peaks at about 3.5 times the 16 * 2**m byte state (VmHWM above
+# the interpreter's, n=22 at p=2), so 26 qubits need about 3.5 GiB.
+DEFAULT_QUBIT_CAP = 26
 
 MAXCUT = "maxcut"
 MIS = "mis"
@@ -204,17 +206,19 @@ def cost_table(model: CostModel, g: Graph) -> np.ndarray:
     return num
 
 
-def prepare_initial(
-    m: int, initial: str = "plus", qubit_cap: int = DEFAULT_QUBIT_CAP
-) -> Statevector:
-    """Product initial state: "zero" is |0...0>, "plus" the uniform state."""
+def prepare_initial(m: int, initial: str = "plus") -> Statevector:
+    """Product initial state: "zero" is |0...0>, "plus" the uniform state.
+
+    Every register is allocated here, so this is the one place that checks
+    a register against ``DEFAULT_QUBIT_CAP``; the check runs before any
+    allocation."""
     if initial not in INITIAL_STATES:
         raise InputError(f"unknown initial state {initial!r}")
     m = int(m)
     if m < 1:
         raise InputError("need at least one qubit")
-    if m > qubit_cap:
-        raise ResourceError(f"{m} qubits exceed the cap of {qubit_cap}")
+    if m > DEFAULT_QUBIT_CAP:
+        raise ResourceError(f"{m} qubits exceed the cap of {DEFAULT_QUBIT_CAP}")
     if initial == "zero":
         amps = np.zeros(1 << m, dtype=np.complex128)
         amps[0] = 1.0
@@ -240,14 +244,10 @@ def _mix_inplace(amps: np.ndarray, m: int, beta: float) -> None:
 
 
 def run_qaoa(
-    g: Graph,
-    model: CostModel,
-    params: QaoaParams,
-    initial: str = "plus",
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
+    g: Graph, model: CostModel, params: QaoaParams, initial: str = "plus"
 ) -> Statevector:
     """Prepare the initial state and apply all p layers in order."""
-    state = prepare_initial(g.n, initial, qubit_cap)
+    state = prepare_initial(g.n, initial)
     if params.p == 0:
         return state
     table = cost_table(model, g)

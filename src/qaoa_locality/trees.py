@@ -66,9 +66,7 @@ def tree_vertex_count(d: int, p: int) -> int:
     return 2 * sum((d - 1) ** k for k in range(p + 1))
 
 
-def build_canonical_tree(
-    d: int, p: int, qubit_cap: int = DEFAULT_QUBIT_CAP
-) -> CanonicalTree:
+def build_canonical_tree(d: int, p: int) -> CanonicalTree:
     """Build the canonical tree with breadth-first vertex numbering.
 
     Endpoint A is 0 and endpoint B is 1; then A's children, B's children,
@@ -80,11 +78,6 @@ def build_canonical_tree(
     if p < 0:
         raise InputError("radius must be nonnegative")
     size = tree_vertex_count(d, p)
-    if size > qubit_cap:
-        raise ResourceError(
-            f"canonical tree at d={d}, p={p} needs {size} qubits, "
-            f"above the cap of {qubit_cap}"
-        )
     edges = [(0, 1)]
     depths = [0, 0]
     frontier = [0, 1]
@@ -109,14 +102,16 @@ def tree_expectation(
     model: CostModel,
     params: QaoaParams,
     initial: str = "plus",
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> TreeExpectation:
     """Simulate the circuit on the canonical tree; return the middle-edge
-    expectation. ``params`` must have exactly p layers."""
+    expectation. ``params`` must have exactly p layers.
+
+    This is the statevector oracle for :class:`TreePathSum`; it needs a
+    register of ``tree_vertex_count(d, p)`` qubits."""
     if params.p != p:
         raise InputError(f"parameter depth {params.p} must equal the radius {p}")
-    tree = build_canonical_tree(d, p, qubit_cap)
-    state = run_qaoa(tree.graph, model, params, initial, qubit_cap)
+    tree = build_canonical_tree(d, p)
+    state = run_qaoa(tree.graph, model, params, initial)
     value = expect_edge(state, tree.graph.edges[tree.middle_edge], model)
     return TreeExpectation(model, d, p, params, initial, value)
 
@@ -138,10 +133,13 @@ class TreePathSum:
     tree (Basso, Farhi, Marwaha, Villalonga & Zhou, arXiv:2110.14206).
 
     Build one per (d, p, model, initial) and call :meth:`value` per angle
-    schedule; it equals :func:`tree_expectation` without the qubit cap.
-    ``betas`` of shape (p, n) evaluates n beta schedules at once: the batch
-    rides as a trailing axis through the same code, and the n values come
-    back as an array.
+    schedule; it equals :func:`tree_expectation`, whose register grows
+    with the tree, while the path sum grows with p alone. ``betas`` of
+    shape (p, n) evaluates n beta schedules at once: the batch rides as a
+    trailing axis through the same code, and the n values come back as an
+    array. The weight holds n * 2**(2p+1) complex entries and is refused
+    above 2**(DEFAULT_QUBIT_CAP - 1) before anything is allocated, which
+    allows p <= 12 for one schedule.
     """
 
     def __init__(self, d: int, p: int, model: CostModel, initial: str = "plus"):
@@ -153,6 +151,7 @@ class TreePathSum:
             raise InputError(f"unknown initial state {initial!r}")
         self.d = int(d)
         self.p = int(p)
+        self._check_size(1)
         self.cost = np.array(
             [[float(edge_cost(model, a, b)) for b in (0, 1)] for a in (0, 1)]
         )
@@ -166,6 +165,18 @@ class TreePathSum:
         bits = (2,) * (self.p + 1)
         self._reversed = np.arange(1 << (self.p + 1)).reshape(bits).transpose().reshape(-1)
         self._ones = np.ones((2, 2))
+
+    def _check_size(self, schedules: int) -> None:
+        # value() peaks at about five arrays the size of the weight (VmHWM
+        # above the interpreter's, d=3 at p=10 and p=11), against run_qaoa's
+        # 3.5 states, so half the register's entries keep the path sum
+        # below the register's peak: 2.5 GiB at p=12.
+        cap = DEFAULT_QUBIT_CAP - 1
+        if schedules << (2 * self.p + 1) > 1 << cap:
+            raise ResourceError(
+                f"path sum at p={self.p} needs {schedules} x "
+                f"2**{2 * self.p + 1} entries, above the cap of 2**{cap}"
+            )
 
     def _weight(self, betas: np.ndarray) -> np.ndarray:
         # Ket chain over (a_1..a_p, a_0): initial amplitude times the mixer
@@ -191,6 +202,7 @@ class TreePathSum:
         if len(gammas) != self.p or len(betas) != self.p:
             raise InputError(f"angle schedule must have exactly {self.p} layers")
         betas = np.asarray(betas, dtype=float)
+        self._check_size(math.prod(betas.shape[1:]))
         f = self._weight(betas)
         ket = [np.exp((-1j * float(g)) * self.cost) for g in gammas]
         bra = [e.conj() for e in reversed(ket)]
@@ -210,7 +222,6 @@ def neighborhood_expectation(
     model: CostModel,
     params: QaoaParams,
     initial: str = "plus",
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> float:
     """Middle-edge expectation simulated on an extracted neighborhood alone.
 
@@ -218,7 +229,7 @@ def neighborhood_expectation(
     cancel out of that edge's expectation, so this equals the full-graph
     expectation of the middle edge whenever the radius matches the depth.
     """
-    state = run_qaoa(nb.subgraph, model, params, initial, qubit_cap)
+    state = run_qaoa(nb.subgraph, model, params, initial)
     return expect_edge(state, nb.subgraph.edges[nb.middle_edge], model)
 
 

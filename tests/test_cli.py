@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from qaoa_locality.qaoa import CostModel, QaoaParams
-from qaoa_locality.trees import tree_expectation
+from qaoa_locality.trees import TreePathSum, tree_expectation
 
 
 def run_cli(*args, **kwargs):
@@ -111,11 +111,37 @@ def test_prune_subcommand(tmp_path):
 
 
 def test_qubit_cap_exits_3():
-    proc = run_cli("tree-expect", "--d", "3", "--p", "3")
+    # the cap is checked before the register is allocated
+    proc = run_cli(
+        "locality-check", "--n", "28", "--d", "3", "--p", "1", "--trials", "1"
+    )
     assert proc.returncode == 3
     error = stderr_error(proc)
     assert error["category"] == "resource-limit"
-    assert "30" in error["message"]
+    assert "28 qubits exceed the cap of 26" in error["message"]
+
+
+def test_tree_expect_has_no_qubit_cap():
+    proc = run_cli(
+        "tree-expect",
+        "--d", "3", "--p", "3",
+        "--gamma", "0.4,0.8,1.1", "--beta", "0.5,0.3,0.1",
+    )
+    report = stdout_report(proc)
+    expected = TreePathSum(3, 3, CostModel.maxcut()).value(
+        (0.4, 0.8, 1.1), (0.5, 0.3, 0.1)
+    )
+    assert report["results"]["value"] == expected
+    assert report["results"]["tree_vertices"] == 30
+
+
+def test_tree_expect_path_sum_cap_exits_3():
+    # the path sum's weight grows as 2**(2p+1); p=13 is refused unallocated
+    proc = run_cli("tree-expect", "--d", "2", "--p", "13")
+    assert proc.returncode == 3
+    error = stderr_error(proc)
+    assert error["category"] == "resource-limit"
+    assert "p=13" in error["message"]
 
 
 def test_locality_check_subcommand():
@@ -169,6 +195,53 @@ def test_run_config_is_byte_deterministic(tmp_path):
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["tree-expect", "--d", "3", "--p", "1"], {"d": 3, "p": 1}),
+        (
+            ["optimize", "--d", "2", "--p", "1", "--resolution", "8"],
+            {"d": 2, "p": 1, "resolution": 8},
+        ),
+        (["cycles", "--n", "20", "--d", "3"], {"n": 20, "d": 3}),
+        (
+            ["tree-fraction", "--n", "16", "--d", "3", "--p-list", "1,2"],
+            {"n": 16, "d": 3, "p_list": "1,2"},
+        ),
+        (
+            ["locality-check", "--n", "8", "--d", "3", "--p", "1"],
+            {"n": 8, "d": 3, "p": 1},
+        ),
+    ],
+    ids=["tree-expect", "optimize", "cycles", "tree-fraction", "locality-check"],
+)
+def test_command_line_and_config_share_defaults(tmp_path, argv, config):
+    """Optional options are defaulted by the handlers alone, so leaving
+    them out of the command line and of a config file gives one report."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"command": argv[0], **config}))
+    direct = run_cli(*argv)
+    from_config = run_cli("run", "--config", str(path))
+    assert direct.returncode == 0, direct.stderr
+    assert direct.stdout == from_config.stdout
+
+
+def test_in_option_matches_config_key_in(tmp_path):
+    """`--in` and a config file's "in" key reach the handlers as one key."""
+    graph = tmp_path / "g.edges"
+    graph.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")
+    for argv, config in [
+        (["cycles", "--in", str(graph), "--kmax", "4"], {"kmax": 4}),
+        (["prune", "--in", str(graph), "--bits", "1100", "--d", "2"],
+         {"bits": "1100", "d": 2}),
+    ]:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"command": argv[0], "in": str(graph), **config}))
+        direct = run_cli(*argv)
+        assert direct.returncode == 0, direct.stderr
+        assert direct.stdout == run_cli("run", "--config", str(path)).stdout
 
 
 def test_run_config_writes_report_and_csv(tmp_path):

@@ -33,6 +33,7 @@ from qaoa_locality.graphs import (
 )
 from qaoa_locality.qaoa import CostModel, QaoaParams, cost_value
 from qaoa_locality.rng import as_generator
+from qaoa_locality.trees import tree_expectation
 
 MC = CostModel.maxcut()
 MIS3 = CostModel.mis(3)
@@ -205,6 +206,18 @@ def test_equivalence_zero_angles_is_exact():
         assert row["general_mean"] == pytest.approx(0.5, abs=1e-12)
         assert row["bipartite_mean"] == pytest.approx(0.5, abs=1e-12)
         assert row["gap"] < 1e-12
+
+
+@pytest.mark.parametrize("model", [MC, MIS3], ids=["maxcut", "mis3"])
+@pytest.mark.parametrize(
+    "params",
+    [QaoaParams((0.9,), (0.5,)), QaoaParams((0.7, 1.9), (0.4, 0.2))],
+    ids=["p1", "p2"],
+)
+def test_equivalence_tree_value_matches_statevector(model, params):
+    report = ensemble_equivalence([8], 3, params.p, model, params, trials=2)
+    want = tree_expectation(3, params.p, model, params).value
+    assert abs(report["results"]["tree_value"] - want) < 1e-12
 
 
 def test_equivalence_report_shape():

@@ -73,7 +73,7 @@ def test_grid_p0_single_evaluation():
     assert result.best_params.p == 0
     assert abs(result.best_value - 0.5) < 1e-12
     assert len(result.trace) == 1
-    # the single point is the one objective call
+    # the single point is the one grid point; no objective call follows
     assert result.evaluations == 1
 
 

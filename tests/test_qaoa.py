@@ -174,7 +174,7 @@ def test_prepare_initial_states_and_cap():
     with pytest.raises(ResourceError):
         prepare_initial(27, "plus")
     with pytest.raises(ResourceError):
-        run_qaoa(cycle_graph(30), MC, QaoaParams((0.1,), (0.2,)), qubit_cap=26)
+        run_qaoa(cycle_graph(30), MC, QaoaParams((0.1,), (0.2,)))
 
 
 def test_statevector_rejects_unnormalized():

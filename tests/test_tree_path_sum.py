@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qaoa_locality.errors import InputError
+from qaoa_locality.errors import InputError, ResourceError
 from qaoa_locality.optimize import grid_search, refine
 from qaoa_locality.qaoa import CostModel, QaoaParams
 from qaoa_locality.trees import TreePathSum, tree_expectation, tree_vertex_count
@@ -116,3 +116,17 @@ def test_validates_inputs():
         TreePathSum(3, 1, MC, "minus")
     with pytest.raises(InputError):
         TreePathSum(3, 2, MC).value((0.1,), (0.2,))
+
+
+def test_weight_size_is_capped_before_allocation():
+    # one schedule at p=12 holds 2**25 entries, the most the cap allows
+    with pytest.raises(ResourceError) as err:
+        TreePathSum(2, 13, MC)
+    assert "p=13" in str(err.value)
+    path_sum = TreePathSum(2, 12, MC)
+    with pytest.raises(ResourceError) as err:
+        path_sum.value((0.1,) * 12, np.zeros((12, 2)))
+    assert "2 x 2**25" in str(err.value)
+    # within the default budget, but 2**9 beta columns of 2**19 entries each
+    with pytest.raises(ResourceError):
+        grid_search(2, 9, MC, resolution=2)

@@ -53,10 +53,11 @@ def test_depth_zero_tree_is_single_edge():
 
 
 def test_qubit_cap_enforced():
+    # the tree is only a graph; the cap applies to the register simulating it
+    assert build_canonical_tree(3, 3).graph.n == 30
     with pytest.raises(ResourceError) as err:
-        build_canonical_tree(3, 3)
+        tree_expectation(3, 3, MC, QaoaParams.zeros(3))
     assert "30" in str(err.value)
-    build_canonical_tree(3, 3, qubit_cap=30)  # explicit override fits
     with pytest.raises(InputError):
         build_canonical_tree(1, 1)
     with pytest.raises(InputError):
