@@ -14,8 +14,10 @@ from .graphs import (
     count_cycles,
     cycle_graph,
     edge_neighborhood,
+    expected_matchings,
     generate_bipartite_regular,
     generate_regular,
+    matching_budget,
     max_cut_of_bipartition,
     path_graph,
     read_edgelist,
@@ -45,6 +47,7 @@ from .qaoa import (
 )
 from .trees import (
     CanonicalTree,
+    LightConeSum,
     TreeExpectation,
     TreePathSum,
     build_canonical_tree,

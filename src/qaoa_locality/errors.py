@@ -10,6 +10,7 @@ class InputError(ValueError):
 
 
 class ResourceError(RuntimeError):
-    """A desk-scale guardrail was exceeded (qubit cap, evaluation budget)."""
+    """A desk-scale guardrail was exceeded (qubit cap, evaluation budget,
+    stub-matching budget)."""
 
     category = "resource-limit"

@@ -36,12 +36,11 @@ from .qaoa import (
     bit_values,
     cost_value,
     expect_edge,
-    expect_total,
     run_qaoa,
     sample_bitstrings,
 )
 from .rng import derive_seeds
-from .trees import TreePathSum, neighborhood_expectation, predicted_ensemble_cost
+from .trees import LightConeSum, neighborhood_expectation, predicted_ensemble_cost
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -373,7 +372,8 @@ def ensemble_equivalence(
     For each n the two ensemble means are compared with each other and with
     the canonical-tree value. Tolerances are 3 combined standard errors
     plus each ensemble's measured non-tree-edge fraction, since edges whose
-    neighborhood is not a tree contribute an unquantified bias.
+    neighborhood is not a tree contribute an unquantified bias. Each graph's
+    exact total and tree-edge count come from :class:`LightConeSum`.
     """
     n_list = [int(n) for n in n_list]
     if not n_list:
@@ -384,7 +384,8 @@ def ensemble_equivalence(
         raise InputError("need at least two trials for standard errors")
     if params.p != p:
         raise InputError(f"parameter depth {params.p} must equal p={p}")
-    tree_value = TreePathSum(d, p, model, initial).value(params.gammas, params.betas)
+    light_cone = LightConeSum(d, model, params, initial)
+    tree_value = light_cone.tree_value
     kinds = ("general", "bipartite")
     stream = derive_seeds(seed, len(n_list) * len(kinds))
     rows = []
@@ -397,9 +398,9 @@ def ensemble_equivalence(
             nontree = []
             for child in derive_seeds(stream[position], trials):
                 g = sample_graph(EnsembleSpec(n, d, kind, child))
-                state = run_qaoa(g, model, params, initial)
-                per_edge.append(expect_total(state, g, model) / g.m)
-                nontree.append(1.0 - tree_edge_fraction(g, p))
+                total, tree_edges = light_cone.total(g)
+                per_edge.append(total / g.m)
+                nontree.append(1.0 - tree_edges / g.m)
             position += 1
             values = np.asarray(per_edge)
             stats[kind] = (
@@ -578,9 +579,10 @@ def end_to_end(
     samples: int = 64,
 ) -> dict:
     """Full pipeline: optimize angles on the canonical tree, predict the
-    ensemble cost, check against full simulations at this n, attach the
-    ratio ceiling where constants exist, and (independent-set model only)
-    sample bitstrings and prune them into independent sets."""
+    ensemble cost, check against exact totals of sampled graphs at this n
+    (:class:`LightConeSum`), attach the ratio ceiling where constants exist,
+    and (independent-set model only) sample bitstrings from each graph's full
+    state and prune them into independent sets."""
     p = int(p)
     trials = int(trials)
     samples = int(samples)
@@ -591,6 +593,7 @@ def end_to_end(
     opt = optimize(spec.d, p, model, initial, budget=budget)
     params = opt.best_params
     tree_value = opt.best_value
+    light_cone = LightConeSum(spec.d, model, params, initial)
     children = derive_seeds(seed, 2 * trials)
     totals = []
     nontree = []
@@ -602,10 +605,11 @@ def end_to_end(
     prune_input_costs = []
     for t in range(trials):
         g = sample_graph(EnsembleSpec(spec.n, spec.d, spec.kind, children[t]))
-        state = run_qaoa(g, model, params, initial)
-        totals.append(expect_total(state, g, model))
-        nontree.append(1.0 - tree_edge_fraction(g, p))
+        total, tree_edges = light_cone.total(g)
+        totals.append(total)
+        nontree.append(1.0 - tree_edges / g.m)
         if model.kind == MIS and samples > 0:
+            state = run_qaoa(g, model, params, initial)
             for bits in sample_bitstrings(state, samples, children[trials + t]):
                 result = prune(g, bits, spec.d)
                 prune_total += 1

@@ -41,8 +41,10 @@ __all__ = [
     "sample_bitstrings",
 ]
 
-# run_qaoa peaks at about 3.5 times the 16 * 2**m byte state (VmHWM above
-# the interpreter's, n=22 at p=2), so 26 qubits need about 3.5 GiB.
+# run_qaoa peaks at about 2.5 times the 16 * 2**m byte state: the state, the
+# float64 cost table and one state-sized scratch buffer (VmHWM 195 MiB at
+# n=22, p=2, 160 MiB above the interpreter's, for a 64 MiB state), so 26
+# qubits need about 2.5 GiB.
 DEFAULT_QUBIT_CAP = 26
 
 MAXCUT = "maxcut"
@@ -227,35 +229,58 @@ def prepare_initial(m: int, initial: str = "plus") -> Statevector:
     return Statevector(m, amps)
 
 
-def _mix_inplace(amps: np.ndarray, m: int, beta: float) -> None:
-    # exp(-i*beta*X) = [[cos b, -i sin b], [-i sin b, cos b]] on each qubit.
+def _mix_inplace(
+    amps: np.ndarray, m: int, beta: float, t0: np.ndarray, t1: np.ndarray
+) -> None:
+    # exp(-i*beta*X) = [[cos b, -i sin b], [-i sin b, cos b]] on each qubit;
+    # t0 and t1 are half-state buffers, so no full-size temporary is made.
     c = math.cos(beta)
     s = math.sin(beta)
     if s == 0.0:
         if c != 1.0:
             amps *= c  # beta = pi: global factor -1
         return
+    js = 1j * s
     for k in range(m):
         view = amps.reshape(-1, 2, 1 << k)
-        a0 = view[:, 0, :].copy()
+        a0 = view[:, 0, :]
         a1 = view[:, 1, :]
-        view[:, 0, :] = c * a0 - 1j * s * a1
-        view[:, 1, :] = c * a1 - 1j * s * a0
+        b0 = t0.reshape(-1, 1 << k)
+        b1 = t1.reshape(-1, 1 << k)
+        np.multiply(a0, c, out=b0)
+        np.multiply(a1, js, out=b1)
+        b0 -= b1  # new a0 = c*a0 - i*s*a1
+        np.multiply(a0, js, out=b1)
+        a1 *= c
+        a1 -= b1  # new a1 = c*a1 - i*s*a0
+        a0[...] = b0
+
+
+def _evolve(
+    amps: np.ndarray, m: int, table: np.ndarray, params: QaoaParams
+) -> None:
+    # One state-sized scratch buffer holds the phase vector, and its two
+    # halves are the mixer's buffers.
+    scratch = np.empty(amps.size, dtype=np.complex128)
+    half = amps.size // 2
+    for gamma, beta in zip(params.gammas, params.betas):
+        np.multiply(table, -1j * gamma, out=scratch)
+        np.exp(scratch, out=scratch)
+        amps *= scratch
+        _mix_inplace(amps, m, beta, scratch[:half], scratch[half:])
 
 
 def run_qaoa(
     g: Graph, model: CostModel, params: QaoaParams, initial: str = "plus"
 ) -> Statevector:
-    """Prepare the initial state and apply all p layers in order."""
+    """Prepare the initial state and apply all p layers in order, in place."""
     state = prepare_initial(g.n, initial)
     if params.p == 0:
         return state
-    table = cost_table(model, g)
-    amps = state.amplitudes  # freshly allocated, safe to evolve in place
-    for gamma, beta in zip(params.gammas, params.betas):
-        amps *= np.exp((-1j * gamma) * table)
-        _mix_inplace(amps, g.n, beta)
-    return Statevector(g.n, amps)
+    # The table and the scratch buffers are freed before the returned
+    # Statevector's norm check allocates its own temporaries.
+    _evolve(state.amplitudes, g.n, cost_table(model, g), params)
+    return Statevector(g.n, state.amplitudes)
 
 
 def _edge_marginals(amps: np.ndarray, m: int, i: int, j: int) -> np.ndarray:

@@ -6,7 +6,8 @@ trees of height p whose roots are joined by the middle edge. Its size is
 the leaves have degree 1. For an edge of a d-regular graph whose
 radius-p edge ball is a tree, that ball is exactly this tree, so the
 middle-edge expectation computed here is the per-edge building block for
-whole-ensemble predictions.
+whole-ensemble predictions; :class:`LightConeSum` adds these blocks up into
+exact totals of whole graphs.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .graphs import Graph, Neighborhood
+from .graphs import Graph, Neighborhood, edge_neighborhood
 from .qaoa import (
     DEFAULT_QUBIT_CAP,
     INITIAL_STATES,
@@ -31,6 +32,7 @@ __all__ = [
     "CanonicalTree",
     "TreeExpectation",
     "TreePathSum",
+    "LightConeSum",
     "tree_vertex_count",
     "build_canonical_tree",
     "tree_expectation",
@@ -169,8 +171,8 @@ class TreePathSum:
     def _check_size(self, schedules: int) -> None:
         # value() peaks at about five arrays the size of the weight (VmHWM
         # above the interpreter's, d=3 at p=10 and p=11), against run_qaoa's
-        # 3.5 states, so half the register's entries keep the path sum
-        # below the register's peak: 2.5 GiB at p=12.
+        # 2.5 states, so half the register's entries keep the path sum at
+        # the register's peak: 2.5 GiB at p=12.
         cap = DEFAULT_QUBIT_CAP - 1
         if schedules << (2 * self.p + 1) > 1 << cap:
             raise ResourceError(
@@ -231,6 +233,55 @@ def neighborhood_expectation(
     """
     state = run_qaoa(nb.subgraph, model, params, initial)
     return expect_edge(state, nb.subgraph.edges[nb.middle_edge], model)
+
+
+class LightConeSum:
+    """Exact expected total cost of d-regular graphs at one angle schedule,
+    summed over the light cones of their edges.
+
+    At depth p an edge's expectation depends only on the ball of edges
+    within p steps of it (:func:`edge_neighborhood`), so a graph's total is
+    the sum of its edges' ball values. A ball that is a tree is the
+    canonical tree and adds the one :class:`TreePathSum` value, computed
+    once at construction (``tree_value``). Any other ball adds its
+    :func:`neighborhood_expectation`, cached on the relabelled ball, so a
+    ball shape met again, in this graph or a later one, is simulated once.
+    A ball is part of its graph, so it never needs more qubits than the
+    graph itself.
+    """
+
+    def __init__(
+        self, d: int, model: CostModel, params: QaoaParams, initial: str = "plus"
+    ):
+        self.d = int(d)
+        self.model = model
+        self.params = params
+        self.initial = initial
+        self.tree_value = TreePathSum(self.d, params.p, model, initial).value(
+            params.gammas, params.betas
+        )
+        self._balls: dict = {}
+
+    def total(self, g: Graph) -> tuple[float, int]:
+        """Expected total cost of ``g`` and the number of its edges whose
+        ball is a tree."""
+        if any(len(nbrs) != self.d for nbrs in g.adjacency):
+            raise InputError(f"light-cone sums need a {self.d}-regular graph")
+        tree_edges = 0
+        total = 0.0
+        for edge in g.edges:
+            nb = edge_neighborhood(g, edge, self.params.p)
+            if nb.is_tree:
+                tree_edges += 1
+                continue
+            # the middle edge is always edge 0 of the relabelled ball
+            key = (nb.subgraph.n, tuple(nb.subgraph.edges))
+            if key not in self._balls:
+                self._balls[key] = neighborhood_expectation(
+                    nb, self.model, self.params, self.initial
+                )
+            total += self._balls[key]
+        return tree_edges * self.tree_value + total, tree_edges
 
 
 def predicted_ensemble_cost(n: int, d: int, tree_value: float) -> float:

@@ -6,6 +6,7 @@ stderr behave exactly as a shell user sees them.
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -142,6 +143,21 @@ def test_tree_expect_path_sum_cap_exits_3():
     error = stderr_error(proc)
     assert error["category"] == "resource-limit"
     assert "p=13" in error["message"]
+
+
+def test_matching_budget_exits_3(tmp_path):
+    # d=8 stub matchings are simple about once in 10**7 tries, so the spec
+    # is refused before any matching is drawn
+    start = time.monotonic()
+    proc = run_cli(
+        "generate", "--n", "20", "--d", "8", "--out", str(tmp_path / "g.edges")
+    )
+    assert time.monotonic() - start < 5.0
+    assert proc.returncode == 3
+    error = stderr_error(proc)
+    assert error["category"] == "resource-limit"
+    assert "n=20, d=8 needs about 5.84e+07 stub matchings" in error["message"]
+    assert not (tmp_path / "g.edges").exists()
 
 
 def test_locality_check_subcommand():

@@ -1,8 +1,10 @@
 import networkx as nx
 import pytest
 
-from qaoa_locality.errors import InputError
+from qaoa_locality import graphs as graphs_module
+from qaoa_locality.errors import InputError, ResourceError
 from qaoa_locality.graphs import (
+    MAX_EXPECTED_MATCHINGS,
     EnsembleSpec,
     Graph,
     complete_bipartite_graph,
@@ -10,8 +12,10 @@ from qaoa_locality.graphs import (
     count_cycles,
     cycle_graph,
     edge_neighborhood,
+    expected_matchings,
     generate_bipartite_regular,
     generate_regular,
+    matching_budget,
     max_cut_of_bipartition,
     path_graph,
     read_edgelist,
@@ -86,6 +90,57 @@ def test_generate_bipartite_regular(n, d):
             assert (u < half) <= (v >= half)
         assert g.bipartition is not None
         assert max_cut_of_bipartition(g) == g.m
+
+
+def test_matching_budget_stops_the_same_stream(monkeypatch):
+    # (12, 5, seed 3) is simple at its 1493rd general matching and
+    # (12, 4, seed 3) at its 21st bipartite one: a budget of exactly that
+    # many draws the same graph, one fewer raises.
+    general = EnsembleSpec(12, 5, "general", 3)
+    bipartite = EnsembleSpec(12, 4, "bipartite", 3)
+    first = sample_graph(general).edges
+    assert first[:6] == [(0, 2), (0, 3), (0, 4), (0, 8), (0, 11), (1, 2)]
+    for spec, attempts in ((general, 1493), (bipartite, 21)):
+        want = sample_graph(spec).edges
+        monkeypatch.setattr(graphs_module, "matching_budget", lambda s: attempts)
+        assert sample_graph(spec).edges == want
+        monkeypatch.setattr(graphs_module, "matching_budget", lambda s: attempts - 1)
+        with pytest.raises(ResourceError, match=f"n=12, d={spec.d} in {attempts - 1} "):
+            sample_graph(spec)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "refused, runs, seed",
+    [
+        (EnsembleSpec(14, 7, "general"), EnsembleSpec(16, 7, "general"), 67),
+        (EnsembleSpec(46, 6, "bipartite"), EnsembleSpec(48, 6, "bipartite"), 20),
+    ],
+    ids=["general-d7", "bipartite-d6"],
+)
+def test_matching_limit_depends_on_the_spec_not_the_seed(
+    refused, runs, seed, monkeypatch
+):
+    # either side of MAX_EXPECTED_MATCHINGS: the smaller n is refused
+    # before any matching is drawn, for every seed
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs_module, "as_generator", None)
+        for s in range(3):
+            with pytest.raises(ResourceError, match=f"n={refused.n}, d={refused.d} needs"):
+                sample_graph(EnsembleSpec(refused.n, refused.d, refused.kind, s))
+    # the larger n gets 50 times its expected matchings; this seed draws
+    # a graph early (seed 67 after 12794 matchings, seed 20 after 960)
+    assert matching_budget(runs) >= 50 * expected_matchings(runs)
+    g = sample_graph(EnsembleSpec(runs.n, runs.d, runs.kind, seed))
+    assert g.m == runs.n * runs.d // 2
+
+
+def test_no_d8_graph_is_ever_sampled():
+    for kind in ("general", "bipartite"):
+        spec = EnsembleSpec(10**6, 8, kind)
+        assert expected_matchings(spec) > MAX_EXPECTED_MATCHINGS
+        with pytest.raises(ResourceError, match="above the limit of 1000000"):
+            matching_budget(spec)
 
 
 def test_sample_graph_dispatches_on_kind():

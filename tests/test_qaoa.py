@@ -161,6 +161,48 @@ def test_bit_round_trips():
         bit_values("102")
 
 
+# ------------------------------------------------ in-place evolution kernel
+
+
+def reference_qaoa(g, model, params, initial):
+    """The evolution loop before the kernel went in place: a full-size
+    phase vector per layer and a copied half-state per qubit."""
+    amps = prepare_initial(g.n, initial).amplitudes
+    table = cost_table(model, g)
+    for gamma, beta in zip(params.gammas, params.betas):
+        amps *= np.exp((-1j * gamma) * table)
+        c, s = math.cos(beta), math.sin(beta)
+        if s == 0.0:
+            if c != 1.0:
+                amps *= c
+            continue
+        for k in range(g.n):
+            view = amps.reshape(-1, 2, 1 << k)
+            a0 = view[:, 0, :].copy()
+            a1 = view[:, 1, :]
+            view[:, 0, :] = c * a0 - 1j * s * a1
+            view[:, 1, :] = c * a1 - 1j * s * a0
+    return amps
+
+
+def test_in_place_kernel_matches_reference_loop():
+    rng = np.random.default_rng(29)
+    small = [complete_graph(2), cycle_graph(7)] + [
+        sample_graph(EnsembleSpec(n, 3, "general", n)) for n in (8, 12)
+    ]
+    for model in (MC, MIS3):
+        for p in (1, 2, 3):
+            for g in small:
+                params = random_params(model, p, rng)
+                # beta=pi takes the global-sign branch
+                if p == 3:
+                    params = QaoaParams(params.gammas, params.betas[:2] + (math.pi,))
+                for initial in ("plus", "zero"):
+                    got = run_qaoa(g, model, params, initial).amplitudes
+                    want = reference_qaoa(g, model, params, initial)
+                    assert np.array_equal(got, want)
+
+
 # ------------------------------------------------------------ state checks
 
 
