@@ -40,7 +40,7 @@ from .qaoa import (
     sample_bitstrings,
 )
 from .rng import derive_seeds
-from .trees import LightConeSum, neighborhood_expectation, predicted_ensemble_cost
+from .trees import LightConeSum, TreePathSum, predicted_ensemble_cost
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -256,7 +256,10 @@ def prune(g: Graph, b, d: int) -> PruneResult:
         u, v = violated
         work[v] = 0
         steps.append(((u, v), v))
-        costs.append(cost_value(model, g, work))
+        # On a d-regular graph the cost is |set|/2 minus the violated
+        # edges, so clearing v adds one per neighbour still set, minus 1/2.
+        still_set = sum(work[w] for w in g.adjacency[v])
+        costs.append(costs[-1] + still_set - Fraction(1, 2))
     return PruneResult(
         input_bitstring="".join(str(x) for x in bits),
         output_bitstring="".join(str(x) for x in work),
@@ -287,13 +290,14 @@ def locality_check(
     initial: str = "plus",
     trials: int = 10,
 ) -> dict:
-    """Compare full-graph edge expectations against extracted-neighborhood
-    simulations on every edge whose radius-p ball is a tree.
+    """Compare full-graph edge expectations against the canonical tree's
+    :class:`TreePathSum` value on every edge whose radius-p ball is a tree.
 
-    Identical tree neighborhoods share one simulation (the extraction
-    relabels deterministically, so equal edge lists mean equal values).
-    Reports the maximum absolute discrepancy over everything checked; if no
-    edge anywhere has a tree neighborhood the report says so instead.
+    Every tree ball is the canonical tree, so one path-sum value serves all
+    of them; it is computed at the first tree edge, and a run without one
+    evaluates no tree. Reports the maximum absolute discrepancy over
+    everything checked; if no edge anywhere has a tree neighborhood the
+    report says so instead.
     """
     p = int(p)
     trials = int(trials)
@@ -302,7 +306,7 @@ def locality_check(
     if trials < 1:
         raise InputError("need at least one trial")
     seeds = derive_seeds(spec.seed, trials)
-    cache: dict = {}
+    tree_value = None
     rows = []
     worst_overall = 0.0
     tree_edges_total = 0
@@ -313,14 +317,14 @@ def locality_check(
         worst = 0.0
         tree_edges = 0
         for edge in g.edges:
-            nb = edge_neighborhood(g, edge, p)
-            if not nb.is_tree:
+            if not edge_neighborhood(g, edge, p).is_tree:
                 continue
+            if tree_value is None:
+                tree_value = TreePathSum(spec.d, p, model, initial).value(
+                    params.gammas, params.betas
+                )
             tree_edges += 1
-            key = (nb.subgraph.n, tuple(nb.subgraph.edges), nb.middle_edge)
-            if key not in cache:
-                cache[key] = neighborhood_expectation(nb, model, params, initial)
-            diff = abs(expect_edge(state, edge, model) - cache[key])
+            diff = abs(expect_edge(state, edge, model) - tree_value)
             if diff > worst:
                 worst = diff
         rows.append(

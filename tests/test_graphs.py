@@ -1,4 +1,5 @@
 import networkx as nx
+import numpy as np
 import pytest
 
 from qaoa_locality import graphs as graphs_module
@@ -23,6 +24,7 @@ from qaoa_locality.graphs import (
     tree_edge_fraction,
     write_edgelist,
 )
+from qaoa_locality.rng import as_generator
 from qaoa_locality.trees import build_canonical_tree
 
 
@@ -90,6 +92,70 @@ def test_generate_bipartite_regular(n, d):
             assert (u < half) <= (v >= half)
         assert g.bipartition is not None
         assert max_cut_of_bipartition(g) == g.m
+
+
+# The samplers as they were when each tested its matching pair by pair in
+# Python, kept verbatim as the reference for the numpy test that replaced
+# them: same stream, same graphs.
+def reference_regular(spec):
+    rng = as_generator(spec.seed)
+    stubs = np.repeat(np.arange(spec.n), spec.d)
+    while True:
+        rng.shuffle(stubs)
+        flat = stubs.tolist()
+        edges = set()
+        ok = True
+        it = iter(flat)
+        for a, b in zip(it, it):
+            if a == b:
+                ok = False
+                break
+            if a > b:
+                a, b = b, a
+            if (a, b) in edges:
+                ok = False
+                break
+            edges.add((a, b))
+        if ok:
+            return Graph.from_edges(spec.n, sorted(edges), degree=spec.d)
+
+
+def reference_bipartite(spec):
+    rng = as_generator(spec.seed)
+    half = spec.n // 2
+    left = np.repeat(np.arange(half), spec.d).tolist()
+    right = np.repeat(np.arange(half, spec.n), spec.d)
+    while True:
+        rng.shuffle(right)
+        pairs = set()
+        ok = True
+        for a, b in zip(left, right.tolist()):
+            if (a, b) in pairs:
+                ok = False
+                break
+            pairs.add((a, b))
+        if ok:
+            classes = [0] * half + [1] * (spec.n - half)
+            return Graph.from_edges(
+                spec.n, sorted(pairs), degree=spec.d, bipartition=classes
+            )
+
+
+REFERENCE = {"general": reference_regular, "bipartite": reference_bipartite}
+
+
+@pytest.mark.parametrize("kind", ["general", "bipartite"])
+@pytest.mark.parametrize("n", [8, 12, 16, 20, 200, 1000])
+def test_samplers_draw_the_reference_graphs(n, kind):
+    # every valid degree 2..5: a bipartite class of n/2 vertices caps d
+    degrees = [d for d in (2, 3, 4, 5) if kind == "general" or d <= n // 2]
+    for d in degrees:
+        for seed in range(5 if n == 1000 else 20):
+            spec = EnsembleSpec(n, d, kind, seed)
+            got, want = sample_graph(spec), REFERENCE[kind](spec)
+            assert got.edges == want.edges, spec
+            assert got.bipartition == want.bipartition, spec
+            assert got.degree == want.degree == d, spec
 
 
 def test_matching_budget_stops_the_same_stream(monkeypatch):

@@ -1,5 +1,6 @@
 """Every name a module imports is used there or re-exported in its
-``__all__``; an import nothing reads is dead weight that hides real
+``__all__``, and every module-level private name is read somewhere in the
+package; an import or a helper nothing reads is dead weight that hides real
 dependencies."""
 import ast
 from pathlib import Path
@@ -37,3 +38,47 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(_imported(tree)) - used - _exported(tree))
     assert not unused, f"{path.name} imports {unused} but never uses them"
+
+
+def _private_definitions(tree):
+    # module-level functions, classes and assigned names with one leading
+    # underscore; dunders such as __all__ are the interpreter's
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.endswith("__"))
+
+
+def unread_private_names(package):
+    """Module-level private names of ``package`` that no module reads,
+    either by name or as an attribute, as (file name, name) pairs."""
+    defined, read = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(path.name, name) for name in _private_definitions(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [(file, name) for file, name in defined if name not in read]
+
+
+def test_every_private_name_is_read():
+    unread = unread_private_names(PACKAGE)
+    assert not unread, f"module-level private names nothing reads: {unread}"
+
+
+def test_an_unread_private_name_is_caught(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_LIMIT = 3\n_used = 1\n\n\ndef _helper():\n    return _used\n\n\n"
+        "class _Box:\n    pass\n\n\n__all__ = []\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text("from . import a\n\nx = a._Box\n", encoding="utf-8")
+    assert unread_private_names(tmp_path) == [("a.py", "_LIMIT"), ("a.py", "_helper")]
