@@ -14,6 +14,7 @@ from .graphs import (
     count_cycles,
     cycle_graph,
     edge_neighborhood,
+    edge_tree_radii,
     expected_matchings,
     generate_bipartite_regular,
     generate_regular,

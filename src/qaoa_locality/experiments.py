@@ -23,9 +23,8 @@ from .graphs import (
     EnsembleSpec,
     Graph,
     count_cycles,
-    edge_neighborhood,
+    edge_tree_radii,
     sample_graph,
-    tree_edge_fraction,
 )
 from .optimize import DEFAULT_BUDGET, optimize
 from .qaoa import (
@@ -316,8 +315,8 @@ def locality_check(
         state = run_qaoa(g, model, params, initial)
         worst = 0.0
         tree_edges = 0
-        for edge in g.edges:
-            if not edge_neighborhood(g, edge, p).is_tree:
+        for edge, radius in zip(g.edges, edge_tree_radii(g, p).tolist()):
+            if radius < p:
                 continue
             if tree_value is None:
                 tree_value = TreePathSum(spec.d, p, model, initial).value(
@@ -543,13 +542,19 @@ def tree_fraction_experiment(spec: EnsembleSpec, p_list, trials: int = 20) -> di
     if trials < 1:
         raise InputError("need at least one trial")
     seeds = derive_seeds(spec.seed, trials)
-    graphs = [
-        sample_graph(EnsembleSpec(spec.n, spec.d, spec.kind, child))
-        for child in seeds
-    ]
+    # Each graph is walked once, at the largest radius, and only its
+    # fractions are kept: a ball is a tree at radius p exactly when the
+    # edge's tree radius is at least p.
+    tree_fractions: dict[int, list[float]] = {p: [] for p in p_list}
+    for child in seeds:
+        g = sample_graph(EnsembleSpec(spec.n, spec.d, spec.kind, child))
+        radii = edge_tree_radii(g, max(p_list))
+        for p in p_list:
+            short = int(np.count_nonzero(np.maximum(p - radii, 0)))
+            tree_fractions[p].append((g.m - short) / g.m)
     rows = []
     for p in p_list:
-        values = np.asarray([tree_edge_fraction(g, p) for g in graphs])
+        values = np.asarray(tree_fractions[p])
         growth = (spec.d - 1) ** (2 * p)
         rows.append(
             {

@@ -2,8 +2,9 @@
 
 Everything the rest of the package needs from graph land: random d-regular
 ensembles (general and bipartite, configuration model conditioned on
-simplicity), edge neighborhoods out to a radius, an exact short-cycle census,
-and a small text edge-list format.
+simplicity), edge neighborhoods out to a radius, the radius up to which each
+edge's ball is a tree, an exact short-cycle census, and a small text
+edge-list format.
 
 Edges are always stored as (u, v) pairs with u < v, sorted lexicographically,
 so any scan over edges is deterministic and "first edge" is well defined.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -30,6 +32,7 @@ __all__ = [
     "expected_matchings",
     "matching_budget",
     "edge_neighborhood",
+    "edge_tree_radii",
     "count_cycles",
     "tree_edge_fraction",
     "max_cut_of_bipartition",
@@ -54,6 +57,20 @@ __all__ = [
 # out with chance about exp(-MATCHING_BUDGET_FACTOR).
 MAX_EXPECTED_MATCHINGS = 1_000_000
 MATCHING_BUDGET_FACTOR = 50
+_PAIR_CHUNK = 64
+
+# count_cycles refuses a search that may follow more than MAX_CYCLE_PATHS
+# paths, its bound n*D*(D-1)**(kmax-2) for maximum degree D. The slowest
+# searches measured near the limit, on random 3- and 4-regular graphs on a
+# 2-vCPU VM, took 45-80 ns per path of the bound (n=3000, d=3, kmax=14:
+# 3.7e7 paths in 2.8 s), so a search at the limit runs for up to about 8 s.
+# The census at n=1000, d=3, kmax=7 is 96,000 paths.
+MAX_CYCLE_PATHS = 10**8
+
+# The walk kernel behind edge_tree_radii and count_cycles handles its roots
+# in blocks, so that the walks of one level of one block hold at most about
+# this many entries; its hash table has four slots per entry.
+_WALK_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass
@@ -248,12 +265,25 @@ def _first_simple_matching(
     # matching without a self-loop or a repeated edge is the graph. The
     # self-loop test subtracts rather than compares: numpy's integer
     # comparison kernels would add about 0.1 MiB of code pages to the
-    # peak RSS of every run that samples a graph.
+    # peak RSS of every run that samples a graph. A bipartite pair already
+    # runs from the left class to the right one, so it needs neither. The
+    # repeat test adds _PAIR_CHUNK pairs at a time to a set and stops at the
+    # first chunk that repeats one, about a third of the way in on average.
     rng = as_generator(spec.seed)
     for _ in range(budget):
         rng.shuffle(shuffled)
-        lo, hi = np.minimum(left, right), np.maximum(left, right)
-        if (hi - lo).min() > 0 and len(set((lo * spec.n + hi).tolist())) == lo.size:
+        lo, hi = left, right
+        if bipartition is None:
+            lo, hi = np.minimum(left, right), np.maximum(left, right)
+            if not (hi - lo).min():
+                continue
+        keys = (lo * spec.n + hi).tolist()
+        seen: set[int] = set()
+        for start in range(0, len(keys), _PAIR_CHUNK):
+            seen.update(keys[start : start + _PAIR_CHUNK])
+            if len(seen) < min(start + _PAIR_CHUNK, len(keys)):
+                break
+        else:
             return Graph.from_edges(
                 spec.n,
                 zip(lo.tolist(), hi.tolist()),
@@ -350,18 +380,169 @@ def edge_neighborhood(g: Graph, edge, radius: int) -> Neighborhood:
     return Neighborhood(sub, middle_idx, vertex_map, radius, is_tree)
 
 
+def _walk_tables(g: Graph):
+    # Non-backtracking walks, stepped by directed edges: edge i = (u, v)
+    # gives 2i = u->v and 2i+1 = v->u, and 2m is a sentinel edge whose head
+    # is the sentinel vertex n. Returns ``head`` (2m+1), ``out`` (n, D), the
+    # directed edges leaving each vertex, and ``turns`` (2m+1, D-1), the
+    # directed edges that continue each one without stepping back; short
+    # rows are padded with the sentinel, which continues only to itself.
+    n, m = g.n, g.m
+    width = max(map(len, g.adjacency))
+    tails = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * m)
+    head = np.append(tails.reshape(m, 2)[:, ::-1].reshape(-1), n)
+    out = np.full((n + 1, width), 2 * m)
+    column_of = np.empty(2 * m, dtype=np.int64)
+    pending = np.arange(2 * m)
+    for column in range(width):
+        # one pending edge of each vertex lands in this column
+        out[tails[pending], column] = pending
+        landed = out[tails[pending], column]
+        column_of[landed] = column
+        pending = pending[np.flatnonzero(pending - landed)]
+    back = column_of[np.arange(2 * m).reshape(m, 2)[:, ::-1].reshape(-1)]
+    # the row of a directed edge's head, rotated so the way back comes last
+    rotated = (back[:, None] + 1 + np.arange(width - 1)) % width
+    turns = np.full((2 * m + 1, max(width - 1, 0)), 2 * m)
+    turns[:-1] = out[head[:-1, None], rotated]
+    return head, out[:n], turns
+
+
+def _rows_with_repeats(keys, owner, rows: int, table):
+    # 1 for each of ``rows`` rows that holds some key twice, else 0;
+    # ``owner[i]`` is the row of ``keys[i]``. Each key is hashed into
+    # ``table`` and one entry wins each slot: an entry that lost to its own
+    # key is a repeat, and one that lost to another key tries again with a
+    # new modulus. Every slot read was written in the same round, so the
+    # table is never cleared. Indexing, arithmetic and bincount load no
+    # numpy code beyond what sampling and simulation already use.
+    repeats = np.zeros(rows, dtype=np.int64)
+    size = table.size
+    while keys.size:
+        slots = keys % size
+        index = np.arange(keys.size)
+        table.put(slots, index)
+        winner = table.take(slots)
+        lost = np.flatnonzero(index - winner)
+        again = lost.take(np.flatnonzero(keys.take(lost) - keys.take(winner.take(lost))))
+        repeats += np.bincount(owner.take(lost), minlength=rows)
+        repeats -= np.bincount(owner.take(again), minlength=rows)
+        keys, owner = keys.take(again), owner.take(again)
+        size -= 1
+    return np.minimum(repeats, 1)
+
+
+def _first_collisions(head, turns, start_heads, first_steps, levels: int):
+    # For each root, the first walk length L <= levels at which two of its
+    # non-backtracking walks of length <= L end at one vertex, else
+    # levels + 1. Root i's walks of length 0 end at start_heads[i] and its
+    # walks of length 1 cross the directed edges first_steps[i]. Once no two
+    # walks up to length L-1 meet, a walk of length L can only meet one of
+    # length L or L-1, so each level is tested against the one before.
+    # Walks are flat arrays of the directed edge last crossed and the row of
+    # their root; walks that reach the sentinel, and the walks of decided
+    # roots, leave them. A vertex v of row r is the key r*(n+1) + v.
+    sentinel = int(head[-1])
+    dead = turns.shape[0] - 1
+    roots = start_heads.shape[0]
+    first = np.full(roots, levels + 1)
+    # Until two of its walks meet, a root's walks of one length end at
+    # distinct vertices, so the next length holds at most n*(D-1) of them.
+    branching = max(turns.shape[1], 1)
+    growth = branching ** min(max(levels - 1, 0), sentinel.bit_length())
+    widest = min(first_steps.shape[1] * growth, sentinel * branching)
+    block = max(1, _WALK_BLOCK_ENTRIES // max(2 * widest, 1))
+    table = np.empty(min(4 * _WALK_BLOCK_ENTRIES, block * (sentinel + 1)), dtype=np.int64)
+    for lo in range(0, roots, block):
+        rows = min(block, roots - lo)
+        owner = np.repeat(np.arange(rows), start_heads.shape[1])
+        keys = owner * (sentinel + 1) + start_heads[lo : lo + rows].reshape(-1)
+        steps = first_steps[lo : lo + rows].reshape(-1)
+        row = np.repeat(np.arange(rows), first_steps.shape[1])
+        for level in range(1, levels + 1):
+            if level > 1:
+                steps = turns.take(steps, axis=0).reshape(-1)
+                row = np.repeat(row, turns.shape[1])
+            live = np.flatnonzero(dead - steps)
+            steps, row = steps.take(live), row.take(live)
+            if not steps.size:
+                break
+            ends = row * (sentinel + 1) + head.take(steps)
+            repeats = _rows_with_repeats(
+                np.concatenate([keys, ends]), np.concatenate([owner, row]), rows, table
+            )
+            first.put(lo + np.flatnonzero(repeats), level)
+            going = np.flatnonzero(1 - repeats.take(row))
+            steps, row, keys = steps.take(going), row.take(going), ends.take(going)
+            owner = row
+    return first
+
+
+def edge_tree_radii(g: Graph, rmax: int) -> np.ndarray:
+    """For each edge, in edge order, the largest radius r <= ``rmax`` at
+    which its ball (:func:`edge_neighborhood`) is a tree.
+
+    A radius-r ball is a tree exactly when the non-backtracking walks of
+    length <= r that leave the middle edge's two endpoints, neither crossing
+    the middle edge, end at distinct vertices: those walks cover every edge
+    of the ball. One vectorized walk from all edges gives every radius.
+    """
+    rmax = int(rmax)
+    if rmax < 0:
+        raise InputError("radius must be nonnegative")
+    if g.m == 0:
+        return np.zeros(0, dtype=np.int64)
+    head, _, turns = _walk_tables(g)
+    middles = np.arange(2 * g.m).reshape(g.m, 2)
+    first_steps = turns[middles].reshape(g.m, -1)
+    return _first_collisions(head, turns, head[middles], first_steps, rmax) - 1
+
+
+def _short_cycle_vertices(g: Graph, kmax: int) -> list[int]:
+    # A vertex on a cycle of length k <= kmax is the start of two walks of
+    # length <= ceil(k/2) that run round the cycle both ways and meet, so
+    # every such vertex is among those returned.
+    if g.m == 0:
+        return []
+    head, out, turns = _walk_tables(g)
+    levels = (kmax + 1) // 2
+    first = _first_collisions(head, turns, np.arange(g.n)[:, None], out, levels)
+    return np.flatnonzero(levels + 1 - first).tolist()
+
+
 def count_cycles(g: Graph, kmax: int) -> CycleCensus:
     """Exact simple-cycle counts for every length 3..kmax.
 
-    DFS from each anchor vertex over strictly larger vertices; a cycle is
-    recorded once, at its lexicographically canonical traversal (smallest
-    vertex first, smaller of its two cycle neighbors second).
+    Refused with ``ResourceError`` before any search when n*D*(D-1)^(kmax-2),
+    D the maximum degree, exceeds ``MAX_CYCLE_PATHS``. The search keeps to
+    the vertices that can lie on a cycle of length <= kmax, found by the
+    walk kernel of :func:`edge_tree_radii`: DFS from each such anchor vertex
+    over strictly larger ones; a cycle is recorded once, at its
+    lexicographically canonical traversal (smallest vertex first, smaller of
+    its two cycle neighbors second).
     """
     if kmax < 3:
         raise InputError("kmax must be at least 3")
+    top = max(map(len, g.adjacency))
+    # from D=3 on, (D-1)**64 alone is above the limit, and below it the
+    # power is 0 or 1, so a capped exponent gives the same answer
+    if g.n * top * max(top - 1, 0) ** min(kmax - 2, 64) > MAX_CYCLE_PATHS:
+        raise ResourceError(
+            f"a cycle census to length {kmax} on n={g.n} vertices of degree up "
+            f"to {top} may follow up to {g.n}*{top}*{top - 1}^{kmax - 2} "
+            f"paths, above the limit of {MAX_CYCLE_PATHS:.0e}"
+        )
     counts = {k: 0 for k in range(3, kmax + 1)}
-    adj = g.adjacency
-    adjsets = [set(nbrs) for nbrs in adj]
+    anchors = _short_cycle_vertices(g, kmax)
+    keep = bytearray(g.n)
+    for v in anchors:
+        keep[v] = 1
+    # the search never leaves the kept vertices, so only their rows are built
+    adj: list[list[int]] = [[]] * g.n
+    adjsets: list[set[int]] = [set()] * g.n
+    for v in anchors:
+        adj[v] = [w for w in g.adjacency[v] if keep[w]]
+        adjsets[v] = set(adj[v])
     on_path = bytearray(g.n)
 
     def extend(start: int, second: int, vertex: int, length: int) -> None:
@@ -376,7 +557,7 @@ def count_cycles(g: Graph, kmax: int) -> CycleCensus:
                 extend(start, second, w, grown)
         on_path[vertex] = 0
 
-    for s in range(g.n):
+    for s in anchors:
         on_path[s] = 1
         for a in adj[s]:
             if a > s:
@@ -391,18 +572,8 @@ def tree_edge_fraction(g: Graph, radius: int) -> float:
         raise InputError("radius must be nonnegative")
     if g.m == 0:
         return 1.0
-    incident = g.incident_edges()
-    edges = g.edges
-    trees = 0
-    for mid in range(g.m):
-        ids = _edge_ball(g, incident, mid, radius)
-        vertices: set[int] = set()
-        for e in ids:
-            vertices.add(edges[e][0])
-            vertices.add(edges[e][1])
-        if len(ids) == len(vertices) - 1:
-            trees += 1
-    return trees / g.m
+    radii = edge_tree_radii(g, radius)
+    return (g.m - int(np.count_nonzero(radius - radii))) / g.m
 
 
 def max_cut_of_bipartition(g: Graph) -> int:

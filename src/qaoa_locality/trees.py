@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .graphs import Graph, Neighborhood, edge_neighborhood
+from .graphs import Graph, Neighborhood, edge_neighborhood, edge_tree_radii
 from .qaoa import (
     DEFAULT_QUBIT_CAP,
     INITIAL_STATES,
@@ -243,7 +243,8 @@ class LightConeSum:
     within p steps of it (:func:`edge_neighborhood`), so a graph's total is
     the sum of its edges' ball values. A ball that is a tree is the
     canonical tree and adds the one :class:`TreePathSum` value, computed
-    once at construction (``tree_value``). Any other ball adds its
+    once at construction (``tree_value``); :func:`edge_tree_radii` finds
+    those balls without building them. Any other ball adds its
     :func:`neighborhood_expectation`, cached on the relabelled ball, so a
     ball shape met again, in this graph or a later one, is simulated once.
     A ball is part of its graph, so it never needs more qubits than the
@@ -267,13 +268,13 @@ class LightConeSum:
         ball is a tree."""
         if any(len(nbrs) != self.d for nbrs in g.adjacency):
             raise InputError(f"light-cone sums need a {self.d}-regular graph")
-        tree_edges = 0
+        p = self.params.p
+        radii = edge_tree_radii(g, p)
+        # only balls with a cycle are built, still in edge order
+        cyclic = np.flatnonzero(p - radii).tolist()
         total = 0.0
-        for edge in g.edges:
-            nb = edge_neighborhood(g, edge, self.params.p)
-            if nb.is_tree:
-                tree_edges += 1
-                continue
+        for idx in cyclic:
+            nb = edge_neighborhood(g, g.edges[idx], p)
             # the middle edge is always edge 0 of the relabelled ball
             key = (nb.subgraph.n, tuple(nb.subgraph.edges))
             if key not in self._balls:
@@ -281,6 +282,7 @@ class LightConeSum:
                     nb, self.model, self.params, self.initial
                 )
             total += self._balls[key]
+        tree_edges = g.m - len(cyclic)
         return tree_edges * self.tree_value + total, tree_edges
 
 

@@ -160,6 +160,19 @@ def test_matching_budget_exits_3(tmp_path):
     assert not (tmp_path / "g.edges").exists()
 
 
+def test_cycle_budget_exits_3():
+    # 1000 * 3 * 2**38 paths is far above the census budget; the search is
+    # refused at the first graph, before it starts
+    start = time.monotonic()
+    proc = run_cli("cycles", "--n", "1000", "--d", "3", "--kmax", "40", "--trials", "2")
+    assert time.monotonic() - start < 5.0
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    error = stderr_error(proc)
+    assert error["category"] == "resource-limit"
+    assert "1000*3*2^38 paths, above the limit of 1e+08" in error["message"]
+
+
 def test_locality_check_subcommand():
     proc = run_cli(
         "locality-check",

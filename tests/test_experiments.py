@@ -299,6 +299,21 @@ def test_census_report_shape():
         cycle_census_experiment(spec, 2, trials=10)
 
 
+def test_census_reports_are_pinned():
+    # recorded before the walk kernel restricted the search to the vertices
+    # that can lie on a short cycle; the counts must not move
+    general = cycle_census_experiment(EnsembleSpec(300, 3, "general", 1), 7, trials=10)
+    rows = general["results"]["series"]
+    assert [row["mean"] for row in rows] == [1.9, 1.8, 4.0, 5.3, 8.7]
+    assert [row["variance"] for row in rows] == [
+        0.5444444444444444, 1.0666666666666669, 2.0, 3.788888888888889, 4.677777777777778
+    ]
+    bipartite = cycle_census_experiment(EnsembleSpec(100, 4, "bipartite", 2), 6, trials=5)
+    rows = bipartite["results"]["series"]
+    assert [row["mean"] for row in rows] == [0.0, 19.8, 0.0, 126.4]
+    assert [row["variance"] for row in rows] == [0.0, 8.7, 0.0, 19.300000000000004]
+
+
 # ------------------------------------------------------------ tree fraction
 
 
@@ -315,6 +330,22 @@ def test_tree_fraction_experiment_growth_indicator():
     assert rows[1]["mean_tree_fraction"] < 0.5
     with pytest.raises(InputError):
         tree_fraction_experiment(spec, [], trials=5)
+
+
+def test_tree_fraction_reports_are_pinned():
+    # recorded when every radius still walked every ball by BFS
+    general = tree_fraction_experiment(EnsembleSpec(300, 3, "general", 2), [0, 1, 2, 3, 4], trials=5)
+    rows = general["results"]["series"]
+    assert [row["mean_tree_fraction"] for row in rows] == [
+        1.0, 0.9946666666666666, 0.9248888888888889, 0.6271111111111111, 0.11288888888888889
+    ]
+    assert [row["min_tree_fraction"] for row in rows] == [
+        1.0, 0.9866666666666667, 0.8977777777777778, 0.5844444444444444, 0.08
+    ]
+    bipartite = tree_fraction_experiment(EnsembleSpec(200, 4, "bipartite", 9), [1, 2, 3], trials=4)
+    rows = bipartite["results"]["series"]
+    assert [row["mean_tree_fraction"] for row in rows] == [1.0, 0.5475, 0.0]
+    assert [row["min_tree_fraction"] for row in rows] == [1.0, 0.4775, 0.0]
 
 
 # --------------------------------------------------------------- end to end

@@ -5,6 +5,7 @@ import pytest
 from qaoa_locality import graphs as graphs_module
 from qaoa_locality.errors import InputError, ResourceError
 from qaoa_locality.graphs import (
+    MAX_CYCLE_PATHS,
     MAX_EXPECTED_MATCHINGS,
     EnsembleSpec,
     Graph,
@@ -13,6 +14,7 @@ from qaoa_locality.graphs import (
     count_cycles,
     cycle_graph,
     edge_neighborhood,
+    edge_tree_radii,
     expected_matchings,
     generate_bipartite_regular,
     generate_regular,
@@ -292,6 +294,80 @@ def test_regular_tree_neighborhood_matches_canonical_tree():
     assert seen > 0
 
 
+# ------------------------------------------------------------ tree radii
+
+
+def from_networkx(h):
+    return Graph.from_edges(h.number_of_nodes(), list(h.edges()))
+
+
+def irregular_graphs():
+    """Graphs with leaves, hubs, several components or isolated vertices,
+    where the walk tables are padded with the sentinel."""
+    star = Graph.from_edges(9, [(0, v) for v in range(1, 9)])
+    triangle_and_square = Graph.from_edges(
+        8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]
+    )  # vertex 7 is isolated
+    shapes = [
+        complete_graph(2),
+        complete_graph(5),
+        path_graph(2),
+        path_graph(7),
+        cycle_graph(3),
+        cycle_graph(8),
+        star,
+        complete_bipartite_graph(2, 5),
+        build_canonical_tree(3, 3).graph,
+        triangle_and_square,
+        Graph.from_edges(3, [(0, 1)]),
+    ]
+    shapes += [from_networkx(nx.gnm_random_graph(30, 40, seed=s)) for s in range(6)]
+    return shapes
+
+
+def random_regular_graphs():
+    out = []
+    for kind in ("general", "bipartite"):
+        for d in (2, 3, 4, 5):
+            for n in (16, 40, 200):
+                out.append(sample_graph(EnsembleSpec(n, d, kind, 10 * d + n)))
+    return out
+
+
+def test_edge_tree_radii_match_the_balls():
+    for g in random_regular_graphs() + irregular_graphs():
+        radii = edge_tree_radii(g, 4)
+        assert radii.shape == (g.m,)
+        for edge, radius in zip(g.edges, radii.tolist()):
+            for r in range(5):
+                assert edge_neighborhood(g, edge, r).is_tree == (r <= radius), (g.edges, edge, r)
+
+
+def test_edge_tree_radii_pinned_examples():
+    # a 5-cycle's ball closes at radius 2, a 6-cycle's at 3
+    assert edge_tree_radii(cycle_graph(5), 4).tolist() == [1] * 5
+    assert edge_tree_radii(cycle_graph(6), 4).tolist() == [2] * 6
+    # a triangle beside every edge of K4
+    assert edge_tree_radii(complete_graph(4), 3).tolist() == [0] * 6
+    # a tree never closes, however far the radius
+    assert set(edge_tree_radii(build_canonical_tree(3, 2).graph, 10**9).tolist()) == {10**9}
+    assert edge_tree_radii(path_graph(4), 0).tolist() == [0, 0, 0]
+    assert edge_tree_radii(Graph.from_edges(3, []), 2).tolist() == []
+    with pytest.raises(InputError):
+        edge_tree_radii(path_graph(4), -1)
+
+
+def test_short_cycle_vertices_cover_every_short_cycle():
+    for g in random_regular_graphs() + irregular_graphs():
+        if g.n > 40:
+            continue
+        for kmax in (3, 4, 5, 6, 7):
+            marked = set(graphs_module._short_cycle_vertices(g, kmax))
+            for cycle in nx.simple_cycles(to_networkx(g), length_bound=kmax):
+                if len(cycle) >= 3:
+                    assert set(cycle) <= marked, (g.edges, kmax, cycle)
+
+
 # ------------------------------------------------------------ cycle census
 
 
@@ -308,6 +384,9 @@ def test_count_cycles_pinned_examples():
     assert count_cycles(complete_bipartite_graph(3, 3), 4).counts == {3: 0, 4: 9}
     assert count_cycles(cycle_graph(6), 6).counts == {3: 0, 4: 0, 5: 0, 6: 1}
     assert count_cycles(path_graph(5), 5).counts == {3: 0, 4: 0, 5: 0}
+    # odd cycles are found by walks of lengths (k-1)/2 and (k+1)/2
+    assert count_cycles(cycle_graph(7), 7).counts == {3: 0, 4: 0, 5: 0, 6: 0, 7: 1}
+    assert count_cycles(cycle_graph(5), 5).counts == {3: 0, 4: 0, 5: 1}
 
 
 def test_count_cycles_matches_brute_force_on_random_graphs():
@@ -317,6 +396,32 @@ def test_count_cycles_matches_brute_force_on_random_graphs():
     for seed in range(4):
         g = sample_graph(EnsembleSpec(10, 3, "bipartite", seed))
         assert count_cycles(g, 6).counts == brute_force_counts(g, 6)
+
+
+def test_count_cycles_matches_brute_force_on_irregular_and_larger_graphs():
+    for g in irregular_graphs():
+        assert count_cycles(g, 7).counts == brute_force_counts(g, 7), g.edges
+    for d in (3, 4):
+        for seed in range(2):
+            g = sample_graph(EnsembleSpec(200, d, "general", seed))
+            assert count_cycles(g, 7).counts == brute_force_counts(g, 7), (d, seed)
+
+
+def test_count_cycles_refuses_a_search_above_the_budget(monkeypatch):
+    g = sample_graph(EnsembleSpec(1000, 3, "general", 1))
+    # 1000 * 3 * 2**38 paths: refused before any walk or search
+    monkeypatch.setattr(graphs_module, "_short_cycle_vertices", None)
+    with pytest.raises(ResourceError, match="above the limit of 1e"):
+        count_cycles(g, 40)
+    # even a length whose power would be huge is refused at once
+    with pytest.raises(ResourceError):
+        count_cycles(g, 10**9)
+    monkeypatch.undo()
+    # the cycle census workload, n=1000, d=3, kmax=7, is far below it
+    assert 1000 * 3 * 2**5 < MAX_CYCLE_PATHS // 1000
+    assert count_cycles(g, 7).max_length == 7
+    # on 2-regular graphs the bound does not grow with kmax
+    assert count_cycles(cycle_graph(9), 1000).counts[9] == 1
 
 
 def test_count_cycles_rejects_small_kmax():

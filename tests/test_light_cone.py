@@ -6,7 +6,13 @@ import pytest
 from qaoa_locality import trees
 from qaoa_locality.errors import InputError
 from qaoa_locality.experiments import end_to_end, ensemble_equivalence
-from qaoa_locality.graphs import EnsembleSpec, cycle_graph, path_graph, sample_graph
+from qaoa_locality.graphs import (
+    EnsembleSpec,
+    cycle_graph,
+    edge_neighborhood,
+    path_graph,
+    sample_graph,
+)
 from qaoa_locality.qaoa import CostModel, QaoaParams, expect_total, run_qaoa
 from qaoa_locality.trees import LightConeSum, TreePathSum
 
@@ -67,6 +73,28 @@ def test_ball_shapes_are_simulated_once(monkeypatch):
     assert len(seen) == 1 and seen[0] is not ring
     state = run_qaoa(ring, MC, light_cone.params)
     assert abs(total - expect_total(state, ring, MC)) < 1e-12
+
+
+def test_only_balls_with_a_cycle_are_built(monkeypatch):
+    built = []
+
+    def spy(g, edge, radius):
+        nb = edge_neighborhood(g, edge, radius)
+        built.append((edge, nb.is_tree))
+        return nb
+
+    monkeypatch.setattr(trees, "edge_neighborhood", spy)
+    rng = np.random.default_rng(5)
+    for p in (1, 2):
+        light_cone = LightConeSum(3, MC, random_params(MC, p, rng))
+        for seed in range(3):
+            g = sample_graph(EnsembleSpec(30, 3, "general", seed))
+            built.clear()
+            _, tree_edges = light_cone.total(g)
+            assert len(built) == g.m - tree_edges
+            assert not any(is_tree for _, is_tree in built)
+            # still in edge order, so the sum adds in the same order
+            assert [edge for edge, _ in built] == sorted(edge for edge, _ in built)
 
 
 def test_tree_balls_use_the_path_sum():
