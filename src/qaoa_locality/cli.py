@@ -2,9 +2,11 @@
 
 Every subcommand prints a JSON report to stdout and exits 0 on success.
 Failures write a machine-readable error object to stderr and exit 2 for
-invalid input or 3 for resource-limit violations. ``run --config`` accepts
-a JSON file mirroring any subcommand's flags, plus optional ``out`` and
-``csv_out`` paths for the serialized report.
+invalid input or 3 for resource-limit violations. One table, ``_COMMANDS``,
+names each subcommand's option keys: every key is a ``--flag`` and a key of
+a ``run --config`` JSON file, and the handler checks its value either way.
+A config file may add ``out`` and ``csv_out`` paths for the serialized
+report, where the command does not read that key itself.
 """
 from __future__ import annotations
 
@@ -83,8 +85,13 @@ def _int_list(value) -> list[int]:
         raise InputError(f"expected a comma-separated list of integers, got {value!r}") from None
 
 
+def _text(options: dict, key: str, default: str) -> str:
+    value = options.get(key)
+    return default if value is None else str(value)
+
+
 def _build_model(options: dict, d: int) -> CostModel:
-    kind = str(options.get("model") or MAXCUT)
+    kind = _text(options, "model", MAXCUT)
     if kind == MAXCUT:
         return CostModel.maxcut()
     if kind == MIS:
@@ -93,7 +100,7 @@ def _build_model(options: dict, d: int) -> CostModel:
 
 
 def _initial(options: dict) -> str:
-    return str(options.get("init") or "plus")
+    return _text(options, "init", "plus")
 
 
 def _params_for(options: dict, p: int) -> QaoaParams:
@@ -124,7 +131,7 @@ def _random_params(model: CostModel, p: int, seed: int) -> QaoaParams:
 def _cmd_generate(options: dict) -> dict:
     n = _req_int(options, "n")
     d = _req_int(options, "d")
-    kind = str(options.get("kind") or "general")
+    kind = _text(options, "kind", "general")
     seed = _int_opt(options, "seed", 0)
     out = _require(options, "out")
     spec = EnsembleSpec(n, d, kind, seed)
@@ -150,7 +157,7 @@ def _cmd_cycles(options: dict) -> dict:
         )
     n = _req_int(options, "n")
     d = _req_int(options, "d")
-    kind = str(options.get("kind") or "general")
+    kind = _text(options, "kind", "general")
     trials = _int_opt(options, "trials", 100)
     seed = _int_opt(options, "seed", 0)
     spec = EnsembleSpec(n, d, kind, seed)
@@ -220,7 +227,7 @@ def _cmd_locality_check(options: dict) -> dict:
     trials = _int_opt(options, "trials", 10)
     seed = _int_opt(options, "seed", 0)
     params = _random_params(model, p, seed)
-    spec = EnsembleSpec(n, d, str(options.get("kind") or "general"), seed)
+    spec = EnsembleSpec(n, d, _text(options, "kind", "general"), seed)
     return locality_check(spec, p, model, params, _initial(options), trials)
 
 
@@ -276,9 +283,7 @@ def _cmd_ratio_bound(options: dict) -> dict:
 
 
 def _cmd_prune(options: dict) -> dict:
-    path = options.get("in")
-    if path is None:
-        raise InputError("missing required option 'in'")
+    path = _require(options, "in")
     bits = str(_require(options, "bits"))
     d = _req_int(options, "d")
     g = read_edgelist(path)
@@ -305,7 +310,7 @@ def _cmd_tree_fraction(options: dict) -> dict:
     n = _req_int(options, "n")
     d = _req_int(options, "d")
     p_list = _int_list(_require(options, "p_list"))
-    kind = str(options.get("kind") or "general")
+    kind = _text(options, "kind", "general")
     trials = _int_opt(options, "trials", 20)
     seed = _int_opt(options, "seed", 0)
     spec = EnsembleSpec(n, d, kind, seed)
@@ -317,7 +322,7 @@ def _cmd_end_to_end(options: dict) -> dict:
     d = _req_int(options, "d")
     p = _req_int(options, "p")
     model = _build_model(options, d)
-    kind = str(options.get("kind") or "general")
+    kind = _text(options, "kind", "general")
     budget = _int_opt(options, "budget", DEFAULT_BUDGET)
     seed = _int_opt(options, "seed", 0)
     trials = _int_opt(options, "trials", 20)
@@ -333,20 +338,6 @@ def _cmd_end_to_end(options: dict) -> dict:
         trials=trials,
         samples=samples,
     )
-
-
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "cycles": _cmd_cycles,
-    "tree-expect": _cmd_tree_expect,
-    "optimize": _cmd_optimize,
-    "locality-check": _cmd_locality_check,
-    "equivalence": _cmd_equivalence,
-    "ratio-bound": _cmd_ratio_bound,
-    "prune": _cmd_prune,
-    "tree-fraction": _cmd_tree_fraction,
-    "end-to-end": _cmd_end_to_end,
-}
 
 
 def _cmd_run(options: dict) -> dict:
@@ -367,12 +358,15 @@ def _cmd_run(options: dict) -> dict:
     command = str(command).replace("_", "-")
     if command == "run":
         raise InputError("config files cannot nest 'run'")
-    handler = _COMMANDS.get(command)
-    if handler is None:
-        known = ", ".join(sorted(_COMMANDS))
+    if command not in _COMMANDS:
+        known = ", ".join(sorted(_COMMANDS.keys() - {"run"}))
         raise InputError(f"unknown command {command!r} (known: {known})")
-    out = body.pop("out", None)
-    csv_out = body.pop("csv_out", None)
+    handler, keys, _ = _COMMANDS[command]
+    # a key the command reads itself, such as generate's edge-list path
+    # "out", is not a report path
+    out, csv_out = (
+        None if key in keys.split() else body.pop(key, None) for key in ("out", "csv_out")
+    )
     report = handler(body)
     if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
@@ -384,8 +378,36 @@ def _cmd_run(options: dict) -> dict:
 
 
 # ----------------------------------------------------------------------
-# argument parsing
+# the command table and argument parsing
 # ----------------------------------------------------------------------
+
+# Each subcommand's handler, the option keys it reads and its help line. A
+# key is both a config-file key and a command-line flag (n_list is --n-list).
+# Its value reaches the handler as given and the handler checks it, so the
+# two paths accept and refuse the same values.
+_COMMANDS = {
+    "generate": (_cmd_generate, "n d kind seed out",
+                 "sample a graph and write its edge list"),
+    "cycles": (_cmd_cycles, "in n d kind trials kmax seed",
+               "cycle census of a file or an ensemble"),
+    "tree-expect": (_cmd_tree_expect, "d p model init gamma beta",
+                    "middle-edge value on the canonical tree"),
+    "optimize": (_cmd_optimize, "d p model init resolution budget",
+                 "search angles on the canonical tree"),
+    "locality-check": (_cmd_locality_check, "n d p model kind init trials seed",
+                       "full simulation vs extracted neighborhoods, random angles"),
+    "equivalence": (_cmd_equivalence, "n_list d p model init trials seed",
+                    "general vs bipartite ensemble means at several n"),
+    "ratio-bound": (_cmd_ratio_bound, "d p model tree_value optimize init",
+                    "approximation-ratio ceiling from literature constants"),
+    "prune": (_cmd_prune, "in bits d", "repair a bitstring into an independent set"),
+    "tree-fraction": (_cmd_tree_fraction, "n d p_list kind trials seed",
+                      "fraction of tree neighborhoods across radii"),
+    "end-to-end": (_cmd_end_to_end, "n d p model kind init budget trials samples seed",
+                   "optimized tree value, sampled ensemble totals, ratio ceiling"),
+    "run": (_cmd_run, "config", "run any command from a JSON config file"),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser that reports failures as :class:`InputError`.
@@ -408,98 +430,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("generate", help="sample a graph and write its edge list")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--kind", choices=["general", "bipartite"])
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(handler=_cmd_generate)
-
-    sp = sub.add_parser("cycles", help="cycle census of a file or an ensemble")
-    sp.add_argument("--in")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--kind", choices=["general", "bipartite"])
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--kmax", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.set_defaults(handler=_cmd_cycles)
-
-    sp = sub.add_parser("tree-expect", help="middle-edge value on the canonical tree")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--model", choices=[MAXCUT, MIS])
-    sp.add_argument("--init", choices=["zero", "plus"])
-    sp.add_argument("--gamma", help="comma-separated, one per layer")
-    sp.add_argument("--beta", help="comma-separated, one per layer")
-    sp.set_defaults(handler=_cmd_tree_expect)
-
-    sp = sub.add_parser("optimize", help="search angles on the canonical tree")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--model", choices=[MAXCUT, MIS])
-    sp.add_argument("--init", choices=["zero", "plus"])
-    sp.add_argument("--resolution", type=int)
-    sp.add_argument("--budget", type=int)
-    sp.set_defaults(handler=_cmd_optimize)
-
-    sp = sub.add_parser(
-        "locality-check",
-        help="full simulation vs extracted neighborhoods, random angles",
-    )
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--model", choices=[MAXCUT, MIS])
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.set_defaults(handler=_cmd_locality_check)
-
-    sp = sub.add_parser(
-        "equivalence", help="general vs bipartite ensemble means at several n"
-    )
-    sp.add_argument("--n-list", dest="n_list", required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--model", choices=[MAXCUT, MIS])
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.set_defaults(handler=_cmd_equivalence)
-
-    sp = sub.add_parser(
-        "ratio-bound", help="approximation-ratio ceiling from literature constants"
-    )
-    sp.add_argument("--model", choices=[MAXCUT, MIS])
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--tree-value", dest="tree_value", type=float)
-    group.add_argument("--optimize", action="store_true")
-    sp.set_defaults(handler=_cmd_ratio_bound)
-
-    sp = sub.add_parser("prune", help="repair a bitstring into an independent set")
-    sp.add_argument("--in", required=True)
-    sp.add_argument("--bits", required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.set_defaults(handler=_cmd_prune)
-
-    sp = sub.add_parser(
-        "tree-fraction", help="fraction of tree neighborhoods across radii"
-    )
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--p-list", dest="p_list", required=True)
-    sp.add_argument("--kind", choices=["general", "bipartite"])
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.set_defaults(handler=_cmd_tree_fraction)
-
-    sp = sub.add_parser("run", help="run any command from a JSON config file")
-    sp.add_argument("--config", required=True)
-    sp.set_defaults(handler=_cmd_run)
-
+    for name, (_, keys, help_line) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        for key in keys.split():
+            flag = "--" + key.replace("_", "-")
+            if key == "optimize":
+                sp.add_argument(flag, action="store_true")
+            else:
+                sp.add_argument(flag)
     return parser
 
 
@@ -509,21 +447,17 @@ def _emit_error(message: str, category: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help and --version exit through here
+        args = vars(_build_parser().parse_args(argv))
+    except SystemExit as exc:  # --help exits through here
         return exc.code if isinstance(exc.code, int) else 0
     except InputError as exc:
         _emit_error(str(exc), exc.category)
         return 2
-    options = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("handler", "command") and value is not None
-    }
+    handler = _COMMANDS[args.pop("command")][0]
+    options = {key: value for key, value in args.items() if value is not None}
     try:
-        report = args.handler(options)
+        report = handler(options)
     except InputError as exc:
         _emit_error(str(exc), exc.category)
         return 2

@@ -22,6 +22,7 @@ from .errors import InputError
 from .graphs import (
     EnsembleSpec,
     Graph,
+    _check_kmax,
     count_cycles,
     edge_tree_radii,
     sample_graph,
@@ -477,8 +478,7 @@ def cycle_census_experiment(spec: EnsembleSpec, kmax: int, trials: int = 100) ->
     be exactly zero."""
     kmax = int(kmax)
     trials = int(trials)
-    if kmax < 3:
-        raise InputError("kmax must be at least 3")
+    _check_kmax(kmax)
     if trials < 2:
         raise InputError("need at least two trials for standard errors")
     seeds = derive_seeds(spec.seed, trials)

@@ -66,6 +66,10 @@ _PAIR_CHUNK = 64
 # 3.7e7 paths in 2.8 s), so a search at the limit runs for up to about 8 s.
 # The census at n=1000, d=3, kmax=7 is 96,000 paths.
 MAX_CYCLE_PATHS = 10**8
+# A census holds one count per length 3..kmax, and on graphs of maximum
+# degree <= 2 the path bound above does not grow with kmax, so kmax itself
+# is capped too.
+MAX_CYCLE_LENGTH = 10**4
 
 # The walk kernel behind edge_tree_radii and count_cycles handles its roots
 # in blocks, so that the walks of one level of one block hold at most about
@@ -510,19 +514,28 @@ def _short_cycle_vertices(g: Graph, kmax: int) -> list[int]:
     return np.flatnonzero(levels + 1 - first).tolist()
 
 
+def _check_kmax(kmax: int) -> None:
+    if kmax < 3:
+        raise InputError("kmax must be at least 3")
+    if kmax > MAX_CYCLE_LENGTH:
+        raise ResourceError(
+            f"a cycle census to length {kmax} is above the limit of {MAX_CYCLE_LENGTH}"
+        )
+
+
 def count_cycles(g: Graph, kmax: int) -> CycleCensus:
     """Exact simple-cycle counts for every length 3..kmax.
 
-    Refused with ``ResourceError`` before any search when n*D*(D-1)^(kmax-2),
-    D the maximum degree, exceeds ``MAX_CYCLE_PATHS``. The search keeps to
-    the vertices that can lie on a cycle of length <= kmax, found by the
-    walk kernel of :func:`edge_tree_radii`: DFS from each such anchor vertex
-    over strictly larger ones; a cycle is recorded once, at its
-    lexicographically canonical traversal (smallest vertex first, smaller of
-    its two cycle neighbors second).
+    Refused with ``ResourceError`` before any search when kmax exceeds
+    ``MAX_CYCLE_LENGTH`` or n*D*(D-1)^(kmax-2), D the maximum degree, exceeds
+    ``MAX_CYCLE_PATHS``. The search keeps to the vertices that can lie on a
+    cycle of length <= kmax, found by the walk kernel of
+    :func:`edge_tree_radii`: DFS from each such anchor vertex over strictly
+    larger ones; a cycle is recorded once, at its lexicographically canonical
+    traversal (smallest vertex first, smaller of its two cycle neighbors
+    second).
     """
-    if kmax < 3:
-        raise InputError("kmax must be at least 3")
+    _check_kmax(kmax)
     top = max(map(len, g.adjacency))
     # from D=3 on, (D-1)**64 alone is above the limit, and below it the
     # power is 0 or 1, so a capped exponent gives the same answer

@@ -95,14 +95,11 @@ class _TreeObjective:
         return self.value(tuple(x[:p]), tuple(x[p:]))
 
 
-def _params_key(gammas, betas):
-    return (tuple(gammas), tuple(betas))
-
-
-def _better(value, key, best_value, best_key) -> bool:
-    if value > best_value:
-        return True
-    return value == best_value and key < best_key
+def _rank(record):
+    """Sort key of a (gammas, betas, value) record: the highest value first,
+    ties toward the lexicographically smallest (gammas, betas)."""
+    gammas, betas, value = record
+    return (-value, (gammas, betas))
 
 
 def grid_search(
@@ -143,13 +140,7 @@ def grid_search(
     for gs in itertools.product(gvals, repeat=p):
         values = obj.path_sum.value(gs, columns).tolist()
         trace.extend(zip(itertools.repeat(gs), btuples, values))
-    best_g, best_b, best_v = trace[0]
-    best_key = _params_key(best_g, best_b)
-    for gs, bs, val in trace[1:]:
-        key = _params_key(gs, bs)
-        if _better(val, key, best_v, best_key):
-            best_g, best_b, best_v = gs, bs, val
-            best_key = key
+    best_g, best_b, best_v = min(trace, key=_rank)
     return OptResult(
         best_params=QaoaParams(best_g, best_b),
         best_value=best_v,
@@ -277,28 +268,25 @@ def optimize(
     )
     if p == 0:
         return grid
-    ranked = sorted(
-        grid.trace, key=lambda rec: (-rec[2], _params_key(rec[0], rec[1]))
+    # The starts are among the records at or above the fifth-best value, so
+    # only those are ranked, not every grid point with a key tuple of its own.
+    cut = sorted([rec[2] for rec in grid.trace], reverse=True)[:_STARTS][-1]
+    ranked = sorted((rec for rec in grid.trace if rec[2] >= cut), key=_rank)
+    results = [
+        refine(QaoaParams(gs, bs), d, p, model, initial, _objective=obj)
+        for gs, bs, _ in ranked[:_STARTS]
+    ]
+    best_g, best_b, best_v = min(
+        [(res.best_params.gammas, res.best_params.betas, res.best_value)
+         for res in [grid, *results]],
+        key=_rank,
     )
-    starts = ranked[:_STARTS]
-    best_params = grid.best_params
-    best_value = grid.best_value
-    best_key = _params_key(best_params.gammas, best_params.betas)
-    total_passes = 0
-    all_converged = True
-    for gs, bs, _ in starts:
-        res = refine(QaoaParams(gs, bs), d, p, model, initial, _objective=obj)
-        total_passes += res.refinement_iterations
-        all_converged = all_converged and res.converged
-        key = _params_key(res.best_params.gammas, res.best_params.betas)
-        if _better(res.best_value, key, best_value, best_key):
-            best_params, best_value, best_key = res.best_params, res.best_value, key
     return OptResult(
-        best_params=best_params,
-        best_value=best_value,
+        best_params=QaoaParams(best_g, best_b),
+        best_value=best_v,
         trace=grid.trace,
         grid_resolution=resolution,
-        refinement_iterations=total_passes,
-        converged=all_converged,
+        refinement_iterations=sum(res.refinement_iterations for res in results),
+        converged=all(res.converged for res in results),
         evaluations=len(grid.trace) + obj.evaluations,
     )

@@ -7,9 +7,11 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from qaoa_locality.cli import _COMMANDS, main
 from qaoa_locality.qaoa import CostModel, QaoaParams
 from qaoa_locality.trees import TreePathSum, tree_expectation
 
@@ -172,6 +174,11 @@ def test_cycle_budget_exits_3():
     assert error["category"] == "resource-limit"
     assert "1000*3*2^38 paths, above the limit of 1e+08" in error["message"]
 
+    # on a cycle the path bound does not grow with kmax; kmax itself is capped
+    proc = run_cli("cycles", "--n", "10", "--d", "2", "--kmax", "10001", "--trials", "2")
+    assert proc.returncode == 3
+    assert stderr_error(proc)["category"] == "resource-limit"
+
 
 def test_locality_check_subcommand():
     proc = run_cli(
@@ -226,51 +233,166 @@ def test_run_config_is_byte_deterministic(tmp_path):
     assert first.stdout.endswith("\n")
 
 
+RING = "4 4\n0 1\n1 2\n2 3\n3 0\n"
+
+# One case per command of the table (and a second form of some): the
+# command line and a config file with the same keys. Config values keep
+# their JSON types, so both paths must read them alike.
+PARITY_CASES = {
+    "generate": (
+        ["generate", "--n", "16", "--d", "4", "--kind", "bipartite",
+         "--seed", "3", "--out", "g.edges"],
+        {"n": 16, "d": 4, "kind": "bipartite", "seed": 3, "out": "g.edges"},
+    ),
+    "cycles": (["cycles", "--n", "20", "--d", "3"], {"n": 20, "d": 3}),
+    "cycles-bipartite": (
+        ["cycles", "--n", "16", "--d", "4", "--kind", "bipartite",
+         "--trials", "3", "--kmax", "5", "--seed", "2"],
+        {"n": 16, "d": 4, "kind": "bipartite", "trials": 3, "kmax": 5, "seed": 2},
+    ),
+    "cycles-in": (
+        ["cycles", "--in", "ring.edges", "--kmax", "4"],
+        {"in": "ring.edges", "kmax": 4},
+    ),
+    "tree-expect": (["tree-expect", "--d", "3", "--p", "1"], {"d": 3, "p": 1}),
+    "tree-expect-mis": (
+        ["tree-expect", "--d", "3", "--p", "2", "--model", "mis", "--init", "zero",
+         "--gamma", "1,2", "--beta", "0.3,0.2"],
+        {"d": 3, "p": 2, "model": "mis", "init": "zero",
+         "gamma": [1, 2], "beta": [0.3, 0.2]},
+    ),
+    "optimize": (
+        ["optimize", "--d", "2", "--p", "1", "--resolution", "8"],
+        {"d": 2, "p": 1, "resolution": 8},
+    ),
+    "optimize-mis": (
+        ["optimize", "--d", "3", "--p", "1", "--model", "mis", "--init", "zero",
+         "--resolution", "16", "--budget", "1000"],
+        {"d": 3, "p": 1, "model": "mis", "init": "zero",
+         "resolution": 16, "budget": 1000},
+    ),
+    "locality-check": (
+        ["locality-check", "--n", "8", "--d", "3", "--p", "1"],
+        {"n": 8, "d": 3, "p": 1},
+    ),
+    "locality-check-bipartite": (
+        ["locality-check", "--n", "8", "--d", "3", "--p", "1", "--kind", "bipartite",
+         "--init", "zero", "--trials", "2", "--seed", "3"],
+        {"n": 8, "d": 3, "p": 1, "kind": "bipartite", "init": "zero",
+         "trials": 2, "seed": 3},
+    ),
+    "equivalence": (
+        ["equivalence", "--n-list", "8,10", "--d", "2", "--p", "1", "--init", "zero",
+         "--trials", "3", "--seed", "5"],
+        {"n_list": [8, 10], "d": 2, "p": 1, "init": "zero", "trials": 3, "seed": 5},
+    ),
+    "ratio-bound": (
+        ["ratio-bound", "--d", "3", "--p", "1", "--optimize", "--init", "zero"],
+        {"d": 3, "p": 1, "optimize": True, "init": "zero"},
+    ),
+    "ratio-bound-value": (
+        ["ratio-bound", "--d", "3", "--p", "1", "--tree-value", "0.6924500897298755"],
+        {"d": 3, "p": 1, "tree_value": 0.6924500897298755},
+    ),
+    "prune": (
+        ["prune", "--in", "ring.edges", "--bits", "1100", "--d", "2"],
+        {"in": "ring.edges", "bits": "1100", "d": 2},
+    ),
+    "tree-fraction": (
+        ["tree-fraction", "--n", "16", "--d", "3", "--p-list", "1,2"],
+        {"n": 16, "d": 3, "p_list": "1,2"},
+    ),
+    "end-to-end": (
+        ["end-to-end", "--n", "8", "--d", "3", "--p", "1", "--model", "maxcut",
+         "--trials", "2", "--samples", "0", "--seed", "4"],
+        {"n": 8, "d": 3, "p": 1, "model": "maxcut", "trials": 2, "samples": 0,
+         "seed": 4},
+    ),
+}
+
+
+def call_main(capsys, *args):
+    """Run the entry point in this process; returns (exit code, stdout, stderr)."""
+    code = main(list(args))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parity_cases_cover_every_command():
+    assert {argv[0] for argv, _ in PARITY_CASES.values()} == set(_COMMANDS) - {"run"}
+
+
+@pytest.mark.parametrize("case", list(PARITY_CASES))
+def test_command_line_and_config_share_defaults(tmp_path, monkeypatch, capsys, case):
+    """The command line and a config file reach every command with one set
+    of keys, and optional keys are defaulted by the handlers alone, so both
+    print one report and write the same files."""
+    argv, config = PARITY_CASES[case]
+    outputs = []
+    for side in ("argv", "config"):
+        cwd = tmp_path / side
+        cwd.mkdir()
+        (cwd / "ring.edges").write_text(RING)
+        monkeypatch.chdir(cwd)
+        if side == "argv":
+            args = argv
+        else:
+            (cwd / "config.json").write_text(json.dumps({"command": argv[0], **config}))
+            args = ["run", "--config", "config.json"]
+        code, out, err = call_main(capsys, *args)
+        assert code == 0, err
+        files = {
+            path.name: path.read_text()
+            for path in sorted(cwd.iterdir())
+            if path.name != "config.json"
+        }
+        outputs.append((out, files))
+    assert outputs[0] == outputs[1]
+
+
+def test_run_config_generate_writes_the_edge_list(tmp_path, monkeypatch):
+    """A config file's "out" is generate's edge-list path, not a report path."""
+    monkeypatch.chdir(tmp_path)
+    direct = run_cli("generate", "--n", "16", "--d", "3", "--seed", "1", "--out", "a.edges")
+    Path("c.json").write_text(json.dumps(
+        {"command": "generate", "n": 16, "d": 3, "seed": 1, "out": "b.edges"}
+    ))
+    from_config = run_cli("run", "--config", "c.json")
+    assert from_config.returncode == 0, from_config.stderr
+    assert Path("b.edges").read_text() == Path("a.edges").read_text()
+    assert from_config.stdout == direct.stdout.replace("a.edges", "b.edges")
+
+
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv",
     [
-        (["tree-expect", "--d", "3", "--p", "1"], {"d": 3, "p": 1}),
-        (
-            ["optimize", "--d", "2", "--p", "1", "--resolution", "8"],
-            {"d": 2, "p": 1, "resolution": 8},
-        ),
-        (["cycles", "--n", "20", "--d", "3"], {"n": 20, "d": 3}),
-        (
-            ["tree-fraction", "--n", "16", "--d", "3", "--p-list", "1,2"],
-            {"n": 16, "d": 3, "p_list": "1,2"},
-        ),
-        (
-            ["locality-check", "--n", "8", "--d", "3", "--p", "1"],
-            {"n": 8, "d": 3, "p": 1},
-        ),
+        ["generate", "--d", "3", "--out", "g.edges"],
+        ["cycles", "--n", "x", "--d", "3"],
+        ["tree-expect", "--d", "3", "--p", "1", "--model", "foo"],
+        ["tree-fraction", "--n", "16", "--d", "3", "--p-list", "1", "--kind", "foo"],
+        ["generate", "--n", "16", "--d", "3", "--kind", "", "--out", "g.edges"],
+        ["tree-expect", "--d", "3", "--p", "1", "--init", "foo"],
+        ["ratio-bound", "--d", "3", "--p", "1", "--tree-value", "0.5", "--optimize"],
+        ["ratio-bound", "--d", "3", "--p", "1"],
+        ["ratio-bound", "--d", "3", "--p", "1", "--tree-value", "x"],
+        ["tree-expect", "--d", "3", "--p", "1", "--kind", "general"],
+        ["generate", "--n", "16", "--d", "3", "--out"],
+        ["frobnicate"],
     ],
-    ids=["tree-expect", "optimize", "cycles", "tree-fraction", "locality-check"],
+    ids=[
+        "missing-option", "non-integer", "unknown-model", "unknown-kind",
+        "empty-kind", "unknown-init", "both-tree-value-and-optimize",
+        "neither-tree-value-nor-optimize", "non-numeric-tree-value",
+        "unknown-flag", "flag-without-value", "unknown-command",
+    ],
 )
-def test_command_line_and_config_share_defaults(tmp_path, argv, config):
-    """Optional options are defaulted by the handlers alone, so leaving
-    them out of the command line and of a config file gives one report."""
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"command": argv[0], **config}))
-    direct = run_cli(*argv)
-    from_config = run_cli("run", "--config", str(path))
-    assert direct.returncode == 0, direct.stderr
-    assert direct.stdout == from_config.stdout
-
-
-def test_in_option_matches_config_key_in(tmp_path):
-    """`--in` and a config file's "in" key reach the handlers as one key."""
-    graph = tmp_path / "g.edges"
-    graph.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")
-    for argv, config in [
-        (["cycles", "--in", str(graph), "--kmax", "4"], {"kmax": 4}),
-        (["prune", "--in", str(graph), "--bits", "1100", "--d", "2"],
-         {"bits": "1100", "d": 2}),
-    ]:
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"command": argv[0], "in": str(graph), **config}))
-        direct = run_cli(*argv)
-        assert direct.returncode == 0, direct.stderr
-        assert direct.stdout == run_cli("run", "--config", str(path)).stdout
+def test_refused_command_lines_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = call_main(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["category"] == "invalid-input"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_config_writes_report_and_csv(tmp_path):

@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qaoa_locality.errors import InputError
+from qaoa_locality import experiments as experiments_module
+from qaoa_locality import graphs as graphs_module
+from qaoa_locality.errors import InputError, ResourceError
 from qaoa_locality.experiments import (
     LITERATURE,
     SCHEMA_VERSION,
@@ -287,7 +289,7 @@ def test_census_bipartite_has_no_odd_cycles():
             assert row["mean"] == 0.0 and row["within_3_se"]
 
 
-def test_census_report_shape():
+def test_census_report_shape(monkeypatch):
     spec = EnsembleSpec(40, 3, "general", 2)
     report = cycle_census_experiment(spec, 4, trials=10)
     rows = report["results"]["series"]
@@ -297,6 +299,11 @@ def test_census_report_shape():
         assert row["oracle_mean"] == cycle_oracle_mean(3, row["k"])
     with pytest.raises(InputError):
         cycle_census_experiment(spec, 2, trials=10)
+    # a kmax above the cap is refused before any graph is sampled
+    monkeypatch.setattr(experiments_module, "sample_graph", None)
+    cycle = EnsembleSpec(10, 2, "general", 0)
+    with pytest.raises(ResourceError, match="above the limit"):
+        cycle_census_experiment(cycle, graphs_module.MAX_CYCLE_LENGTH + 1, trials=2)
 
 
 def test_census_reports_are_pinned():

@@ -146,6 +146,7 @@ def reference_bipartite(spec):
 REFERENCE = {"general": reference_regular, "bipartite": reference_bipartite}
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("kind", ["general", "bipartite"])
 @pytest.mark.parametrize("n", [8, 12, 16, 20, 200, 1000])
 def test_samplers_draw_the_reference_graphs(n, kind):
@@ -416,6 +417,10 @@ def test_count_cycles_refuses_a_search_above_the_budget(monkeypatch):
     # even a length whose power would be huge is refused at once
     with pytest.raises(ResourceError):
         count_cycles(g, 10**9)
+    # on graphs of degree <= 2 the path bound lets any kmax through, so kmax
+    # itself is capped before a count per length is allocated
+    with pytest.raises(ResourceError, match="length 10001 is above the limit"):
+        count_cycles(cycle_graph(9), graphs_module.MAX_CYCLE_LENGTH + 1)
     monkeypatch.undo()
     # the cycle census workload, n=1000, d=3, kmax=7, is far below it
     assert 1000 * 3 * 2**5 < MAX_CYCLE_PATHS // 1000
