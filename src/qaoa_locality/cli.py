@@ -6,7 +6,8 @@ invalid input or 3 for resource-limit violations. One table, ``_COMMANDS``,
 names each subcommand's option keys: every key is a ``--flag`` and a key of
 a ``run --config`` JSON file, and the handler checks its value either way.
 A config file may add ``out`` and ``csv_out`` paths for the serialized
-report, where the command does not read that key itself.
+report, where the command does not read that key itself. Any other key that
+the command, or the chosen form of it, never reads is refused.
 """
 from __future__ import annotations
 
@@ -90,6 +91,13 @@ def _text(options: dict, key: str, default: str) -> str:
     return default if value is None else str(value)
 
 
+def _refuse_unread(options: dict, keys, form: str) -> None:
+    """Refuse any of ``keys`` given a value: ``form`` never reads them."""
+    given = [key for key in keys if options.get(key) is not None]
+    if given:
+        raise InputError(f"{form} does not read option(s) {', '.join(given)}")
+
+
 def _build_model(options: dict, d: int) -> CostModel:
     kind = _text(options, "model", MAXCUT)
     if kind == MAXCUT:
@@ -147,6 +155,7 @@ def _cmd_cycles(options: dict) -> dict:
     kmax = _int_opt(options, "kmax", 6)
     path = options.get("in")
     if path is not None:
+        _refuse_unread(options, "n d kind trials seed".split(), "cycles --in")
         g = read_edgelist(path)
         census = count_cycles(g, kmax)
         config = {"in": str(path), "kmax": kmax}
@@ -255,6 +264,7 @@ def _cmd_ratio_bound(options: dict) -> dict:
     if do_optimize:
         value = optimize(d, p, model, _initial(options)).best_value
     else:
+        _refuse_unread(options, ["init"], "ratio-bound --tree-value")
         try:
             value = float(tree_value)
         except (TypeError, ValueError):
@@ -367,6 +377,7 @@ def _cmd_run(options: dict) -> dict:
     out, csv_out = (
         None if key in keys.split() else body.pop(key, None) for key in ("out", "csv_out")
     )
+    _refuse_unread(body, sorted(body.keys() - set(keys.split())), command)
     report = handler(body)
     if out is not None:
         with open(out, "w", encoding="utf-8") as fh:

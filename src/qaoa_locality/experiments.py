@@ -619,7 +619,9 @@ def end_to_end(
         nontree.append(1.0 - tree_edges / g.m)
         if model.kind == MIS and samples > 0:
             state = run_qaoa(g, model, params, initial)
-            for bits in sample_bitstrings(state, samples, children[trials + t]):
+            picks = sample_bitstrings(state, samples, children[trials + t])
+            del state  # freed before the next trial builds its own
+            for bits in picks:
                 result = prune(g, bits, spec.d)
                 prune_total += 1
                 out = bit_values(result.output_bitstring, g.n)

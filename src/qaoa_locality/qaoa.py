@@ -54,11 +54,11 @@ INITIAL_STATES = ("zero", "plus")
 
 @dataclass(frozen=True)
 class CostModel:
-    """Per-edge cost function.
-
-    "maxcut" pays 1 when the endpoints disagree. "mis" pays
-    (b_i + b_j)/(2d) - b_i*b_j per edge of a d-regular graph, so exact
-    values are rationals with denominator 2d.
+    """Per-edge cost function as one table: an edge whose endpoints hold bits
+    (a, b) costs ``numerators[a][b] / denominator``, and every cost is read
+    from it. "maxcut" pays 1 when the endpoints disagree, ((0, 1), (1, 0))
+    over 1. "mis" pays (b_i + b_j)/(2d) - b_i*b_j per edge of a d-regular
+    graph, ((0, 1), (1, 2 - 2d)) over 2d.
     """
 
     kind: str
@@ -77,6 +77,10 @@ class CostModel:
     @classmethod
     def mis(cls, d: int) -> "CostModel":
         return cls(MIS, int(d))
+
+    @property
+    def numerators(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        return ((0, 1), (1, 0)) if self.kind == MAXCUT else ((0, 1), (1, 2 - 2 * self.d))
 
     @property
     def denominator(self) -> int:
@@ -169,18 +173,14 @@ def edge_cost(model: CostModel, bi: int, bj: int) -> Fraction:
     """Exact per-edge cost at bit values (bi, bj)."""
     if bi not in (0, 1) or bj not in (0, 1):
         raise InputError("bit values must be 0 or 1")
-    if model.kind == MAXCUT:
-        return Fraction(bi ^ bj)
-    return Fraction(bi + bj, 2 * model.d) - bi * bj
+    return Fraction(model.numerators[bi][bj], model.denominator)
 
 
 def cost_value(model: CostModel, g: Graph, bits) -> Fraction:
     """Exact total cost of a bit assignment: sum of edge_cost over edges."""
     vals = bit_values(bits, g.n)
-    total = Fraction(0)
-    for u, v in g.edges:
-        total += edge_cost(model, vals[u], vals[v])
-    return total
+    table = model.numerators
+    return Fraction(sum(table[vals[u]][vals[v]] for u, v in g.edges), model.denominator)
 
 
 def _edge_view(arr: np.ndarray, m: int, i: int, j: int) -> np.ndarray:
@@ -191,20 +191,19 @@ def _edge_view(arr: np.ndarray, m: int, i: int, j: int) -> np.ndarray:
 def cost_table(model: CostModel, g: Graph) -> np.ndarray:
     """Vector of total cost over all 2**n basis states.
 
-    Accumulates integer numerators in float64 (exact at these sizes) and
-    divides once by the model denominator.
+    Accumulates the model's nonzero integer numerators in float64 (exact at
+    these sizes) and divides once by a denominator other than 1.
     """
     m = g.n
     num = np.zeros(1 << m)
-    penalty = float(2 - 2 * model.d) if model.kind == MIS else 0.0
+    table = model.numerators
+    terms = [(a, b, float(table[a][b])) for a in (0, 1) for b in (0, 1) if table[a][b]]
     for u, v in g.edges:
         view = _edge_view(num, m, u, v)
-        view[:, 0, :, 1, :] += 1.0
-        view[:, 1, :, 0, :] += 1.0
-        if model.kind == MIS:
-            view[:, 1, :, 1, :] += penalty
-    if model.kind == MIS:
-        num /= float(2 * model.d)
+        for a, b, c in terms:
+            view[:, b, :, a, :] += c
+    if model.denominator != 1:
+        num /= float(model.denominator)
     return num
 
 
@@ -303,7 +302,8 @@ def expect_edge(state: Statevector, edge, model: CostModel) -> float:
     total = 0.0
     for a in (0, 1):
         for b in (0, 1):
-            total += P[a, b] * float(edge_cost(model, a, b))
+            # int / int is correctly rounded, so this is float(edge_cost(...))
+            total += P[a, b] * (model.numerators[a][b] / model.denominator)
     return float(total)
 
 

@@ -23,7 +23,6 @@ from .qaoa import (
     INITIAL_STATES,
     CostModel,
     QaoaParams,
-    edge_cost,
     expect_edge,
     run_qaoa,
 )
@@ -154,9 +153,8 @@ class TreePathSum:
         self.d = int(d)
         self.p = int(p)
         self._check_size(1)
-        self.cost = np.array(
-            [[float(edge_cost(model, a, b)) for b in (0, 1)] for a in (0, 1)]
-        )
+        den = model.denominator
+        self.cost = np.array([[n / den for n in row] for row in model.numerators])
         amp = [1.0, 0.0] if initial == "zero" else [math.sqrt(0.5)] * 2
         self.start = np.array([amp], dtype=np.complex128)
         # Slice j as the middle axis of a (2**j, 2, rest) view, so a 2x2

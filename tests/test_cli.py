@@ -378,21 +378,32 @@ def test_run_config_generate_writes_the_edge_list(tmp_path, monkeypatch):
         ["tree-expect", "--d", "3", "--p", "1", "--kind", "general"],
         ["generate", "--n", "16", "--d", "3", "--out"],
         ["frobnicate"],
+        ["cycles", "--in", "ring.edges", "--n", "x", "--trials", "-3", "--kind", "nonsense"],
+        ["ratio-bound", "--d", "3", "--p", "1", "--tree-value", "0.6", "--init", "bogus"],
+        ["run", "--config", "typo.json"],
     ],
     ids=[
         "missing-option", "non-integer", "unknown-model", "unknown-kind",
         "empty-kind", "unknown-init", "both-tree-value-and-optimize",
         "neither-tree-value-nor-optimize", "non-numeric-tree-value",
         "unknown-flag", "flag-without-value", "unknown-command",
+        "ensemble-keys-with-in", "init-with-tree-value", "config-key-not-read",
     ],
 )
 def test_refused_command_lines_exit_2(tmp_path, monkeypatch, capsys, argv):
+    """Refused before anything is written; every key given must be one the
+    chosen command and form reads, from the command line or a config file."""
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "ring.edges").write_text(RING)
+    (tmp_path / "typo.json").write_text(json.dumps(
+        {"command": "tree-fraction", "n": 16, "d": 3, "p_list": "1", "trails": 2}
+    ))
+    before = sorted(tmp_path.iterdir())
     code, out, err = call_main(capsys, *argv)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["category"] == "invalid-input"
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_run_config_writes_report_and_csv(tmp_path):

@@ -33,6 +33,7 @@ from qaoa_locality.graphs import (
     path_graph,
     sample_graph,
 )
+from qaoa_locality.optimize import optimize
 from qaoa_locality.qaoa import CostModel, QaoaParams, cost_value
 from qaoa_locality.rng import as_generator
 from qaoa_locality.trees import tree_expectation
@@ -376,6 +377,61 @@ def test_end_to_end_independent_set_prunes_samples():
     assert pruning["all_independent"]
     assert pruning["size_at_least_cost"]
     assert report["results"]["ratio"]["available"]
+
+
+def test_independent_set_end_to_end_reports_are_pinned():
+    # recorded before every cost was read from the model's one edge table
+    general = end_to_end(EnsembleSpec(16, 3, "general", 7), 1, MIS3, seed=7, trials=3, samples=32)
+    assert general["results"]["pruning"] == {
+        "samples": 96, "all_independent": True, "positive_cost_samples": 93,
+        "size_at_least_cost": True, "mean_set_size": 3.7916666666666665,
+        "max_set_size": 6, "mean_input_cost": 1.5104166666666667,
+    }
+    assert general["results"]["simulation"] == {
+        "trials": 3, "mean_total": 1.4972116735732577, "se_total": 0.009650957709960271,
+        "mean_per_edge": 0.06238381973221907, "mean_nontree_fraction": 0.08333333333333333,
+    }
+    bipartite = end_to_end(
+        EnsembleSpec(12, 3, "bipartite", 8), 1, MIS3, seed=8, trials=2, samples=24
+    )
+    assert bipartite["results"]["pruning"] == {
+        "samples": 48, "all_independent": True, "positive_cost_samples": 42,
+        "size_at_least_cost": True, "mean_set_size": 2.9583333333333335,
+        "max_set_size": 6, "mean_input_cost": 1.1770833333333333,
+    }
+    assert bipartite["results"]["simulation"] == {
+        "trials": 2, "mean_total": 1.1373851917448836, "se_total": 0.0,
+        "mean_per_edge": 0.06318806620804909, "mean_nontree_fraction": 0.0,
+    }
+
+
+def test_prune_report_is_pinned():
+    # recorded before every cost was read from the model's one edge table
+    g = sample_graph(EnsembleSpec(20, 3, "general", 5))
+    result = prune(g, "10110111001101011101", 3)
+    assert result.output_bitstring == "10100001000100010000"
+    assert result.output_set_size == 5
+    assert result.steps == [
+        ((0, 3), 3), ((0, 13), 13), ((2, 5), 5), ((2, 6), 6),
+        ((2, 17), 17), ((7, 10), 10), ((15, 16), 16), ((15, 19), 19),
+    ]
+    assert [str(c) for c in result.costs] == [
+        "-11/2", "-4", "-5/2", "-1", "-1/2", "1", "3/2", "2", "5/2"
+    ]
+    assert result.input_cost == result.costs[0] == cost_value(MIS3, g, result.input_bitstring)
+    assert result.costs[-1] == cost_value(MIS3, g, result.output_bitstring)
+
+
+def test_independent_set_optimize_report_is_pinned():
+    # recorded before every cost was read from the model's one edge table
+    result = optimize(3, 2, MIS3, "plus")
+    assert result.best_value == 0.08842126322193697
+    assert result.best_params == QaoaParams(
+        (7.025721554222183, 16.667375428961023), (2.766743588624788, 2.929427613607489)
+    )
+    assert (result.refinement_iterations, result.converged, result.evaluations) == (
+        90, True, 72881
+    )
 
 
 def test_end_to_end_where_no_ceiling_constant_exists():

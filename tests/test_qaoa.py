@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -30,6 +31,7 @@ from qaoa_locality.qaoa import (
     run_qaoa,
     sample_bitstrings,
 )
+from qaoa_locality.trees import TreePathSum
 
 MC = CostModel.maxcut()
 MIS3 = CostModel.mis(3)
@@ -142,6 +144,59 @@ def test_cost_table_matches_cost_value():
             for i in idx:
                 exact = float(cost_value(model, g, index_to_bits(int(i), g.n)))
                 assert abs(table[int(i)] - exact) < 1e-12
+
+
+def reference_edge_cost(model, a, b):
+    """The per-edge cost as the paper writes it, independent of the table."""
+    if model.kind == "maxcut":
+        return Fraction(int(a != b))
+    return Fraction(a + b, 2 * model.d) - a * b
+
+
+PROPERTY_GRAPHS = {
+    # sampled general and bipartite graphs at d = 2..5
+    **{
+        f"{kind}-d{d}": sample_graph(EnsembleSpec(10 if d == 5 else 8, d, kind, d))
+        for d in (2, 3, 4, 5)
+        for kind in ("general", "bipartite")
+    },
+    # irregular graphs, some with leaves and isolated vertices
+    **{
+        f"gnm-m{m}": Graph.from_edges(9, list(nx.gnm_random_graph(9, m, seed=m).edges()))
+        for m in (4, 9, 14, 20)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(PROPERTY_GRAPHS))
+def test_every_cost_reads_one_edge_table(name):
+    """edge_cost is the per-edge formula and cost_value its sum, every
+    cost_table entry is float(cost_value) exactly, and expect_edge and
+    TreePathSum use the same floats, for MaxCut and MIS(d) at degrees that
+    do and do not match the graph's."""
+    g = PROPERTY_GRAPHS[name]
+    rng = np.random.default_rng(g.n * 100 + g.m)
+    for model in [MC] + [CostModel.mis(k) for k in (1, 2, 3, 4, 5, 7)]:
+        table = cost_table(model, g)
+        edge_costs = [[reference_edge_cost(model, a, b) for b in (0, 1)] for a in (0, 1)]
+        assert [[edge_cost(model, a, b) for b in (0, 1)] for a in (0, 1)] == edge_costs
+        edge_floats = [[float(c) for c in row] for row in edge_costs]
+        assert TreePathSum(2, 1, model).cost.tolist() == edge_floats
+        for i in range(1 << g.n):
+            bits = index_to_bits(i, g.n)
+            vals = bit_values(bits)
+            exact = cost_value(model, g, bits)
+            assert exact == sum(
+                (reference_edge_cost(model, vals[u], vals[v]) for u, v in g.edges), Fraction(0)
+            )
+            assert table[i] == float(exact)
+        for i in rng.integers(0, 1 << g.n, size=4):
+            amps = np.zeros(1 << g.n, dtype=np.complex128)
+            amps[i] = 1.0
+            state = Statevector(g.n, amps)
+            vals = bit_values(index_to_bits(int(i), g.n))
+            for u, v in g.edges:
+                assert expect_edge(state, (u, v), model) == edge_floats[vals[u]][vals[v]]
 
 
 # --------------------------------------------------------------- bit maps
