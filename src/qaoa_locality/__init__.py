@@ -5,10 +5,8 @@ makes ensemble-level predictions and ratio ceilings computable at desk
 scale."""
 from .errors import InputError, ResourceError
 from .graphs import (
-    CycleCensus,
     EnsembleSpec,
     Graph,
-    Neighborhood,
     complete_bipartite_graph,
     complete_graph,
     count_cycles,
@@ -47,7 +45,6 @@ from .qaoa import (
     sample_bitstrings,
 )
 from .trees import (
-    CanonicalTree,
     LightConeSum,
     TreeExpectation,
     TreePathSum,

@@ -157,12 +157,11 @@ def _cmd_cycles(options: dict) -> dict:
     if path is not None:
         _refuse_unread(options, "n d kind trials seed".split(), "cycles --in")
         g = read_edgelist(path)
-        census = count_cycles(g, kmax)
         config = {"in": str(path), "kmax": kmax}
         return make_report(
             "cycles",
             config,
-            {"vertices": g.n, "edges": g.m, "counts": dict(census.counts)},
+            {"vertices": g.n, "edges": g.m, "counts": count_cycles(g, kmax)},
         )
     n = _req_int(options, "n")
     d = _req_int(options, "d")

@@ -488,7 +488,7 @@ def cycle_census_experiment(spec: EnsembleSpec, kmax: int, trials: int = 100) ->
         g = sample_graph(EnsembleSpec(spec.n, spec.d, spec.kind, child))
         census = count_cycles(g, kmax)
         for k in range(3, kmax + 1):
-            c = census.counts.get(k, 0)
+            c = census[k]
             samples[k].append(c)
             if k % 2 == 1 and c != 0:
                 odd_all_zero = False

@@ -24,8 +24,6 @@ from .rng import as_generator
 __all__ = [
     "Graph",
     "EnsembleSpec",
-    "Neighborhood",
-    "CycleCensus",
     "generate_regular",
     "generate_bipartite_regular",
     "sample_graph",
@@ -82,15 +80,14 @@ class Graph:
     """Simple undirected graph.
 
     Build instances through :meth:`from_edges`, which normalizes edge order,
-    rejects self-loops and duplicates, and (when asked) validates regularity
-    and a stored bipartition. ``bipartition[v]`` is the 0/1 class of vertex v,
-    and when it is present every edge must join the two classes.
+    rejects self-loops and duplicates, and validates a stored bipartition.
+    ``bipartition[v]`` is the 0/1 class of vertex v, and when it is present
+    every edge must join the two classes.
     """
 
     n: int
     edges: list[tuple[int, int]]
     adjacency: list[list[int]]
-    degree: int | None = None
     bipartition: list[int] | None = None
     _incident: list[list[int]] | None = field(
         default=None, repr=False, compare=False
@@ -101,7 +98,6 @@ class Graph:
         cls,
         n: int,
         edges,
-        degree: int | None = None,
         bipartition=None,
     ) -> "Graph":
         if int(n) < 1:
@@ -122,19 +118,13 @@ class Graph:
             seen.add((u, v))
             norm.append((u, v))
         norm.sort()
+        # Each row comes out sorted: a vertex x meets its smaller neighbours
+        # first, in order, as the second element of (u, x), and then its
+        # larger ones as the first element of (x, v).
         adjacency: list[list[int]] = [[] for _ in range(n)]
         for u, v in norm:
             adjacency[u].append(v)
             adjacency[v].append(u)
-        for nbrs in adjacency:
-            nbrs.sort()
-        if degree is not None:
-            degree = int(degree)
-            for v in range(n):
-                if len(adjacency[v]) != degree:
-                    raise InputError(
-                        f"vertex {v} has degree {len(adjacency[v])}, expected {degree}"
-                    )
         if bipartition is not None:
             bipartition = [int(b) for b in bipartition]
             if len(bipartition) != n:
@@ -146,14 +136,11 @@ class Graph:
                     raise InputError(
                         f"edge ({u}, {v}) stays inside one bipartition class"
                     )
-        return cls(n, norm, adjacency, degree, bipartition)
+        return cls(n, norm, adjacency, bipartition)
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def neighbors(self, v: int) -> list[int]:
-        return self.adjacency[v]
 
     def degree_of(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -202,30 +189,6 @@ class EnsembleSpec:
                 raise InputError("bipartite ensemble needs even n")
             if self.d > self.n // 2:
                 raise InputError("bipartite ensemble needs d <= n/2")
-
-
-@dataclass
-class Neighborhood:
-    """A radius-p ball of edges around a middle edge, relabeled to 0..k-1.
-
-    ``vertex_map[i]`` is the host vertex behind subgraph vertex i; the middle
-    edge's endpoints map to subgraph vertices 0 and 1, and ``middle_edge``
-    indexes the middle edge inside ``subgraph.edges``.
-    """
-
-    subgraph: Graph
-    middle_edge: int
-    vertex_map: list[int]
-    radius: int
-    is_tree: bool
-
-
-@dataclass
-class CycleCensus:
-    """Exact counts of simple cycles by length, 3 up to ``max_length``."""
-
-    max_length: int
-    counts: dict[int, int]
 
 
 def generate_regular(spec: EnsembleSpec) -> Graph:
@@ -291,7 +254,6 @@ def _first_simple_matching(
             return Graph.from_edges(
                 spec.n,
                 zip(lo.tolist(), hi.tolist()),
-                degree=spec.d,
                 bipartition=bipartition,
             )
     raise ResourceError(
@@ -350,12 +312,14 @@ def _edge_ball(g: Graph, incident, middle: int, radius: int) -> list[int]:
     return order
 
 
-def edge_neighborhood(g: Graph, edge, radius: int) -> Neighborhood:
-    """Extract the ball of edges within ``radius`` edge-steps of ``edge``.
+def edge_neighborhood(g: Graph, edge, radius: int) -> Graph:
+    """The ball of edges within ``radius`` edge-steps of ``edge``, as a graph.
 
     The middle edge is at distance 0 and edges sharing an endpoint are one
-    step apart. The subgraph keeps exactly the edges of the ball; its vertex
-    set is their endpoints, relabeled with the middle endpoints first.
+    step apart. The ball keeps exactly those edges; its vertices are their
+    endpoints, relabeled in discovery order with the middle endpoints 0 and
+    1, so the middle edge (0, 1) sorts first and is ``ball.edges[0]``. The
+    ball is connected, so it is a tree exactly when ``ball.m == ball.n - 1``.
     """
     if radius < 0:
         raise InputError("radius must be nonnegative")
@@ -368,20 +332,14 @@ def edge_neighborhood(g: Graph, edge, radius: int) -> Neighborhood:
     middle = next(e for e in incident[u] if g.edges[e] == (u, v))
     ids = _edge_ball(g, incident, middle, radius)
     pos = {u: 0, v: 1}
-    vertex_map = [u, v]
-    sub_edges = []
+    ball_edges = []
     for e in ids:
         a, b = g.edges[e]
         for w in (a, b):
             if w not in pos:
-                pos[w] = len(vertex_map)
-                vertex_map.append(w)
-        sub_edges.append((pos[a], pos[b]))
-    sub = Graph.from_edges(len(vertex_map), sub_edges)
-    # (0, 1) sorts first, so the middle edge is index 0 in the subgraph.
-    middle_idx = sub.edges.index((0, 1))
-    is_tree = sub.m == sub.n - 1  # the ball is connected by construction
-    return Neighborhood(sub, middle_idx, vertex_map, radius, is_tree)
+                pos[w] = len(pos)
+        ball_edges.append((pos[a], pos[b]))
+    return Graph.from_edges(len(pos), ball_edges)
 
 
 def _walk_tables(g: Graph):
@@ -523,8 +481,8 @@ def _check_kmax(kmax: int) -> None:
         )
 
 
-def count_cycles(g: Graph, kmax: int) -> CycleCensus:
-    """Exact simple-cycle counts for every length 3..kmax.
+def count_cycles(g: Graph, kmax: int) -> dict[int, int]:
+    """Exact simple-cycle counts ``{k: count}`` for every length 3..kmax.
 
     Refused with ``ResourceError`` before any search when kmax exceeds
     ``MAX_CYCLE_LENGTH`` or n*D*(D-1)^(kmax-2), D the maximum degree, exceeds
@@ -576,7 +534,7 @@ def count_cycles(g: Graph, kmax: int) -> CycleCensus:
             if a > s:
                 extend(s, a, a, 2)
         on_path[s] = 0
-    return CycleCensus(kmax, counts)
+    return counts
 
 
 def tree_edge_fraction(g: Graph, radius: int) -> float:
@@ -612,8 +570,7 @@ def read_edgelist(path) -> Graph:
     """Read the text edge-list format written by :func:`write_edgelist`.
 
     Self-loops, duplicate edges, malformed counts, and non-crossing
-    bipartitions are rejected. If every vertex ends up with the same degree
-    the graph is tagged with it.
+    bipartitions are rejected.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -649,23 +606,19 @@ def read_edgelist(path) -> Graph:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise InputError(f"malformed edge line {line!r}") from exc
-    g = Graph.from_edges(n, edges, bipartition=bipartition)
-    degrees = {g.degree_of(v) for v in range(g.n)}
-    if len(degrees) == 1:
-        g.degree = degrees.pop()
-    return g
+    return Graph.from_edges(n, edges, bipartition=bipartition)
 
 
 def complete_graph(n: int) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return Graph.from_edges(n, edges, degree=n - 1 if n > 1 else None)
+    return Graph.from_edges(n, edges)
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InputError("a cycle needs at least 3 vertices")
     edges = [(i, (i + 1) % n) for i in range(n)]
-    return Graph.from_edges(n, edges, degree=2)
+    return Graph.from_edges(n, edges)
 
 
 def path_graph(n: int) -> Graph:
@@ -678,6 +631,4 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
         raise InputError("both classes must be nonempty")
     edges = [(i, a + j) for i in range(a) for j in range(b)]
     classes = [0] * a + [1] * b
-    return Graph.from_edges(
-        a + b, edges, degree=a if a == b else None, bipartition=classes
-    )
+    return Graph.from_edges(a + b, edges, bipartition=classes)

@@ -67,8 +67,11 @@ class CostModel:
     def __post_init__(self):
         if self.kind not in (MAXCUT, MIS):
             raise InputError(f"unknown cost model {self.kind!r}")
-        if self.kind == MIS and (self.d is None or int(self.d) < 1):
-            raise InputError("the independent-set cost needs a degree d >= 1")
+        if self.kind == MIS:
+            d = self.d
+            if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
+                raise InputError("the independent-set cost needs an integer degree d >= 1")
+            object.__setattr__(self, "d", int(d))
 
     @classmethod
     def maxcut(cls) -> "CostModel":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .graphs import Graph, Neighborhood, edge_neighborhood, edge_tree_radii
+from .graphs import Graph, edge_neighborhood, edge_tree_radii
 from .qaoa import (
     DEFAULT_QUBIT_CAP,
     INITIAL_STATES,
@@ -28,7 +28,6 @@ from .qaoa import (
 )
 
 __all__ = [
-    "CanonicalTree",
     "TreeExpectation",
     "TreePathSum",
     "LightConeSum",
@@ -38,17 +37,6 @@ __all__ = [
     "neighborhood_expectation",
     "predicted_ensemble_cost",
 ]
-
-
-@dataclass
-class CanonicalTree:
-    """The tree graph plus its middle edge and per-vertex depths."""
-
-    d: int
-    p: int
-    graph: Graph
-    middle_edge: int
-    depth_of: list[int]
 
 
 @dataclass
@@ -67,34 +55,30 @@ def tree_vertex_count(d: int, p: int) -> int:
     return 2 * sum((d - 1) ** k for k in range(p + 1))
 
 
-def build_canonical_tree(d: int, p: int) -> CanonicalTree:
+def build_canonical_tree(d: int, p: int) -> Graph:
     """Build the canonical tree with breadth-first vertex numbering.
 
     Endpoint A is 0 and endpoint B is 1; then A's children, B's children,
     and so on level by level, so the numbering (and the edge list) is the
-    same every time.
+    same every time, and the middle edge (0, 1) is edge 0, as in every ball
+    from :func:`edge_neighborhood`.
     """
     if d < 2:
         raise InputError("degree must be at least 2")
     if p < 0:
         raise InputError("radius must be nonnegative")
-    size = tree_vertex_count(d, p)
     edges = [(0, 1)]
-    depths = [0, 0]
     frontier = [0, 1]
     nxt = 2
-    for level in range(1, p + 1):
+    for _ in range(p):
         grown = []
         for parent in frontier:
             for _ in range(d - 1):
                 edges.append((parent, nxt))
-                depths.append(level)
                 grown.append(nxt)
                 nxt += 1
         frontier = grown
-    graph = Graph.from_edges(size, edges)
-    middle = graph.edges.index((0, 1))
-    return CanonicalTree(d, p, graph, middle, depths)
+    return Graph.from_edges(tree_vertex_count(d, p), edges)
 
 
 def tree_expectation(
@@ -104,16 +88,15 @@ def tree_expectation(
     params: QaoaParams,
     initial: str = "plus",
 ) -> TreeExpectation:
-    """Simulate the circuit on the canonical tree; return the middle-edge
-    expectation. ``params`` must have exactly p layers.
+    """:func:`neighborhood_expectation` of the canonical tree; ``params``
+    must have exactly p layers.
 
     This is the statevector oracle for :class:`TreePathSum`; it needs a
     register of ``tree_vertex_count(d, p)`` qubits."""
     if params.p != p:
         raise InputError(f"parameter depth {params.p} must equal the radius {p}")
     tree = build_canonical_tree(d, p)
-    state = run_qaoa(tree.graph, model, params, initial)
-    value = expect_edge(state, tree.graph.edges[tree.middle_edge], model)
+    value = neighborhood_expectation(tree, model, params, initial)
     return TreeExpectation(model, d, p, params, initial, value)
 
 
@@ -218,19 +201,20 @@ class TreePathSum:
 
 
 def neighborhood_expectation(
-    nb: Neighborhood,
+    ball: Graph,
     model: CostModel,
     params: QaoaParams,
     initial: str = "plus",
 ) -> float:
-    """Middle-edge expectation simulated on an extracted neighborhood alone.
+    """Expectation of edge 0 of ``ball``, simulated on the ball alone.
 
     For product initial states, gates outside the radius-p ball of an edge
-    cancel out of that edge's expectation, so this equals the full-graph
-    expectation of the middle edge whenever the radius matches the depth.
+    cancel out of that edge's expectation, so on a ball from
+    :func:`edge_neighborhood` this equals the full-graph expectation of the
+    middle edge whenever the radius matches the depth.
     """
-    state = run_qaoa(nb.subgraph, model, params, initial)
-    return expect_edge(state, nb.subgraph.edges[nb.middle_edge], model)
+    state = run_qaoa(ball, model, params, initial)
+    return expect_edge(state, ball.edges[0], model)
 
 
 class LightConeSum:
@@ -272,12 +256,12 @@ class LightConeSum:
         cyclic = np.flatnonzero(p - radii).tolist()
         total = 0.0
         for idx in cyclic:
-            nb = edge_neighborhood(g, g.edges[idx], p)
+            ball = edge_neighborhood(g, g.edges[idx], p)
             # the middle edge is always edge 0 of the relabelled ball
-            key = (nb.subgraph.n, tuple(nb.subgraph.edges))
+            key = (ball.n, tuple(ball.edges))
             if key not in self._balls:
                 self._balls[key] = neighborhood_expectation(
-                    nb, self.model, self.params, self.initial
+                    ball, self.model, self.params, self.initial
                 )
             total += self._balls[key]
         tree_edges = g.m - len(cyclic)

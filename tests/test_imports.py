@@ -82,3 +82,51 @@ def test_an_unread_private_name_is_caught(tmp_path):
     )
     (tmp_path / "b.py").write_text("from . import a\n\nx = a._Box\n", encoding="utf-8")
     assert unread_private_names(tmp_path) == [("a.py", "_LIMIT"), ("a.py", "_helper")]
+
+
+def _is_dataclass(node):
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def unread_dataclass_fields(package):
+    """Fields of ``@dataclass`` classes in ``package`` that no module reads as
+    an attribute, as (class name, field name) pairs; matched by name."""
+    fields, read = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += [
+                    (node.name, item.target.id)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [(cls, name) for cls, name in fields if name not in read]
+
+
+def test_every_dataclass_field_is_read():
+    unread = unread_dataclass_fields(PACKAGE)
+    assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+def test_an_unread_dataclass_field_is_caught(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import dataclasses\nfrom dataclasses import dataclass, field\n\n\n"
+        "@dataclass(frozen=True)\nclass Box:\n    size: int\n    label: str = ''\n\n\n"
+        "@dataclasses.dataclass\nclass Tag:\n    name: str\n    extra: list = field(default=None)\n\n\n"
+        "class Plain:\n    note: str\n",
+        encoding="utf-8",
+    )
+    # a store is not a read, and a plain class's annotations are not fields
+    (tmp_path / "b.py").write_text(
+        "from . import a\n\n\ndef f(box, tag):\n    box.label = tag.name\n    return box.size\n",
+        encoding="utf-8",
+    )
+    assert unread_dataclass_fields(tmp_path) == [("Box", "label"), ("Tag", "extra")]

@@ -38,6 +38,21 @@ def spy_on_run_qaoa(monkeypatch):
     return seen
 
 
+def equivalent_schedules(model, params):
+    """Schedules with the same expectations as ``params``: a full gamma
+    period on one layer, beta + pi on one layer, and every angle negated."""
+    gammas, betas = list(params.gammas), list(params.betas)
+    out = [QaoaParams([-x for x in gammas], [-x for x in betas])]
+    for k in range(params.p):
+        shifted = list(gammas)
+        shifted[k] += model.gamma_period
+        out.append(QaoaParams(shifted, betas))
+        shifted = list(betas)
+        shifted[k] += np.pi
+        out.append(QaoaParams(gammas, shifted))
+    return out
+
+
 @pytest.mark.parametrize("kind", ["general", "bipartite"])
 @pytest.mark.parametrize("initial", ["plus", "zero"])
 @pytest.mark.parametrize("model", [MC, MIS3], ids=["maxcut", "mis3"])
@@ -47,6 +62,10 @@ def test_total_matches_statevector(model, initial, kind, monkeypatch):
     tree_balls = cycle_balls = 0
     for p in (0, 1, 2):
         light_cone = LightConeSum(3, model, random_params(model, p, rng), initial)
+        moved = [
+            LightConeSum(3, model, params, initial)
+            for params in equivalent_schedules(model, light_cone.params)
+        ]
         for n in (10, 14):
             for seed in range(2):
                 g = sample_graph(EnsembleSpec(n, 3, kind, 100 * n + seed))
@@ -57,6 +76,10 @@ def test_total_matches_statevector(model, initial, kind, monkeypatch):
                 assert abs(total - expect_total(state, g, model)) < 1e-12
                 tree_balls += tree_edges
                 cycle_balls += g.m - tree_edges
+                # the invariances hold for the balls with a cycle too
+                if tree_edges < g.m:
+                    for other in moved:
+                        assert abs(other.total(g)[0] - total) < 1e-10, other.params
     # both kinds of ball were summed, not only the tree value
     assert tree_balls > 0 and cycle_balls > 0
 
@@ -79,9 +102,9 @@ def test_only_balls_with_a_cycle_are_built(monkeypatch):
     built = []
 
     def spy(g, edge, radius):
-        nb = edge_neighborhood(g, edge, radius)
-        built.append((edge, nb.is_tree))
-        return nb
+        ball = edge_neighborhood(g, edge, radius)
+        built.append((edge, ball.m == ball.n - 1))
+        return ball
 
     monkeypatch.setattr(trees, "edge_neighborhood", spy)
     rng = np.random.default_rng(5)

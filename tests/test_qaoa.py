@@ -121,6 +121,13 @@ def test_cost_model_validation():
         CostModel("vertexcover")
     with pytest.raises(InputError):
         CostModel.mis(0)
+    # the degree must be an integer: a string, a float or a bool is refused
+    # here rather than failing later in edge_cost or meaning d = 1
+    for d in ("3", 3.0, 2.5, True, None, 0, -2):
+        with pytest.raises(InputError):
+            CostModel("mis", d)
+    assert CostModel("mis", np.int64(3)) == CostModel.mis(3)
+    assert type(CostModel("mis", np.int64(3)).d) is int
 
 
 def test_cost_value_is_exact_rational():

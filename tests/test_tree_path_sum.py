@@ -54,25 +54,31 @@ def test_depth_one_closed_form(d):
         assert abs(path_sum.value((gamma,), (beta,)) - closed) < 1e-12
 
 
-@pytest.mark.parametrize("model", [MC, CostModel.mis(3)], ids=["maxcut", "mis"])
-def test_invariances_beyond_the_qubit_cap(model):
-    # the d=3, p=3 tree has 30 qubits, above the statevector's cap of 26
+@pytest.mark.parametrize("kind", ["maxcut", "mis"])
+def test_invariances_beyond_the_qubit_cap(kind):
+    # the d=3, p=3 tree has 30 qubits, above the statevector's cap of 26,
+    # and the d=5, p=5 tree has 682
     assert tree_vertex_count(3, 3) == 30
-    p = 3
-    path_sum = TreePathSum(3, p, model)
-    params = random_params(np.random.default_rng(7), model, p)
-    gammas, betas = list(params.gammas), list(params.betas)
-    base = path_sum.value(gammas, betas)
-    assert 0.0 < abs(base) <= 1.0
-    for k in range(p):
-        shifted = list(gammas)
-        shifted[k] += model.gamma_period
-        assert abs(path_sum.value(shifted, betas) - base) < 1e-12
-        shifted = list(betas)
-        shifted[k] += math.pi
-        assert abs(path_sum.value(gammas, shifted) - base) < 1e-12
-    negated = path_sum.value([-g for g in gammas], [-b for b in betas])
-    assert abs(negated - base) < 1e-12
+    rng = np.random.default_rng(7 if kind == "maxcut" else 8)
+    for d in (2, 3, 4, 5):
+        model = MC if kind == "maxcut" else CostModel.mis(d)
+        for p in range(1, 6):
+            for initial in ("plus", "zero"):
+                path_sum = TreePathSum(d, p, model, initial)
+                for _ in range(2):
+                    params = random_params(rng, model, p)
+                    gammas, betas = list(params.gammas), list(params.betas)
+                    base = path_sum.value(gammas, betas)
+                    assert 0.0 < abs(base) <= 1.0
+                    for k in range(p):
+                        shifted = list(gammas)
+                        shifted[k] += model.gamma_period
+                        assert abs(path_sum.value(shifted, betas) - base) < 1e-12
+                        shifted = list(betas)
+                        shifted[k] += math.pi
+                        assert abs(path_sum.value(gammas, shifted) - base) < 1e-12
+                    negated = path_sum.value([-g for g in gammas], [-b for b in betas])
+                    assert abs(negated - base) < 1e-12
 
 
 @pytest.mark.parametrize("p", range(4))

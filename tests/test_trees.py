@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -17,6 +18,19 @@ from qaoa_locality.trees import (
 MC = CostModel.maxcut()
 
 
+def depths(tree):
+    """Breadth-first distance of each vertex from the middle edge (0, 1)."""
+    dist = [0, 0] + [None] * (tree.n - 2)
+    queue = deque([0, 1])
+    while queue:
+        v = queue.popleft()
+        for w in tree.adjacency[v]:
+            if dist[w] is None:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
 def test_vertex_counts():
     # two (d-1)-ary trees of height p share the middle edge
     assert tree_vertex_count(3, 0) == 2
@@ -28,33 +42,34 @@ def test_vertex_counts():
 
 
 def test_structure_d3_p1():
-    tree = build_canonical_tree(3, 1)
-    g = tree.graph
+    g = build_canonical_tree(3, 1)
     assert g.n == 6 and g.m == 5
-    assert g.edges[tree.middle_edge] == (0, 1)
+    assert g.edges[0] == (0, 1)
     # middle endpoints have full degree, everything else is a leaf
     assert g.degree_of(0) == 3 and g.degree_of(1) == 3
     assert all(g.degree_of(v) == 1 for v in range(2, 6))
-    assert tree.depth_of == [0, 0, 1, 1, 1, 1]
+    assert depths(g) == [0, 0, 1, 1, 1, 1]
 
 
 def test_structure_is_tree_and_degrees_interior():
-    tree = build_canonical_tree(3, 2)
-    g = tree.graph
+    g = build_canonical_tree(3, 2)
     assert g.m == g.n - 1
-    interior = [v for v in range(g.n) if tree.depth_of[v] < 2]
+    depth = depths(g)
+    # numbered breadth first: depths never decrease along the labels
+    assert depth == sorted(depth) and max(depth) == 2
+    interior = [v for v in range(g.n) if depth[v] < 2]
     assert all(g.degree_of(v) == 3 for v in interior)
-    assert all(g.degree_of(v) == 1 for v in range(g.n) if tree.depth_of[v] == 2)
+    assert all(g.degree_of(v) == 1 for v in range(g.n) if depth[v] == 2)
 
 
 def test_depth_zero_tree_is_single_edge():
     tree = build_canonical_tree(5, 0)
-    assert tree.graph.n == 2 and tree.graph.edges == [(0, 1)]
+    assert tree.n == 2 and tree.edges == [(0, 1)]
 
 
 def test_qubit_cap_enforced():
     # the tree is only a graph; the cap applies to the register simulating it
-    assert build_canonical_tree(3, 3).graph.n == 30
+    assert build_canonical_tree(3, 3).n == 30
     with pytest.raises(ResourceError) as err:
         tree_expectation(3, 3, MC, QaoaParams.zeros(3))
     assert "30" in str(err.value)
@@ -70,13 +85,13 @@ def test_side_swap_symmetry():
     relabeled run."""
     params = QaoaParams((0.8,), (0.35,))
     tree = build_canonical_tree(3, 1)
-    st = run_qaoa(tree.graph, MC, params)
+    st = run_qaoa(tree, MC, params)
     v = expect_edge(st, (0, 1), MC)
     assert abs(v - expect_edge(st, (1, 0), MC)) == 0.0
     # relabel: swap vertex 0 and 1 and each subtree
     swapped_edges = []
     relabel = {0: 1, 1: 0, 2: 4, 3: 5, 4: 2, 5: 3}
-    for u, w in tree.graph.edges:
+    for u, w in tree.edges:
         a, b = relabel[u], relabel[w]
         swapped_edges.append((min(a, b), max(a, b)))
     from qaoa_locality.graphs import Graph
@@ -116,9 +131,9 @@ def test_neighborhood_expectation_on_ring():
     params = QaoaParams((1.3,), (0.7,))
     st = run_qaoa(g, MC, params)
     for edge in g.edges:
-        nb = edge_neighborhood(g, edge, 1)
-        assert nb.is_tree
-        local = neighborhood_expectation(nb, MC, params)
+        ball = edge_neighborhood(g, edge, 1)
+        assert ball.m == ball.n - 1
+        local = neighborhood_expectation(ball, MC, params)
         assert abs(local - expect_edge(st, edge, MC)) < 1e-12
 
 
