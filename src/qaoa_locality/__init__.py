@@ -7,18 +7,13 @@ from .errors import InputError, ResourceError
 from .graphs import (
     EnsembleSpec,
     Graph,
-    complete_bipartite_graph,
-    complete_graph,
     count_cycles,
-    cycle_graph,
     edge_neighborhood,
     edge_tree_radii,
     expected_matchings,
     generate_bipartite_regular,
     generate_regular,
     matching_budget,
-    max_cut_of_bipartition,
-    path_graph,
     read_edgelist,
     sample_graph,
     tree_edge_fraction,
@@ -63,9 +58,7 @@ from .optimize import (
     refine,
 )
 from .experiments import (
-    LITERATURE,
     SCHEMA_VERSION,
-    LiteratureConstants,
     PruneResult,
     RatioReport,
     csv_from_report,

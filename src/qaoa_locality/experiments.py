@@ -44,8 +44,6 @@ from .trees import LightConeSum, TreePathSum, predicted_ensemble_cost
 
 __all__ = [
     "SCHEMA_VERSION",
-    "LiteratureConstants",
-    "LITERATURE",
     "RatioReport",
     "PruneResult",
     "ratio_ceiling",
@@ -65,53 +63,8 @@ SCHEMA_VERSION = 1
 
 
 # ----------------------------------------------------------------------
-# literature constants and ratio ceilings
+# ratio ceilings
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LiteratureConstants:
-    """Published coefficients bounding optima on random d-regular graphs.
-
-    ``maxcut_coeff_upper_d3`` bounds the optimal cut: at d = 3 the maximum
-    cut is below ``coeff * n`` asymptotically almost surely. The
-    independent-set analogue is ``mis_coeff_upper_d3`` (maximum independent
-    set below ``coeff * n``). For large d only the scaling of the cut
-    coefficient is known (``d/4 + O(sqrt(d))``, constant unspecified), so it
-    is stored as a form string and never evaluated; the independent-set
-    coefficient has the usable large-d bound ``2 ln(d) / d``.
-    """
-
-    maxcut_coeff_upper_d3: float = 1.4026
-    mis_coeff_upper_d3: float = 0.454
-    maxcut_coeff_large_d_form: str = "d/4 + O(sqrt(d))"
-
-    def mis_coeff_upper_large_d(self, d: int) -> float:
-        if d < 3:
-            raise InputError("the large-d independent-set bound needs d >= 3")
-        return 2.0 * math.log(d) / d
-
-
-LITERATURE = LiteratureConstants()
-
-_PROVENANCE = {
-    "maxcut_coeff_upper_d3": (
-        "literature upper bound for random 3-regular graphs: "
-        "optimal cut <= 1.4026 n asymptotically almost surely"
-    ),
-    "mis_coeff_upper_d3": (
-        "literature upper bound for random 3-regular graphs: "
-        "maximum independent set <= 0.454 n asymptotically almost surely"
-    ),
-    "mis_coeff_upper_large_d": (
-        "literature upper bound for random d-regular graphs at large d: "
-        "independence coefficient <= 2 ln(d) / d (asymptotic)"
-    ),
-    "maxcut_coeff_large_d_form": (
-        "form-only scaling d/4 + O(sqrt(d)); the constant inside O(sqrt(d)) "
-        "is unspecified, so no number is ever derived from this entry"
-    ),
-}
-
 
 @dataclass
 class RatioReport:
@@ -141,10 +94,12 @@ def ratio_ceiling(model, d: int, p: int, best_tree_value: float) -> RatioReport:
     """Compare the ratio implied by a single-edge tree value against the
     literature ceiling for the ensemble optimum.
 
-    Covered cases: cut model at d = 3 (ceiling 2 * 1.4026 / 3); independent
-    set at d = 3 (ceiling 2 * 0.454) and d >= 4 (ceiling 2 * (2 ln d / d),
-    asymptotic). Any other request raises, because no trustworthy constant
-    exists and a guessed number would be worse than an error.
+    Covered cases: cut model at d = 3 (optimal cut below 1.4026 n, ceiling
+    2 * 1.4026 / 3); independent set at d = 3 (maximum set below 0.454 n,
+    ceiling 2 * 0.454) and d >= 4 (coefficient 2 ln(d) / d, ceiling twice
+    that, asymptotic). Any other request raises, because no trustworthy
+    constant exists and a guessed number would be worse than an error: for
+    the cut at large d only the form d/4 + O(sqrt(d)) is known.
     """
     kind = model.kind if isinstance(model, CostModel) else str(model)
     if kind not in (MAXCUT, MIS):
@@ -157,34 +112,34 @@ def ratio_ceiling(model, d: int, p: int, best_tree_value: float) -> RatioReport:
         if d != 3:
             raise InputError(
                 f"no constant available for the cut ceiling at d={d}: the "
-                f"literature gives only the form "
-                f"{LITERATURE.maxcut_coeff_large_d_form!r}"
+                "literature gives only the form 'd/4 + O(sqrt(d))'"
             )
-        ceiling = 2.0 * LITERATURE.maxcut_coeff_upper_d3 / 3.0
-        provenance = {
-            "constant": LITERATURE.maxcut_coeff_upper_d3,
-            "source": _PROVENANCE["maxcut_coeff_upper_d3"],
-        }
+        constant = 1.4026
+        source = (
+            "literature upper bound for random 3-regular graphs: "
+            "optimal cut <= 1.4026 n asymptotically almost surely"
+        )
+        ceiling = 2.0 * constant / 3.0
         achieved = value
     else:
         if d == 3:
-            coeff = LITERATURE.mis_coeff_upper_d3
-            provenance = {
-                "constant": coeff,
-                "source": _PROVENANCE["mis_coeff_upper_d3"],
-            }
+            constant = 0.454
+            source = (
+                "literature upper bound for random 3-regular graphs: "
+                "maximum independent set <= 0.454 n asymptotically almost surely"
+            )
         elif d >= 4:
-            coeff = LITERATURE.mis_coeff_upper_large_d(d)
+            constant = 2.0 * math.log(d) / d
+            source = (
+                "literature upper bound for random d-regular graphs at large d: "
+                "independence coefficient <= 2 ln(d) / d (asymptotic)"
+            )
             asymptotic = True
-            provenance = {
-                "constant": coeff,
-                "source": _PROVENANCE["mis_coeff_upper_large_d"],
-            }
         else:
             raise InputError(
                 f"no constant available for the independent-set ceiling at d={d}"
             )
-        ceiling = 2.0 * coeff
+        ceiling = 2.0 * constant
         achieved = d * value
     return RatioReport(
         model=kind,
@@ -194,7 +149,7 @@ def ratio_ceiling(model, d: int, p: int, best_tree_value: float) -> RatioReport:
         ceiling=ceiling,
         achieved_ratio=achieved,
         finite_size_flag=True,
-        provenance=provenance,
+        provenance={"constant": constant, "source": source},
         asymptotic=asymptotic,
         within_ceiling=achieved <= ceiling + 1e-9,
     )
@@ -282,6 +237,21 @@ def _params_config(params: QaoaParams) -> dict:
     return {"gammas": list(params.gammas), "betas": list(params.betas)}
 
 
+def _trial_graphs(spec: EnsembleSpec, seeds):
+    """Yield (seed, graph) for each trial seed: the graph of ``spec``
+    drawn with that seed in place of the spec's own."""
+    for child in seeds:
+        yield child, sample_graph(dataclasses.replace(spec, seed=child))
+
+
+def _mean_se(values) -> tuple[float, float]:
+    """Mean and standard error of the mean; one value has error 0."""
+    values = np.asarray(values)
+    trials = len(values)
+    se = values.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0
+    return float(values.mean()), float(se)
+
+
 def locality_check(
     spec: EnsembleSpec,
     p: int,
@@ -305,14 +275,13 @@ def locality_check(
         raise InputError(f"parameter depth {params.p} must equal p={p}")
     if trials < 1:
         raise InputError("need at least one trial")
-    seeds = derive_seeds(spec.seed, trials)
     tree_value = None
     rows = []
     worst_overall = 0.0
     tree_edges_total = 0
     edges_total = 0
-    for trial, child in enumerate(seeds):
-        g = sample_graph(EnsembleSpec(spec.n, spec.d, spec.kind, child))
+    trial_graphs = _trial_graphs(spec, derive_seeds(spec.seed, trials))
+    for trial, (child, g) in enumerate(trial_graphs):
         state = run_qaoa(g, model, params, initial)
         worst = 0.0
         tree_edges = 0
@@ -340,10 +309,7 @@ def locality_check(
         tree_edges_total += tree_edges
         edges_total += g.m
     config = {
-        "n": spec.n,
-        "d": spec.d,
-        "kind": spec.kind,
-        "seed": spec.seed,
+        **dataclasses.asdict(spec),
         "p": p,
         "model": _model_config(model),
         "params": _params_config(params),
@@ -398,20 +364,15 @@ def ensemble_equivalence(
     for n in n_list:
         stats = {}
         for kind in kinds:
+            spec = EnsembleSpec(n, d, kind, stream[position])
+            position += 1
             per_edge = []
             nontree = []
-            for child in derive_seeds(stream[position], trials):
-                g = sample_graph(EnsembleSpec(n, d, kind, child))
+            for _, g in _trial_graphs(spec, derive_seeds(spec.seed, trials)):
                 total, tree_edges = light_cone.total(g)
                 per_edge.append(total / g.m)
                 nontree.append(1.0 - tree_edges / g.m)
-            position += 1
-            values = np.asarray(per_edge)
-            stats[kind] = (
-                float(values.mean()),
-                float(values.std(ddof=1) / math.sqrt(trials)),
-                float(np.mean(nontree)),
-            )
+            stats[kind] = (*_mean_se(per_edge), float(np.mean(nontree)))
         mean_g, se_g, frac_g = stats["general"]
         mean_b, se_b, frac_b = stats["bipartite"]
         gap = abs(mean_g - mean_b)
@@ -481,11 +442,9 @@ def cycle_census_experiment(spec: EnsembleSpec, kmax: int, trials: int = 100) ->
     _check_kmax(kmax)
     if trials < 2:
         raise InputError("need at least two trials for standard errors")
-    seeds = derive_seeds(spec.seed, trials)
     samples: dict[int, list[int]] = {k: [] for k in range(3, kmax + 1)}
     odd_all_zero = True
-    for child in seeds:
-        g = sample_graph(EnsembleSpec(spec.n, spec.d, spec.kind, child))
+    for _, g in _trial_graphs(spec, derive_seeds(spec.seed, trials)):
         census = count_cycles(g, kmax)
         for k in range(3, kmax + 1):
             c = census[k]
@@ -515,14 +474,7 @@ def cycle_census_experiment(spec: EnsembleSpec, kmax: int, trials: int = 100) ->
                 "within_3_se": within,
             }
         )
-    config = {
-        "n": spec.n,
-        "d": spec.d,
-        "kind": spec.kind,
-        "seed": spec.seed,
-        "kmax": kmax,
-        "trials": trials,
-    }
+    config = {**dataclasses.asdict(spec), "kmax": kmax, "trials": trials}
     payload = {"all_within_bands": all_in_band, "series": rows}
     if spec.kind == "bipartite":
         payload["odd_counts_all_zero"] = odd_all_zero
@@ -541,13 +493,11 @@ def tree_fraction_experiment(spec: EnsembleSpec, p_list, trials: int = 20) -> di
     trials = int(trials)
     if trials < 1:
         raise InputError("need at least one trial")
-    seeds = derive_seeds(spec.seed, trials)
     # Each graph is walked once, at the largest radius, and only its
     # fractions are kept: a ball is a tree at radius p exactly when the
     # edge's tree radius is at least p.
     tree_fractions: dict[int, list[float]] = {p: [] for p in p_list}
-    for child in seeds:
-        g = sample_graph(EnsembleSpec(spec.n, spec.d, spec.kind, child))
+    for _, g in _trial_graphs(spec, derive_seeds(spec.seed, trials)):
         radii = edge_tree_radii(g, max(p_list))
         for p in p_list:
             short = int(np.count_nonzero(np.maximum(p - radii, 0)))
@@ -565,14 +515,7 @@ def tree_fraction_experiment(spec: EnsembleSpec, p_list, trials: int = 20) -> di
                 "growth_below_n": growth < spec.n,
             }
         )
-    config = {
-        "n": spec.n,
-        "d": spec.d,
-        "kind": spec.kind,
-        "seed": spec.seed,
-        "p_list": p_list,
-        "trials": trials,
-    }
+    config = {**dataclasses.asdict(spec), "p_list": p_list, "trials": trials}
     return make_report("tree-fraction", config, {"series": rows})
 
 
@@ -591,7 +534,11 @@ def end_to_end(
     ensemble cost, check against exact totals of sampled graphs at this n
     (:class:`LightConeSum`), attach the ratio ceiling where constants exist,
     and (independent-set model only) sample bitstrings from each graph's full
-    state and prune them into independent sets."""
+    state and prune them into independent sets.
+
+    Every graph and every sample is drawn from ``seed``, which the report
+    echoes as ``seed_graphs``; ``spec.seed`` is never read, so two specs
+    that differ only in their seed give the same report."""
     p = int(p)
     trials = int(trials)
     samples = int(samples)
@@ -612,8 +559,7 @@ def end_to_end(
     prune_positive_cost = 0
     prune_sizes = []
     prune_input_costs = []
-    for t in range(trials):
-        g = sample_graph(EnsembleSpec(spec.n, spec.d, spec.kind, children[t]))
+    for t, (_, g) in enumerate(_trial_graphs(spec, children[:trials])):
         total, tree_edges = light_cone.total(g)
         totals.append(total)
         nontree.append(1.0 - tree_edges / g.m)
@@ -633,11 +579,7 @@ def end_to_end(
                         prune_size_ok += 1
                 prune_sizes.append(result.output_set_size)
                 prune_input_costs.append(float(result.input_cost))
-    values = np.asarray(totals)
-    mean_total = float(values.mean())
-    se_total = (
-        float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    )
+    mean_total, se_total = _mean_se(totals)
     edges = spec.n * spec.d // 2
     try:
         ratio = dataclasses.asdict(ratio_ceiling(model, spec.d, p, tree_value))

@@ -33,13 +33,8 @@ __all__ = [
     "edge_tree_radii",
     "count_cycles",
     "tree_edge_fraction",
-    "max_cut_of_bipartition",
     "read_edgelist",
     "write_edgelist",
-    "complete_graph",
-    "cycle_graph",
-    "path_graph",
-    "complete_bipartite_graph",
 ]
 
 # A general stub matching is simple with probability about
@@ -167,7 +162,8 @@ class EnsembleSpec:
     """A random regular ensemble: n vertices, degree d, kind, 64-bit seed.
 
     ``kind`` is "general" (uniform simple d-regular) or "bipartite" (uniform
-    simple d-regular bipartite with classes 0..n/2-1 and n/2..n-1).
+    simple d-regular bipartite with classes 0..n/2-1 and n/2..n-1). ``n``
+    and ``d`` must be integers; numpy integers are stored as ``int``.
     """
 
     n: int
@@ -178,6 +174,11 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in ("general", "bipartite"):
             raise InputError(f"unknown ensemble kind {self.kind!r}")
+        for name in ("n", "d"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise InputError(f"ensemble {name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.d < 1:
             raise InputError("degree must be at least 1")
         if self.n <= self.d:
@@ -547,14 +548,6 @@ def tree_edge_fraction(g: Graph, radius: int) -> float:
     return (g.m - int(np.count_nonzero(radius - radii))) / g.m
 
 
-def max_cut_of_bipartition(g: Graph) -> int:
-    """Number of edges crossing the stored bipartition."""
-    if g.bipartition is None:
-        raise InputError("graph carries no bipartition")
-    classes = g.bipartition
-    return sum(1 for u, v in g.edges if classes[u] != classes[v])
-
-
 def write_edgelist(g: Graph, path) -> None:
     """Write the text edge-list format: "n m", then one "u v" line per edge,
     then an optional "bipartition: <0/1 string>" line."""
@@ -607,28 +600,3 @@ def read_edgelist(path) -> Graph:
         except ValueError as exc:
             raise InputError(f"malformed edge line {line!r}") from exc
     return Graph.from_edges(n, edges, bipartition=bipartition)
-
-
-def complete_graph(n: int) -> Graph:
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return Graph.from_edges(n, edges)
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise InputError("a cycle needs at least 3 vertices")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return Graph.from_edges(n, edges)
-
-
-def path_graph(n: int) -> Graph:
-    edges = [(i, i + 1) for i in range(n - 1)]
-    return Graph.from_edges(n, edges)
-
-
-def complete_bipartite_graph(a: int, b: int) -> Graph:
-    if a < 1 or b < 1:
-        raise InputError("both classes must be nonempty")
-    edges = [(i, a + j) for i in range(a) for j in range(b)]
-    classes = [0] * a + [1] * b
-    return Graph.from_edges(a + b, edges, bipartition=classes)

@@ -1,4 +1,4 @@
-import dataclasses
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -10,9 +10,7 @@ from qaoa_locality import experiments as experiments_module
 from qaoa_locality import graphs as graphs_module
 from qaoa_locality.errors import InputError, ResourceError
 from qaoa_locality.experiments import (
-    LITERATURE,
     SCHEMA_VERSION,
-    LiteratureConstants,
     csv_from_report,
     cycle_census_experiment,
     cycle_oracle_mean,
@@ -25,18 +23,12 @@ from qaoa_locality.experiments import (
     report_json,
     tree_fraction_experiment,
 )
-from qaoa_locality.graphs import (
-    EnsembleSpec,
-    Graph,
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    sample_graph,
-)
+from qaoa_locality.graphs import EnsembleSpec, Graph, sample_graph
 from qaoa_locality.optimize import optimize
 from qaoa_locality.qaoa import CostModel, QaoaParams, cost_value
 from qaoa_locality.rng import as_generator
 from qaoa_locality.trees import tree_expectation
+from small_graphs import complete_graph, cycle_graph, path_graph
 
 MC = CostModel.maxcut()
 MIS3 = CostModel.mis(3)
@@ -46,16 +38,15 @@ MIS3 = CostModel.mis(3)
 
 
 def test_literature_constants_pinned():
-    assert LITERATURE.maxcut_coeff_upper_d3 == 1.4026
-    assert LITERATURE.mis_coeff_upper_d3 == 0.454
-    assert LITERATURE.mis_coeff_upper_large_d(10) == pytest.approx(
-        2 * math.log(10) / 10
-    )
-    assert "O(sqrt(d))" in LITERATURE.maxcut_coeff_large_d_form
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        LITERATURE.maxcut_coeff_upper_d3 = 2.0
+    assert ratio_ceiling(MC, 3, 1, 0.5).provenance["constant"] == 1.4026
+    assert ratio_ceiling(MIS3, 3, 1, 0.05).provenance["constant"] == 0.454
+    mis10 = ratio_ceiling(CostModel.mis(10), 10, 1, 0.01)
+    assert mis10.provenance["constant"] == 2.0 * math.log(10) / 10
+    with pytest.raises(InputError) as refusal:
+        ratio_ceiling(MC, 4, 1, 0.6)
+    assert "O(sqrt(d))" in str(refusal.value)
     with pytest.raises(InputError):
-        LITERATURE.mis_coeff_upper_large_d(2)
+        ratio_ceiling(CostModel.mis(2), 2, 1, 0.1)
 
 
 def test_ratio_ceiling_cut_d3():
@@ -440,6 +431,85 @@ def test_end_to_end_where_no_ceiling_constant_exists():
     ratio = report["results"]["ratio"]
     assert ratio["available"] is False
     assert "no constant available" in ratio["reason"]
+    report = end_to_end(EnsembleSpec(12, 4, "general", 2), 1, MC, seed=2, trials=2)
+    assert report["results"]["ratio"] == {
+        "available": False,
+        "reason": "no constant available for the cut ceiling at d=4: the literature "
+        "gives only the form 'd/4 + O(sqrt(d))'",
+    }
+
+
+# ------------------------------------------------------------ whole reports
+
+P1 = QaoaParams((0.8,), (0.4,))
+P2 = QaoaParams((0.7, 1.9), (0.4, 0.2))
+
+# sha256 of each report's JSON text, recorded before the experiments shared
+# one trial loop and the ratio ceiling held its constants inline
+PINNED_REPORTS = {
+    "locality-p1": (
+        lambda: locality_check(EnsembleSpec(14, 3, "general", 7), 1, MC, P1, trials=4),
+        "a7a653020baea12b5c96616aeb8556a75cc51868a6490a46e553fd81fda307f2",
+    ),
+    "locality-p2": (
+        lambda: locality_check(EnsembleSpec(16, 3, "general", 3), 2, MIS3, P2, "zero", trials=3),
+        "371f8225cb02f6db666e7757c56d9cb89e0e13dd8eb3ad1556c91b13128c4991",
+    ),
+    "equivalence-p1": (
+        lambda: ensemble_equivalence([10, 12], 3, 1, MC, P1, trials=5, seed=4),
+        "8dcce2005486f8ffb003c7f50d1be6378cb74f0d684bf71b20600f66d1cecfcc",
+    ),
+    "equivalence-p2": (
+        lambda: ensemble_equivalence([14], 3, 2, MIS3, P2, trials=3, seed=6),
+        "e83ea14689ade40be990b851ddb9cbdf584b299b7181668eed190fabdd0d13f6",
+    ),
+    "cycles-general": (
+        lambda: cycle_census_experiment(EnsembleSpec(200, 3, "general", 5), 6, trials=10),
+        "f207e032474e11d6d3b3df06719b165adebcded61db601b523f7adbe0b2e9758",
+    ),
+    "cycles-bipartite": (
+        lambda: cycle_census_experiment(EnsembleSpec(100, 4, "bipartite", 3), 6, trials=5),
+        "d90790550b7021fb72141868b4773b2d505425281e88b2f5ee6edb3372d0d272",
+    ),
+    "tree-fraction": (
+        lambda: tree_fraction_experiment(EnsembleSpec(100, 3, "general", 8), [0, 1, 2, 3], trials=5),
+        "1ed4e4e1a1757e69cf1538a4494389f9a9de772f672626e21cb8a24c85761edf",
+    ),
+    # a ratio from the d=3 cut constant
+    "end-to-end-maxcut-d3": (
+        lambda: end_to_end(EnsembleSpec(16, 3, "general", 4), 1, MC, seed=4, trials=3),
+        "e83b4a46e81bb51cf601fbb71b61c0a7aeb6cf951b83f9b7ea7b1dcfc98cccd2",
+    ),
+    "end-to-end-mis-d3-bipartite": (
+        lambda: end_to_end(
+            EnsembleSpec(12, 3, "bipartite", 5), 1, MIS3, seed=5, trials=2, samples=16
+        ),
+        "7c545c7f2216176e6b77f01186917bbfbbd8346e66a9c352b5b4604c5aae46a1",
+    ),
+    # the asymptotic large-d independent-set ceiling
+    "end-to-end-mis-d4": (
+        lambda: end_to_end(
+            EnsembleSpec(10, 4, "general", 6), 1, CostModel.mis(4), seed=6, trials=2, samples=8
+        ),
+        "d6b0305513f48bff2e58c4865c520d81692aed4755bd54dab8d3f6948a712f17",
+    ),
+    # no cut constant: the ratio section holds the refusal's text
+    "end-to-end-maxcut-d4": (
+        lambda: end_to_end(EnsembleSpec(12, 4, "general", 2), 1, MC, seed=2, trials=2),
+        "808341b8f6880f512d5f0afcb9618ecdb9ba9ddd0dadc72d25600ba3bb578aba",
+    ),
+    "end-to-end-p0": (
+        lambda: end_to_end(EnsembleSpec(10, 3, "bipartite", 3), 0, MC, seed=3, trials=3, samples=0),
+        "7e7926678bfb4d6b93219bd0bfe1325100b4ce556d10a04e8ad91da966213dc5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_REPORTS))
+def test_whole_reports_are_pinned(case):
+    build, digest = PINNED_REPORTS[case]
+    text = report_json(build())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, text
 
 
 # ------------------------------------------------------------ serialization

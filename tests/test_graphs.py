@@ -9,18 +9,13 @@ from qaoa_locality.graphs import (
     MAX_EXPECTED_MATCHINGS,
     EnsembleSpec,
     Graph,
-    complete_bipartite_graph,
-    complete_graph,
     count_cycles,
-    cycle_graph,
     edge_neighborhood,
     edge_tree_radii,
     expected_matchings,
     generate_bipartite_regular,
     generate_regular,
     matching_budget,
-    max_cut_of_bipartition,
-    path_graph,
     read_edgelist,
     sample_graph,
     tree_edge_fraction,
@@ -28,6 +23,13 @@ from qaoa_locality.graphs import (
 )
 from qaoa_locality.rng import as_generator
 from qaoa_locality.trees import build_canonical_tree
+from small_graphs import (
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    max_cut_of_bipartition,
+    path_graph,
+)
 
 
 def to_networkx(g):
@@ -246,6 +248,24 @@ def test_ensemble_spec_validation():
     # a single edge is the smallest valid ensemble member
     g = sample_graph(EnsembleSpec(2, 1, "general", 0))
     assert g.edges == [(0, 1)]
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [(16, 3.0), (16.0, 3), (16, True), (True, 1), (16, "3"), ("16", 3), (16, None)],
+)
+def test_ensemble_spec_refuses_non_integer_sizes(n, d):
+    # 3.0 and 16.0 used to sample a graph, True a perfect matching, and "3"
+    # raised TypeError
+    with pytest.raises(InputError, match="must be an integer"):
+        EnsembleSpec(n, d, "general", 0)
+
+
+def test_ensemble_spec_stores_numpy_integers_as_int():
+    spec = EnsembleSpec(np.int64(16), np.int32(3), "general", 5)
+    assert spec == EnsembleSpec(16, 3, "general", 5)
+    assert type(spec.n) is int and type(spec.d) is int
+    assert sample_graph(spec).edges == sample_graph(EnsembleSpec(16, 3, "general", 5)).edges
 
 
 # ------------------------------------------------------- edge neighborhoods

@@ -1,13 +1,16 @@
 """Every name a module imports is used there or re-exported in its
-``__all__``, and every module-level private name is read somewhere in the
-package; an import or a helper nothing reads is dead weight that hides real
-dependencies."""
+``__all__``, every module-level private name is read somewhere in the
+package, and every public name is read somewhere in the package or the
+benchmark; an import or a helper nothing reads is dead weight that hides
+real dependencies."""
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qaoa_locality"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qaoa_locality"
+BENCHMARK = ROOT / "perfbench"
 
 # A package __init__ imports names in order to re-export them.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -40,18 +43,23 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports {unused} but never uses them"
 
 
+def _defined_names(node):
+    # the names a module-level function, class or assignment defines
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 def _private_definitions(tree):
-    # module-level functions, classes and assigned names with one leading
-    # underscore; dunders such as __all__ are the interpreter's
+    # module-level names with one leading underscore; dunders such as
+    # __all__ are the interpreter's
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-        else:
-            continue
-        yield from (n for n in names if n.startswith("_") and not n.endswith("__"))
+        yield from (
+            n for n in _defined_names(node) if n.startswith("_") and not n.endswith("__")
+        )
 
 
 def unread_private_names(package):
@@ -82,6 +90,65 @@ def test_an_unread_private_name_is_caught(tmp_path):
     )
     (tmp_path / "b.py").write_text("from . import a\n\nx = a._Box\n", encoding="utf-8")
     assert unread_private_names(tmp_path) == [("a.py", "_LIMIT"), ("a.py", "_helper")]
+
+
+def _reads(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def unread_public_names(package, readers=()):
+    """Names in the ``__all__`` of ``package``'s modules that nothing reads,
+    as (file name, name) pairs. A read is a ``Name`` load or an attribute in
+    a module of ``package`` outside the statement that defines the name; an
+    ``__all__`` entry is a string and a re-export an import, so neither is a
+    read. In the files of ``readers`` a string naming it counts as well, as
+    a benchmark's tracer picks the functions it groups by name."""
+    exported, read = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exported += [(path.name, name) for name in sorted(_exported(tree))]
+        for node in tree.body:
+            read.update(set(_reads(node)) - set(_defined_names(node)))
+    for path in readers:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read.update(_reads(tree))
+        read.update(
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        )
+    return [(file, name) for file, name in exported if name not in read]
+
+
+def test_every_public_name_is_read():
+    unread = unread_public_names(PACKAGE, sorted(BENCHMARK.glob("*.py")))
+    assert not unread, f"public names nothing reads: {unread}"
+
+
+def test_an_unread_public_name_is_caught(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        "from .a import Box, grow, helper, shown, tidy\n", encoding="utf-8"
+    )
+    # grow reads only itself, and the package names helper only in a string
+    (package / "a.py").write_text(
+        "__all__ = ['Box', 'grow', 'helper', 'shown', 'tidy', 'LIMIT']\n\nLIMIT = 3\n\n\n"
+        "class Box:\n    pass\n\n\ndef grow(n):\n    return grow(n - 1) if n else Box()\n\n\n"
+        "def helper():\n    return 'helper'\n\n\ndef shown():\n    pass\n\n\n"
+        "def tidy():\n    return LIMIT\n",
+        encoding="utf-8",
+    )
+    reader = tmp_path / "bench.py"
+    reader.write_text("import pkg\n\nGROUPS = ('shown',)\npkg.tidy()\n", encoding="utf-8")
+    assert unread_public_names(package) == [
+        ("a.py", "grow"), ("a.py", "helper"), ("a.py", "shown"), ("a.py", "tidy")
+    ]
+    assert unread_public_names(package, [reader]) == [("a.py", "grow"), ("a.py", "helper")]
 
 
 def _is_dataclass(node):

@@ -6,15 +6,10 @@ import pytest
 from qaoa_locality import trees
 from qaoa_locality.errors import InputError
 from qaoa_locality.experiments import end_to_end, ensemble_equivalence
-from qaoa_locality.graphs import (
-    EnsembleSpec,
-    cycle_graph,
-    edge_neighborhood,
-    path_graph,
-    sample_graph,
-)
+from qaoa_locality.graphs import EnsembleSpec, edge_neighborhood, sample_graph
 from qaoa_locality.qaoa import CostModel, QaoaParams, expect_total, run_qaoa
 from qaoa_locality.trees import LightConeSum, TreePathSum
+from small_graphs import cycle_graph, path_graph
 
 MC = CostModel.maxcut()
 MIS3 = CostModel.mis(3)

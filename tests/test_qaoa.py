@@ -8,13 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from qaoa_locality.errors import InputError, ResourceError
-from qaoa_locality.graphs import (
-    EnsembleSpec,
-    Graph,
-    complete_graph,
-    cycle_graph,
-    sample_graph,
-)
+from qaoa_locality.graphs import EnsembleSpec, Graph, sample_graph
 from qaoa_locality.qaoa import (
     CostModel,
     QaoaParams,
@@ -32,6 +26,7 @@ from qaoa_locality.qaoa import (
     sample_bitstrings,
 )
 from qaoa_locality.trees import TreePathSum
+from small_graphs import complete_graph, cycle_graph
 
 MC = CostModel.maxcut()
 MIS3 = CostModel.mis(3)

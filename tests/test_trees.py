@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qaoa_locality.errors import InputError, ResourceError
-from qaoa_locality.graphs import cycle_graph, edge_neighborhood
+from qaoa_locality.graphs import edge_neighborhood
 from qaoa_locality.qaoa import CostModel, QaoaParams, expect_edge, run_qaoa
 from qaoa_locality.trees import (
     build_canonical_tree,
@@ -14,6 +14,7 @@ from qaoa_locality.trees import (
     tree_expectation,
     tree_vertex_count,
 )
+from small_graphs import cycle_graph
 
 MC = CostModel.maxcut()
 
