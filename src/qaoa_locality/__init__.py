@@ -52,7 +52,6 @@ from .trees import (
 from .optimize import (
     DEFAULT_BUDGET,
     OptResult,
-    SearchDomain,
     grid_search,
     optimize,
     refine,

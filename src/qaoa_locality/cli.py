@@ -7,12 +7,17 @@ names each subcommand's option keys: every key is a ``--flag`` and a key of
 a ``run --config`` JSON file, and the handler checks its value either way.
 A config file may add ``out`` and ``csv_out`` paths for the serialized
 report, where the command does not read that key itself. Any other key that
-the command, or the chosen form of it, never reads is refused.
+the command, or the chosen form of it, never reads is refused. A config
+value may keep its JSON type: an integer key takes an integer or a string
+``int()`` reads, a list key a list or a comma-separated string, ``optimize``
+a boolean and a path a string. Any other type, and a number that is not
+finite, is refused as the command line would refuse it.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import InputError, ResourceError
@@ -29,7 +34,7 @@ from .experiments import (
     tree_fraction_experiment,
 )
 from .graphs import EnsembleSpec, count_cycles, read_edgelist, sample_graph, write_edgelist
-from .optimize import DEFAULT_BUDGET, SearchDomain, optimize
+from .optimize import DEFAULT_BUDGET, optimize
 from .qaoa import MAXCUT, MIS, CostModel, QaoaParams
 from .rng import as_generator
 from .trees import TreePathSum, tree_vertex_count
@@ -47,14 +52,28 @@ def _require(options: dict, key: str):
     return options[key]
 
 
-def _int_opt(options: dict, key: str, default=None):
-    value = options.get(key, default)
-    if value is None:
+def _number(value, parse):
+    """``parse(value)`` (``int`` or ``float``) for a string or a JSON number
+    of that kind, as a command-line string would read; None for a boolean,
+    a container, a float where an integer is due or a non-finite value."""
+    kinds = (str, int) if parse is int else (str, int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
         return None
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise InputError(f"option {key!r} must be an integer, got {value!r}") from None
+        number = parse(value)
+    except (ValueError, OverflowError):
+        return None
+    return number if parse is int or math.isfinite(number) else None
+
+
+def _int_opt(options: dict, key: str, default=None):
+    value = options.get(key)
+    if value is None:
+        return default
+    number = _number(value, int)
+    if number is None:
+        raise InputError(f"option {key!r} must be an integer, got {value!r}")
+    return number
 
 
 def _req_int(options: dict, key: str) -> int:
@@ -62,28 +81,33 @@ def _req_int(options: dict, key: str) -> int:
     return _int_opt(options, key)
 
 
+def _number_list(value, parse, what: str) -> list:
+    """A JSON list or a comma-separated string of numbers read by ``parse``."""
+    if isinstance(value, str):
+        parts = [p for p in value.split(",") if p.strip() != ""]
+    else:
+        parts = value if isinstance(value, list) else [None]
+    numbers = [_number(p, parse) for p in parts]
+    if None in numbers:
+        raise InputError(f"expected a comma-separated list of {what}, got {value!r}")
+    return numbers
+
+
 def _float_list(value) -> tuple[float, ...]:
     if value is None:
         return ()
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip() != ""]
-    else:
-        parts = list(value)
-    try:
-        return tuple(float(p) for p in parts)
-    except (TypeError, ValueError):
-        raise InputError(f"expected a comma-separated list of numbers, got {value!r}") from None
+    return tuple(_number_list(value, float, "finite numbers"))
 
 
 def _int_list(value) -> list[int]:
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip() != ""]
-    else:
-        parts = list(value)
-    try:
-        return [int(p) for p in parts]
-    except (TypeError, ValueError):
-        raise InputError(f"expected a comma-separated list of integers, got {value!r}") from None
+    return _number_list(value, int, "integers")
+
+
+def _path(options: dict, key: str, required: bool = False):
+    value = _require(options, key) if required else options.get(key)
+    if value is not None and not isinstance(value, str):
+        raise InputError(f"option {key!r} must be a path string, got {value!r}")
+    return value
 
 
 def _text(options: dict, key: str, default: str) -> str:
@@ -125,10 +149,11 @@ def _params_for(options: dict, p: int) -> QaoaParams:
 
 
 def _random_params(model: CostModel, p: int, seed: int) -> QaoaParams:
+    if p < 0:
+        raise InputError("depth must be nonnegative")
     rng = as_generator(seed)
-    domain = SearchDomain.for_model(model, p)
-    gammas = tuple(float(x) for x in rng.uniform(0.0, domain.gamma_period, size=p))
-    betas = tuple(float(x) for x in rng.uniform(0.0, domain.beta_period, size=p))
+    gammas = tuple(float(x) for x in rng.uniform(0.0, model.gamma_period, size=p))
+    betas = tuple(float(x) for x in rng.uniform(0.0, math.pi, size=p))
     return QaoaParams(gammas, betas)
 
 
@@ -141,7 +166,7 @@ def _cmd_generate(options: dict) -> dict:
     d = _req_int(options, "d")
     kind = _text(options, "kind", "general")
     seed = _int_opt(options, "seed", 0)
-    out = _require(options, "out")
+    out = _path(options, "out", required=True)
     spec = EnsembleSpec(n, d, kind, seed)
     g = sample_graph(spec)
     write_edgelist(g, out)
@@ -153,7 +178,7 @@ def _cmd_generate(options: dict) -> dict:
 
 def _cmd_cycles(options: dict) -> dict:
     kmax = _int_opt(options, "kmax", 6)
-    path = options.get("in")
+    path = _path(options, "in")
     if path is not None:
         _refuse_unread(options, "n d kind trials seed".split(), "cycles --in")
         g = read_edgelist(path)
@@ -257,17 +282,18 @@ def _cmd_ratio_bound(options: dict) -> dict:
     p = _req_int(options, "p")
     model = _build_model(options, d)
     tree_value = options.get("tree_value")
-    do_optimize = bool(options.get("optimize"))
+    do_optimize = False if options.get("optimize") is None else options["optimize"]
+    if not isinstance(do_optimize, bool):
+        raise InputError(f"option 'optimize' must be true or false, got {do_optimize!r}")
     if (tree_value is None) == (not do_optimize):
         raise InputError("give exactly one of --tree-value or --optimize")
     if do_optimize:
         value = optimize(d, p, model, _initial(options)).best_value
     else:
         _refuse_unread(options, ["init"], "ratio-bound --tree-value")
-        try:
-            value = float(tree_value)
-        except (TypeError, ValueError):
-            raise InputError(f"tree value must be a number, got {tree_value!r}") from None
+        value = _number(tree_value, float)
+        if value is None:
+            raise InputError(f"tree value must be a finite number, got {tree_value!r}")
     report = ratio_ceiling(model, d, p, value)
     config = {
         "d": d,
@@ -292,7 +318,7 @@ def _cmd_ratio_bound(options: dict) -> dict:
 
 
 def _cmd_prune(options: dict) -> dict:
-    path = _require(options, "in")
+    path = _path(options, "in", required=True)
     bits = str(_require(options, "bits"))
     d = _req_int(options, "d")
     g = read_edgelist(path)
@@ -373,10 +399,9 @@ def _cmd_run(options: dict) -> dict:
     handler, keys, _ = _COMMANDS[command]
     # a key the command reads itself, such as generate's edge-list path
     # "out", is not a report path
-    out, csv_out = (
-        None if key in keys.split() else body.pop(key, None) for key in ("out", "csv_out")
-    )
-    _refuse_unread(body, sorted(body.keys() - set(keys.split())), command)
+    read = set(keys.split())
+    out, csv_out = (None if key in read else _path(body, key) for key in ("out", "csv_out"))
+    _refuse_unread(body, sorted(body.keys() - read - {"out", "csv_out"}), command)
     report = handler(body)
     if out is not None:
         with open(out, "w", encoding="utf-8") as fh:

@@ -182,9 +182,11 @@ def prune(g: Graph, b, d: int) -> PruneResult:
 
     While any edge has both endpoints set, the lexicographically smallest
     such edge (u, v) with u < v is repaired by clearing the larger endpoint
-    v. Each repair raises the exact independent-set cost by at least 1/2,
-    so the final set size is at least the input cost whenever that cost is
-    positive. Terminates in at most n steps.
+    v. Clearing a bit never makes an edge violated, so one scan of the
+    sorted edges makes these repairs in turn. Each repair raises the exact
+    independent-set cost by at least 1/2, so the final set size is at least
+    the input cost whenever that cost is positive. Terminates in at most n
+    steps.
     """
     d = int(d)
     if d < 1:
@@ -200,21 +202,14 @@ def prune(g: Graph, b, d: int) -> PruneResult:
     work = list(bits)
     costs = [cost_value(model, g, work)]
     steps: list[tuple[tuple[int, int], int]] = []
-    while True:
-        violated = None
-        for u, v in g.edges:
-            if work[u] and work[v]:
-                violated = (u, v)
-                break
-        if violated is None:
-            break
-        u, v = violated
-        work[v] = 0
-        steps.append(((u, v), v))
-        # On a d-regular graph the cost is |set|/2 minus the violated
-        # edges, so clearing v adds one per neighbour still set, minus 1/2.
-        still_set = sum(work[w] for w in g.adjacency[v])
-        costs.append(costs[-1] + still_set - Fraction(1, 2))
+    for u, v in g.edges:
+        if work[u] and work[v]:
+            work[v] = 0
+            steps.append(((u, v), v))
+            # On a d-regular graph the cost is |set|/2 minus the violated
+            # edges, so clearing v adds one per neighbour still set, minus 1/2.
+            still_set = sum(work[w] for w in g.adjacency[v])
+            costs.append(costs[-1] + still_set - Fraction(1, 2))
     return PruneResult(
         input_bitstring="".join(str(x) for x in bits),
         output_bitstring="".join(str(x) for x in work),

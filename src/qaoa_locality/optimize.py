@@ -17,56 +17,28 @@ from .errors import InputError, ResourceError
 from .qaoa import CostModel, QaoaParams
 from .trees import TreePathSum
 
-__all__ = [
-    "SearchDomain",
-    "OptResult",
-    "grid_search",
-    "refine",
-    "optimize",
-    "DEFAULT_BUDGET",
-]
+__all__ = ["OptResult", "grid_search", "refine", "optimize", "DEFAULT_BUDGET"]
 
 DEFAULT_BUDGET = 10**6
 _STARTS = 5  # optimize refines from this many of the best grid points
 _INITIAL_STEP = 0.25  # half-width of refine's first line-search bracket
 
 
-@dataclass(frozen=True)
-class SearchDomain:
-    """Half-open search box [0, gamma_period)^p x [0, beta_period)^p.
-
-    The gamma period follows the cost model's spectrum (2*pi for the cut
-    cost, 4*pi*d for the independent-set cost); the beta period is pi
-    because shifting beta by pi only changes a global phase.
-    """
-
-    gamma_period: float
-    beta_period: float
-    p: int
-
-    @classmethod
-    def for_model(cls, model: CostModel, p: int) -> "SearchDomain":
-        if p < 0:
-            raise InputError("depth must be nonnegative")
-        return cls(model.gamma_period, math.pi, p)
-
-
 @dataclass
 class OptResult:
     """Search outcome.
 
-    ``trace`` lists ((gammas, betas), value) evaluations: every grid point
-    for grid searches plus each accepted refinement point. ``evaluations``
-    counts every value computed: grid points plus objective calls.
-    ``best_value`` is the objective's value at ``best_params``, as computed
-    when that point was evaluated.
+    ``trace`` holds a grid search's values as one float64 array, one entry
+    per grid point in lexicographic (gammas, betas) order, gammas outermost;
+    a refinement leaves it empty. ``evaluations`` counts every value
+    computed: grid points plus objective calls. ``best_value`` is the
+    objective's value at ``best_params``, as computed when that point was
+    evaluated.
     """
 
     best_params: QaoaParams
     best_value: float
-    trace: list[tuple[tuple[float, ...], tuple[float, ...], float]] = field(
-        repr=False, default_factory=list
-    )
+    trace: np.ndarray = field(repr=False, compare=False, default_factory=lambda: np.empty(0))
     grid_resolution: int = 0
     refinement_iterations: int = 0
     converged: bool = True
@@ -74,15 +46,10 @@ class OptResult:
 
 
 class _TreeObjective:
-    """Middle-edge expectation on the canonical tree as a callable.
-
-    ``value`` evaluates the tree by its path sum and counts the calls; the
-    grid scan calls ``path_sum`` directly, a whole row of betas at a time.
-    """
+    """Middle-edge expectation on the canonical tree by its path sum,
+    counting the calls; the grid scan calls ``path_sum`` directly."""
 
     def __init__(self, d, p, model, initial="plus"):
-        self.p = int(p)
-        self.domain = SearchDomain.for_model(model, p)
         self.path_sum = TreePathSum(d, p, model, initial)
         self.evaluations = 0
 
@@ -90,16 +57,21 @@ class _TreeObjective:
         self.evaluations += 1
         return self.path_sum.value(gammas, betas)
 
-    def value_x(self, x) -> float:
-        p = self.p
-        return self.value(tuple(x[:p]), tuple(x[p:]))
+
+def _rank(result: OptResult):
+    """Sort key of a result: the highest value first, ties toward the
+    lexicographically smallest (gammas, betas)."""
+    params = result.best_params
+    return (-result.best_value, (params.gammas, params.betas))
 
 
-def _rank(record):
-    """Sort key of a (gammas, betas, value) record: the highest value first,
-    ties toward the lexicographically smallest (gammas, betas)."""
-    gammas, betas, value = record
-    return (-value, (gammas, betas))
+def _grid_point(index: int, p: int, resolution: int, gamma_period: float) -> QaoaParams:
+    """Angles of the grid point at ``index`` of a grid search's trace."""
+    ks = [int(k) for k in np.unravel_index(index, (resolution,) * (2 * p))]
+    return QaoaParams(
+        tuple(gamma_period * k / resolution for k in ks[:p]),
+        tuple(math.pi * k / resolution for k in ks[p:]),
+    )
 
 
 def grid_search(
@@ -110,44 +82,39 @@ def grid_search(
     resolution: int = 64,
     *,
     budget: int = DEFAULT_BUDGET,
-    _objective: "_TreeObjective | None" = None,
 ) -> OptResult:
     """Evaluate every point of the periodic grid and return the argmax.
 
     The grid has ``resolution`` points per axis over the half-open periods,
-    so p layers cost resolution**(2p) evaluations; exceeding ``budget``
-    raises before any work happens. One path-sum call per gamma tuple
-    evaluates every beta tuple at once; the trace lists gammas outermost.
+    [0, model.gamma_period) for gammas and [0, pi) for betas, so p layers
+    cost resolution**(2p) evaluations; exceeding ``budget`` raises before
+    any work happens. One path-sum call per gamma tuple evaluates every
+    beta tuple at once. The first maximum in the trace is the best point.
     """
     if resolution < 2:
         raise InputError("resolution must be at least 2")
-    obj = _objective if _objective is not None else _TreeObjective(
-        d, p, model, initial
-    )
+    if p < 0:
+        raise InputError("depth must be nonnegative")
+    path_sum = TreePathSum(d, p, model, initial)
     total = resolution ** (2 * p)
     if total > budget:
         raise ResourceError(
             f"grid of {total} evaluations exceeds the budget of {budget}"
         )
-    calls = obj.evaluations
-    trace: list[tuple[tuple[float, ...], tuple[float, ...], float]] = []
-    dom = obj.domain
-    gvals = [dom.gamma_period * k / resolution for k in range(resolution)]
-    bvals = [dom.beta_period * k / resolution for k in range(resolution)]
+    gvals = [model.gamma_period * k / resolution for k in range(resolution)]
+    bvals = [math.pi * k / resolution for k in range(resolution)]
     # At p=0 the one beta tuple is (), so columns has shape (0, 1).
-    btuples = list(itertools.product(bvals, repeat=p))
-    columns = np.array(btuples).T
-    for gs in itertools.product(gvals, repeat=p):
-        values = obj.path_sum.value(gs, columns).tolist()
-        trace.extend(zip(itertools.repeat(gs), btuples, values))
-    best_g, best_b, best_v = min(trace, key=_rank)
+    columns = np.array(list(itertools.product(bvals, repeat=p))).T
+    trace = np.concatenate(
+        [path_sum.value(gs, columns) for gs in itertools.product(gvals, repeat=p)]
+    )
+    best = int(np.argmax(trace))
     return OptResult(
-        best_params=QaoaParams(best_g, best_b),
-        best_value=best_v,
+        best_params=_grid_point(best, p, resolution, model.gamma_period),
+        best_value=float(trace[best]),
         trace=trace,
         grid_resolution=resolution,
-        refinement_iterations=0,
-        evaluations=len(trace) + obj.evaluations - calls,
+        evaluations=total,
     )
 
 
@@ -190,7 +157,6 @@ def refine(
     tolerance: float = 1e-6,
     *,
     max_passes: int = 80,
-    _objective: "_TreeObjective | None" = None,
 ) -> OptResult:
     """Coordinate-wise golden-section ascent from ``start``.
 
@@ -205,14 +171,10 @@ def refine(
         raise InputError("tolerance must be positive")
     if start.p != p:
         raise InputError(f"start has depth {start.p}, expected {p}")
-    obj = _objective if _objective is not None else _TreeObjective(
-        d, p, model, initial
-    )
-    calls = obj.evaluations
+    obj = _TreeObjective(d, p, model, initial)
     fx = obj.value(start.gammas, start.betas)
-    trace = [(start.gammas, start.betas, fx)]
     if p == 0:
-        return OptResult(start, fx, trace, 0, 0, True, 1)
+        return OptResult(start, fx, evaluations=1)
     x = list(start.gammas) + list(start.betas)
     xtol = max(tolerance * 0.25, 1e-12)
     step = _INITIAL_STEP
@@ -230,19 +192,22 @@ def refine(
             def f_axis(t, _axis=axis):
                 probe = list(x)
                 probe[_axis] = t
-                return obj.value_x(probe)
+                return obj.value(tuple(probe[:p]), tuple(probe[p:]))
 
             bx, bf = _golden_max(f_axis, here - step, here + step, xtol)
             if bf > fx:
                 gain += bf - fx
                 fx = bf
                 x[axis] = bx
-                trace.append((tuple(x[:p]), tuple(x[p:]), bf))
         step = max(0.5 * step, 0.5 * tolerance)
         passes += 1
     params = QaoaParams(tuple(x[:p]), tuple(x[p:]))
     return OptResult(
-        params, fx, trace, 0, passes, converged, obj.evaluations - calls
+        params,
+        fx,
+        refinement_iterations=passes,
+        converged=converged,
+        evaluations=obj.evaluations,
     )
 
 
@@ -262,31 +227,23 @@ def optimize(
     """
     if resolution is None:
         resolution = 64 if p <= 1 else 16
-    obj = _TreeObjective(d, p, model, initial)
-    grid = grid_search(
-        d, p, model, initial, resolution, budget=budget, _objective=obj
-    )
+    grid = grid_search(d, p, model, initial, resolution, budget=budget)
     if p == 0:
         return grid
-    # The starts are among the records at or above the fifth-best value, so
-    # only those are ranked, not every grid point with a key tuple of its own.
-    cut = sorted([rec[2] for rec in grid.trace], reverse=True)[:_STARTS][-1]
-    ranked = sorted((rec for rec in grid.trace if rec[2] >= cut), key=_rank)
+    # A stable sort keeps flat-index order among equal values, which is the
+    # lexicographic (gammas, betas) order of _rank's tie-break.
+    starts = np.argsort(-grid.trace, kind="stable")[:_STARTS]
     results = [
-        refine(QaoaParams(gs, bs), d, p, model, initial, _objective=obj)
-        for gs, bs, _ in ranked[:_STARTS]
+        refine(_grid_point(i, p, resolution, model.gamma_period), d, p, model, initial)
+        for i in starts
     ]
-    best_g, best_b, best_v = min(
-        [(res.best_params.gammas, res.best_params.betas, res.best_value)
-         for res in [grid, *results]],
-        key=_rank,
-    )
+    best = min([grid, *results], key=_rank)
     return OptResult(
-        best_params=QaoaParams(best_g, best_b),
-        best_value=best_v,
+        best_params=best.best_params,
+        best_value=best.best_value,
         trace=grid.trace,
         grid_resolution=resolution,
         refinement_iterations=sum(res.refinement_iterations for res in results),
         converged=all(res.converged for res in results),
-        evaluations=len(grid.trace) + obj.evaluations,
+        evaluations=grid.evaluations + sum(res.evaluations for res in results),
     )

@@ -3,7 +3,9 @@
 These run the real entry point in a subprocess so exit codes, stdout and
 stderr behave exactly as a shell user sees them.
 """
+import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
@@ -492,3 +494,122 @@ def test_help_exits_0():
     assert proc.returncode == 0
     assert "usage" in proc.stdout.lower()
     assert proc.stderr == ""
+
+
+# sha256 of the stdout report, recorded before the grid was one array
+PINNED_OPTIMIZE_REPORTS = {
+    "maxcut-d3-p1": (
+        ["--d", "3", "--p", "1"],
+        "0f45f5819f5046b71e194db4cb45d2d1bb1e0df741209129f20bc2ec5f40ce82",
+    ),
+    "maxcut-d3-p2": (
+        ["--d", "3", "--p", "2"],
+        "42d3b1303ae079d4a5d9f828da4aabfbbf360095b522437d11f666e4608670cd",
+    ),
+    # 64 grid points tie for the best value
+    "mis3-zero-p1": (
+        ["--d", "3", "--p", "1", "--model", "mis", "--init", "zero"],
+        "21ca4dbbc9a439f9d2521878060c7cfb5fe3a6c61d89067dad201fe80766304c",
+    ),
+    "maxcut-d2-p2": (
+        ["--d", "2", "--p", "2"],
+        "8e2276f5a77ecea77fa589ba5e514bb1910706e61be2e86e433b79652df12412",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_OPTIMIZE_REPORTS))
+def test_optimize_reports_are_pinned(capsys, case):
+    flags, digest = PINNED_OPTIMIZE_REPORTS[case]
+    code, out, err = call_main(capsys, "optimize", *flags)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
+
+
+def assert_refused(code, out, err):
+    """Exit 2 with nothing on stdout and one JSON error line on stderr."""
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["category"] == "invalid-input"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"command": "tree-expect", "d": 3, "p": 1, "gamma": 0.5, "beta": 0.2},
+        {"command": "tree-fraction", "n": 16, "d": 3, "p_list": 2},
+        {"command": "tree-fraction", "n": 16, "d": 3, "p_list": [1, 2.0]},
+        {"command": "cycles", "n": 20, "d": 3.7},
+        {"command": "cycles", "n": 20, "d": True},
+        {"command": "ratio-bound", "d": 3, "p": 1, "optimize": "false"},
+        {"command": "ratio-bound", "d": 3, "p": 1, "tree_value": True},
+        {"command": "cycles", "in": [1]},
+        {"command": "cycles", "n": 20, "d": 3, "out": 1},
+        {"command": "cycles", "n": 20, "d": 3, "csv_out": 2},
+        {"command": "generate", "n": 16, "d": 3, "out": 5},
+    ],
+    ids=[
+        "scalar-gamma", "scalar-p-list", "float-in-p-list", "float-d", "bool-d",
+        "string-optimize", "bool-tree-value", "list-in", "int-out", "int-csv-out",
+        "int-generate-out",
+    ],
+)
+def test_config_refuses_what_the_command_line_refuses(tmp_path, monkeypatch, capsys, config):
+    """Integer keys take a JSON integer or an integer string, list keys a
+    list or a comma-separated string, optimize a boolean and paths a string;
+    nothing runs and nothing is written otherwise."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert_refused(*call_main(capsys, "run", "--config", "config.json"))
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_config_takes_integers_as_strings(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv, config = PARITY_CASES["cycles-bipartite"]
+    strings = {key: str(value) for key, value in config.items()}
+    Path("config.json").write_text(json.dumps({"command": "cycles", **strings}))
+    assert call_main(capsys, "run", "--config", "config.json") == call_main(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["ratio-bound", "--d", "3", "--p", "1", "--tree-value", "nan"],
+         {"command": "ratio-bound", "d": 3, "p": 1, "tree_value": math.nan}),
+        (["ratio-bound", "--d", "3", "--p", "1", "--tree-value=-inf"],
+         {"command": "ratio-bound", "d": 3, "p": 1, "tree_value": -math.inf}),
+        (["tree-expect", "--d", "3", "--p", "1", "--gamma", "inf", "--beta", "0.1"],
+         {"command": "tree-expect", "d": 3, "p": 1, "gamma": [math.inf], "beta": [0.1]}),
+        (["tree-expect", "--d", "3", "--p", "2", "--gamma", "0.1,0.2", "--beta", "0.1,NaN"],
+         {"command": "tree-expect", "d": 3, "p": 2, "gamma": "0.1,0.2", "beta": "0.1,NaN"}),
+    ],
+    ids=["nan-tree-value", "minus-inf-tree-value", "inf-gamma", "nan-beta"],
+)
+def test_non_finite_numbers_exit_2(tmp_path, monkeypatch, capsys, argv, config):
+    # json writes the NaN and Infinity tokens, which a config file may hold
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(config))
+    assert_refused(*call_main(capsys, *argv))
+    assert_refused(*call_main(capsys, "run", "--config", "config.json"))
+
+
+@pytest.mark.parametrize("case", [case for case in PARITY_CASES if case != "tree-expect-mis"])
+def test_config_values_of_any_type_exit_cleanly(tmp_path, monkeypatch, capsys, case):
+    """Each key of a depth <= 1 base config, replaced by a value of each
+    JSON type in turn, runs or is refused: exit 0 with a report, or exit 2
+    or 3 with one JSON error line, and never an uncaught exception."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ring.edges").write_text(RING)
+    argv, base = PARITY_CASES[case]
+    for key in base:
+        for value in (0.5, True, [1], {"a": 1}, "x"):
+            config = {"command": argv[0], **base, key: value}
+            Path("config.json").write_text(json.dumps(config))
+            code, out, err = call_main(capsys, "run", "--config", "config.json")
+            if code == 0:
+                assert json.loads(out)["kind"] == argv[0]
+            else:
+                assert code in (2, 3) and out == "", (config, code, err)
+                assert err.count("\n") == 1
+                assert set(json.loads(err)) == {"error"}

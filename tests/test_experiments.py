@@ -154,6 +154,30 @@ def test_prune_random_pairs_hold_the_contract():
     assert checked == 80
 
 
+def restart_scan_prune(g, bits):
+    """Reference repair: rescan from the first edge after every step."""
+    work = [int(c) for c in bits]
+    steps = []
+    while True:
+        violated = next(((u, v) for u, v in g.edges if work[u] and work[v]), None)
+        if violated is None:
+            return steps, "".join(str(x) for x in work)
+        work[violated[1]] = 0
+        steps.append((violated, violated[1]))
+
+
+def test_prune_single_scan_matches_restart_scan():
+    rng = as_generator(1212)
+    cases = ((2, 12, "general"), (3, 16, "general"), (4, 14, "bipartite"), (5, 12, "general"))
+    for d, n, kind in cases:
+        for seed in range(60):
+            g = sample_graph(EnsembleSpec(n, d, kind, seed))
+            density = rng.uniform(0.2, 1.0)
+            bits = "".join(str(int(b)) for b in rng.random(n) < density)
+            result = prune(g, bits, d)
+            assert (result.steps, result.output_bitstring) == restart_scan_prune(g, bits)
+
+
 # ------------------------------------------------------------ locality check
 
 

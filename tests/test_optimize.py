@@ -7,7 +7,6 @@ import pytest
 from qaoa_locality.errors import InputError, ResourceError
 from qaoa_locality.optimize import (
     DEFAULT_BUDGET,
-    SearchDomain,
     _TreeObjective,
     grid_search,
     optimize,
@@ -23,11 +22,18 @@ D3_P1_OPT = 0.5 + 1.0 / (3.0 * math.sqrt(3.0))  # triangle-free closed form
 
 
 def test_search_domain_periods():
-    dom = SearchDomain.for_model(MC, 2)
-    assert dom.gamma_period == 2 * math.pi and dom.beta_period == math.pi
-    assert SearchDomain.for_model(MIS3, 1).gamma_period == 12 * math.pi
-    with pytest.raises(InputError):
-        SearchDomain.for_model(MC, -1)
+    assert MC.gamma_period == 2 * math.pi
+    assert MIS3.gamma_period == 12 * math.pi
+    with pytest.raises(InputError, match="depth must be nonnegative"):
+        grid_search(3, -1, MC)
+
+
+def grid_angles(index, p, res, model):
+    """Angles of a trace index: gammas outermost, each axis rising."""
+    ks = np.unravel_index(index, (res,) * (2 * p))
+    gammas = tuple(model.gamma_period * int(k) / res for k in ks[:p])
+    betas = tuple(math.pi * int(k) / res for k in ks[p:])
+    return QaoaParams(gammas, betas)
 
 
 def test_grid_fast_path_matches_direct_evaluation():
@@ -36,17 +42,38 @@ def test_grid_fast_path_matches_direct_evaluation():
     engine."""
     for model, p, res in ((MC, 1, 6), (MIS3, 1, 6), (MC, 2, 3)):
         result = grid_search(3, p, model, resolution=res)
-        assert len(result.trace) == res ** (2 * p)
-        for gammas, betas, value in result.trace:
-            want = tree_expectation(3, p, model, QaoaParams(gammas, betas)).value
+        assert result.trace.shape == (res ** (2 * p),)
+        for index, value in enumerate(result.trace):
+            want = tree_expectation(3, p, model, grid_angles(index, p, res, model)).value
             assert abs(value - want) < 1e-12
 
 
 def test_grid_flat_landscape_breaks_ties_lexicographically():
     result = grid_search(2, 1, MC, resolution=2)
-    values = [rec[2] for rec in result.trace]
-    assert all(abs(v - 0.5) < 1e-12 for v in values)
+    assert all(abs(v - 0.5) < 1e-12 for v in result.trace)
     assert result.best_params == QaoaParams((0.0,), (0.0,))
+
+
+def test_grid_tie_is_pinned():
+    # recorded before the grid was one array: all four points tie exactly
+    result = grid_search(2, 1, MC, resolution=2)
+    assert result.trace.tolist() == [0.5000000000000004] * 4
+    assert result.best_params == QaoaParams((0.0,), (0.0,))
+    assert repr(result.best_value) == "0.5000000000000004"
+    assert (result.evaluations, result.grid_resolution) == (4, 2)
+
+
+@pytest.mark.parametrize(
+    "model, initial, res, ties", [(MIS3, "zero", 64, 64), (MC, "plus", 8, 1), (MC, "plus", 2, 4)]
+)
+def test_grid_best_point_is_the_first_maximum(model, initial, res, ties):
+    """The best point is the first maximum of the trace, whose index gives
+    the angles, also where several points tie for the best value."""
+    result = grid_search(3, 1, model, initial, resolution=res)
+    top = np.flatnonzero(result.trace == result.trace.max())
+    assert len(top) == ties
+    assert result.best_params == grid_angles(top[0], 1, res, model)
+    assert result.best_value == result.trace[top[0]]
 
 
 def test_grid_contains_zero_angles():
@@ -124,9 +151,11 @@ def test_optimize_counts_grid_points_and_objective_calls(monkeypatch):
 
     monkeypatch.setattr(module, "_TreeObjective", Recording)
     result = optimize(2, 1, MC, resolution=8)
-    (obj,) = built
-    assert obj.evaluations > 0
-    assert result.evaluations == 8**2 + obj.evaluations
+    # one objective per refinement start; the grid calls the path sum itself
+    assert len(built) == 5
+    calls = sum(obj.evaluations for obj in built)
+    assert all(obj.evaluations > 0 for obj in built)
+    assert result.evaluations == 8**2 + calls
     assert len(result.trace) == 8**2
     # the grid alone: every scanned point, and no objective call
     assert grid_search(3, 1, MC, resolution=4).evaluations == 4**2
