@@ -4,24 +4,33 @@ Every subcommand prints a JSON report to stdout and exits 0 on success.
 Failures write a machine-readable error object to stderr and exit 2 for
 invalid input or 3 for resource-limit violations. One table, ``_COMMANDS``,
 names each subcommand's option keys: every key is a ``--flag`` and a key of
-a ``run --config`` JSON file, and the handler checks its value either way.
-A config file may add ``out`` and ``csv_out`` paths for the serialized
-report, where the command does not read that key itself. Any other key that
-the command, or the chosen form of it, never reads is refused. A config
-value may keep its JSON type: an integer key takes an integer or a string
-``int()`` reads, a list key a list or a comma-separated string, ``optimize``
-a boolean and a path a string. Any other type, and a number that is not
-finite, is refused as the command line would refuse it.
+a ``run --config`` JSON file. A second table, ``_READERS``, holds one reader
+per key, and both paths pass every given value through it before the
+command runs, so they accept and refuse the same values. A key left out
+keeps the default of the library call it feeds. A config file may add
+``out`` and ``csv_out`` paths for the serialized report, where the command
+does not read that key itself. Any other key that the command, or the
+chosen form of it, never reads is refused.
+
+A config value may keep its JSON type: an integer key takes an integer or a
+string ``int()`` reads, a list key a list or a comma-separated string,
+``optimize`` a boolean, and a text key (``model``, ``kind``, ``init``,
+``bits``) or a path a string. Any other type, and a number that is not
+finite, is refused as the command line would refuse it. On the command line
+a value may start with "-", as in ``--gamma -0.5,0.2``. Seeds must be
+nonnegative.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 from .errors import InputError, ResourceError
 from .experiments import (
+    _model_config,
     csv_from_report,
     cycle_census_experiment,
     end_to_end,
@@ -43,13 +52,14 @@ __all__ = ["main"]
 
 
 # ----------------------------------------------------------------------
-# option helpers (shared by command line and config-file paths)
+# option readers (shared by command line and config-file paths)
 # ----------------------------------------------------------------------
 
-def _require(options: dict, key: str):
-    if options.get(key) is None:
+class _Options(dict):
+    """Read option values by key; a required key that is absent is refused."""
+
+    def __missing__(self, key):
         raise InputError(f"missing required option {key!r}")
-    return options[key]
 
 
 def _number(value, parse):
@@ -66,53 +76,74 @@ def _number(value, parse):
     return number if parse is int or math.isfinite(number) else None
 
 
-def _int_opt(options: dict, key: str, default=None):
-    value = options.get(key)
-    if value is None:
-        return default
+def _integer(key: str, value) -> int:
     number = _number(value, int)
     if number is None:
         raise InputError(f"option {key!r} must be an integer, got {value!r}")
     return number
 
 
-def _req_int(options: dict, key: str) -> int:
-    _require(options, key)
-    return _int_opt(options, key)
+def _finite(key: str, value) -> float:
+    number = _number(value, float)
+    if number is None:
+        raise InputError(f"tree value must be a finite number, got {value!r}")
+    return number
 
 
-def _number_list(value, parse, what: str) -> list:
-    """A JSON list or a comma-separated string of numbers read by ``parse``."""
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip() != ""]
-    else:
-        parts = value if isinstance(value, list) else [None]
-    numbers = [_number(p, parse) for p in parts]
-    if None in numbers:
-        raise InputError(f"expected a comma-separated list of {what}, got {value!r}")
-    return numbers
+def _list_of(parse, what: str):
+    """Reader of a JSON list or a comma-separated string of numbers read by
+    ``parse``."""
+    def read(key: str, value) -> list:
+        if isinstance(value, str):
+            parts = [p for p in value.split(",") if p.strip() != ""]
+        else:
+            parts = value if isinstance(value, list) else [None]
+        numbers = [_number(p, parse) for p in parts]
+        if None in numbers:
+            raise InputError(f"expected a comma-separated list of {what}, got {value!r}")
+        return numbers
+    return read
 
 
-def _float_list(value) -> tuple[float, ...]:
-    if value is None:
-        return ()
-    return tuple(_number_list(value, float, "finite numbers"))
+def _of_type(kind: type, what: str):
+    """Reader that passes a value of ``kind`` through and refuses any other."""
+    def read(key: str, value):
+        if not isinstance(value, kind):
+            raise InputError(f"option {key!r} must be {what}, got {value!r}")
+        return value
+    return read
 
 
-def _int_list(value) -> list[int]:
-    return _number_list(value, int, "integers")
+_flag = _of_type(bool, "true or false")
 
 
-def _path(options: dict, key: str, required: bool = False):
-    value = _require(options, key) if required else options.get(key)
-    if value is not None and not isinstance(value, str):
-        raise InputError(f"option {key!r} must be a path string, got {value!r}")
-    return value
+# One reader per option key: it returns the typed value or refuses it.
+_READERS = {
+    **dict.fromkeys("n d p kmax trials samples seed resolution budget".split(), _integer),
+    **dict.fromkeys(["gamma", "beta"], _list_of(float, "finite numbers")),
+    **dict.fromkeys(["n_list", "p_list"], _list_of(int, "integers")),
+    **dict.fromkeys("model kind init bits".split(), _of_type(str, "a string")),
+    **dict.fromkeys("in out csv_out config".split(), _of_type(str, "a path string")),
+    "tree_value": _finite,
+    "optimize": _flag,
+}
 
 
-def _text(options: dict, key: str, default: str) -> str:
-    value = options.get(key)
-    return default if value is None else str(value)
+def _read(options: dict) -> _Options:
+    """Every given value through its key's reader; None counts as absent."""
+    return _Options(
+        (key, _READERS[key](key, value)) for key, value in options.items() if value is not None
+    )
+
+
+def _given(options: _Options, *keys: str) -> dict:
+    """The given ``keys`` as keyword arguments (``init`` as ``initial``), so
+    that an absent key leaves the callee's own default."""
+    return {"initial" if key == "init" else key: options[key] for key in keys if key in options}
+
+
+def _spec(options: _Options) -> EnsembleSpec:
+    return EnsembleSpec(options["n"], options["d"], **_given(options, "kind", "seed"))
 
 
 def _refuse_unread(options: dict, keys, form: str) -> None:
@@ -122,22 +153,18 @@ def _refuse_unread(options: dict, keys, form: str) -> None:
         raise InputError(f"{form} does not read option(s) {', '.join(given)}")
 
 
-def _build_model(options: dict, d: int) -> CostModel:
-    kind = _text(options, "model", MAXCUT)
+def _model(options: _Options) -> CostModel:
+    kind = options.get("model", MAXCUT)
     if kind == MAXCUT:
         return CostModel.maxcut()
     if kind == MIS:
-        return CostModel.mis(d)
+        return CostModel.mis(options["d"])
     raise InputError(f"unknown model {kind!r} (expected {MAXCUT!r} or {MIS!r})")
 
 
-def _initial(options: dict) -> str:
-    return _text(options, "init", "plus")
-
-
-def _params_for(options: dict, p: int) -> QaoaParams:
-    gammas = _float_list(options.get("gamma"))
-    betas = _float_list(options.get("beta"))
+def _params_for(options: _Options, p: int) -> QaoaParams:
+    gammas = options.get("gamma", [])
+    betas = options.get("beta", [])
     if not gammas and not betas:
         return QaoaParams.zeros(p)
     if len(gammas) != p or len(betas) != p:
@@ -158,56 +185,42 @@ def _random_params(model: CostModel, p: int, seed: int) -> QaoaParams:
 
 
 # ----------------------------------------------------------------------
-# command handlers: options dict in, report dict out
+# command handlers: read options in, report dict out
 # ----------------------------------------------------------------------
 
-def _cmd_generate(options: dict) -> dict:
-    n = _req_int(options, "n")
-    d = _req_int(options, "d")
-    kind = _text(options, "kind", "general")
-    seed = _int_opt(options, "seed", 0)
-    out = _path(options, "out", required=True)
-    spec = EnsembleSpec(n, d, kind, seed)
+def _cmd_generate(options: _Options) -> dict:
+    spec = _spec(options)
+    out = options["out"]
     g = sample_graph(spec)
     write_edgelist(g, out)
-    config = {"n": n, "d": d, "kind": kind, "seed": seed, "out": str(out)}
-    return make_report(
-        "generate", config, {"vertices": g.n, "edges": g.m, "path": str(out)}
-    )
+    config = {**dataclasses.asdict(spec), "out": out}
+    return make_report("generate", config, {"vertices": g.n, "edges": g.m, "path": out})
 
 
-def _cmd_cycles(options: dict) -> dict:
-    kmax = _int_opt(options, "kmax", 6)
-    path = _path(options, "in")
-    if path is not None:
+def _cmd_cycles(options: _Options) -> dict:
+    kmax = options.get("kmax", 6)
+    if "in" in options:
         _refuse_unread(options, "n d kind trials seed".split(), "cycles --in")
-        g = read_edgelist(path)
-        config = {"in": str(path), "kmax": kmax}
+        g = read_edgelist(options["in"])
+        config = {"in": options["in"], "kmax": kmax}
         return make_report(
             "cycles",
             config,
             {"vertices": g.n, "edges": g.m, "counts": count_cycles(g, kmax)},
         )
-    n = _req_int(options, "n")
-    d = _req_int(options, "d")
-    kind = _text(options, "kind", "general")
-    trials = _int_opt(options, "trials", 100)
-    seed = _int_opt(options, "seed", 0)
-    spec = EnsembleSpec(n, d, kind, seed)
-    return cycle_census_experiment(spec, kmax, trials)
+    return cycle_census_experiment(_spec(options), kmax, **_given(options, "trials"))
 
 
-def _cmd_tree_expect(options: dict) -> dict:
-    d = _req_int(options, "d")
-    p = _req_int(options, "p")
-    model = _build_model(options, d)
-    initial = _initial(options)
+def _cmd_tree_expect(options: _Options) -> dict:
+    d, p = options["d"], options["p"]
+    model = _model(options)
+    initial = options.get("init", "plus")
     params = _params_for(options, p)
     value = TreePathSum(d, p, model, initial).value(params.gammas, params.betas)
     config = {
         "d": d,
         "p": p,
-        "model": {"kind": model.kind, "d": model.d},
+        "model": _model_config(model),
         "init": initial,
         "gamma": list(params.gammas),
         "beta": list(params.betas),
@@ -219,20 +232,18 @@ def _cmd_tree_expect(options: dict) -> dict:
     )
 
 
-def _cmd_optimize(options: dict) -> dict:
-    d = _req_int(options, "d")
-    p = _req_int(options, "p")
-    model = _build_model(options, d)
-    initial = _initial(options)
-    resolution = _int_opt(options, "resolution")
-    budget = _int_opt(options, "budget", DEFAULT_BUDGET)
+def _cmd_optimize(options: _Options) -> dict:
+    d, p = options["d"], options["p"]
+    model = _model(options)
+    initial = options.get("init", "plus")
+    budget = options.get("budget", DEFAULT_BUDGET)
     result = optimize(
-        d, p, model, initial, resolution=resolution, budget=budget
+        d, p, model, initial, resolution=options.get("resolution"), budget=budget
     )
     config = {
         "d": d,
         "p": p,
-        "model": {"kind": model.kind, "d": model.d},
+        "model": _model_config(model),
         "init": initial,
         "resolution": result.grid_resolution,
         "budget": budget,
@@ -252,53 +263,39 @@ def _cmd_optimize(options: dict) -> dict:
     )
 
 
-def _cmd_locality_check(options: dict) -> dict:
-    n = _req_int(options, "n")
-    d = _req_int(options, "d")
-    p = _req_int(options, "p")
-    model = _build_model(options, d)
-    trials = _int_opt(options, "trials", 10)
-    seed = _int_opt(options, "seed", 0)
-    params = _random_params(model, p, seed)
-    spec = EnsembleSpec(n, d, _text(options, "kind", "general"), seed)
-    return locality_check(spec, p, model, params, _initial(options), trials)
+def _cmd_locality_check(options: _Options) -> dict:
+    model = _model(options)
+    spec = _spec(options)
+    p = options["p"]
+    params = _random_params(model, p, spec.seed)
+    return locality_check(spec, p, model, params, **_given(options, "init", "trials"))
 
 
-def _cmd_equivalence(options: dict) -> dict:
-    n_list = _int_list(_require(options, "n_list"))
-    d = _req_int(options, "d")
-    p = _req_int(options, "p")
-    model = _build_model(options, d)
-    trials = _int_opt(options, "trials", 100)
-    seed = _int_opt(options, "seed", 0)
-    best = optimize(d, p, model, _initial(options)).best_params
+def _cmd_equivalence(options: _Options) -> dict:
+    n_list, d, p = options["n_list"], options["d"], options["p"]
+    model = _model(options)
+    best = optimize(d, p, model, **_given(options, "init")).best_params
     return ensemble_equivalence(
-        n_list, d, p, model, best, _initial(options), trials, seed
+        n_list, d, p, model, best, **_given(options, "init", "trials", "seed")
     )
 
 
-def _cmd_ratio_bound(options: dict) -> dict:
-    d = _req_int(options, "d")
-    p = _req_int(options, "p")
-    model = _build_model(options, d)
-    tree_value = options.get("tree_value")
-    do_optimize = False if options.get("optimize") is None else options["optimize"]
-    if not isinstance(do_optimize, bool):
-        raise InputError(f"option 'optimize' must be true or false, got {do_optimize!r}")
-    if (tree_value is None) == (not do_optimize):
+def _cmd_ratio_bound(options: _Options) -> dict:
+    d, p = options["d"], options["p"]
+    model = _model(options)
+    do_optimize = options.get("optimize", False)
+    if ("tree_value" in options) == do_optimize:
         raise InputError("give exactly one of --tree-value or --optimize")
     if do_optimize:
-        value = optimize(d, p, model, _initial(options)).best_value
+        value = optimize(d, p, model, **_given(options, "init")).best_value
     else:
         _refuse_unread(options, ["init"], "ratio-bound --tree-value")
-        value = _number(tree_value, float)
-        if value is None:
-            raise InputError(f"tree value must be a finite number, got {tree_value!r}")
+        value = options["tree_value"]
     report = ratio_ceiling(model, d, p, value)
     config = {
         "d": d,
         "p": p,
-        "model": {"kind": model.kind, "d": model.d},
+        "model": _model_config(model),
         "tree_value": value,
         "optimized": do_optimize,
     }
@@ -317,13 +314,10 @@ def _cmd_ratio_bound(options: dict) -> dict:
     )
 
 
-def _cmd_prune(options: dict) -> dict:
-    path = _path(options, "in", required=True)
-    bits = str(_require(options, "bits"))
-    d = _req_int(options, "d")
-    g = read_edgelist(path)
-    result = prune(g, bits, d)
-    config = {"in": str(path), "bits": bits, "d": d}
+def _cmd_prune(options: _Options) -> dict:
+    path, bits, d = options["in"], options["bits"], options["d"]
+    result = prune(read_edgelist(path), bits, d)
+    config = {"in": path, "bits": bits, "d": d}
     return make_report(
         "prune",
         config,
@@ -341,42 +335,23 @@ def _cmd_prune(options: dict) -> dict:
     )
 
 
-def _cmd_tree_fraction(options: dict) -> dict:
-    n = _req_int(options, "n")
-    d = _req_int(options, "d")
-    p_list = _int_list(_require(options, "p_list"))
-    kind = _text(options, "kind", "general")
-    trials = _int_opt(options, "trials", 20)
-    seed = _int_opt(options, "seed", 0)
-    spec = EnsembleSpec(n, d, kind, seed)
-    return tree_fraction_experiment(spec, p_list, trials)
+def _cmd_tree_fraction(options: _Options) -> dict:
+    spec = _spec(options)
+    return tree_fraction_experiment(spec, options["p_list"], **_given(options, "trials"))
 
 
-def _cmd_end_to_end(options: dict) -> dict:
-    n = _req_int(options, "n")
-    d = _req_int(options, "d")
-    p = _req_int(options, "p")
-    model = _build_model(options, d)
-    kind = _text(options, "kind", "general")
-    budget = _int_opt(options, "budget", DEFAULT_BUDGET)
-    seed = _int_opt(options, "seed", 0)
-    trials = _int_opt(options, "trials", 20)
-    samples = _int_opt(options, "samples", 64)
-    spec = EnsembleSpec(n, d, kind, seed)
+def _cmd_end_to_end(options: _Options) -> dict:
+    model = _model(options)
     return end_to_end(
-        spec,
-        p,
+        _spec(options),
+        options["p"],
         model,
-        budget,
-        seed,
-        initial=_initial(options),
-        trials=trials,
-        samples=samples,
+        **_given(options, "budget", "seed", "init", "trials", "samples"),
     )
 
 
-def _cmd_run(options: dict) -> dict:
-    path = _require(options, "config")
+def _cmd_run(options: _Options) -> dict:
+    path = options["config"]
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -397,11 +372,12 @@ def _cmd_run(options: dict) -> dict:
         known = ", ".join(sorted(_COMMANDS.keys() - {"run"}))
         raise InputError(f"unknown command {command!r} (known: {known})")
     handler, keys, _ = _COMMANDS[command]
+    read = set(keys.split())
+    _refuse_unread(body, sorted(body.keys() - read - {"out", "csv_out"}), command)
+    body = _read(body)
     # a key the command reads itself, such as generate's edge-list path
     # "out", is not a report path
-    read = set(keys.split())
-    out, csv_out = (None if key in read else _path(body, key) for key in ("out", "csv_out"))
-    _refuse_unread(body, sorted(body.keys() - read - {"out", "csv_out"}), command)
+    out, csv_out = (None if key in read else body.get(key) for key in ("out", "csv_out"))
     report = handler(body)
     if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
@@ -417,9 +393,8 @@ def _cmd_run(options: dict) -> dict:
 # ----------------------------------------------------------------------
 
 # Each subcommand's handler, the option keys it reads and its help line. A
-# key is both a config-file key and a command-line flag (n_list is --n-list).
-# Its value reaches the handler as given and the handler checks it, so the
-# two paths accept and refuse the same values.
+# key is both a config-file key and a command-line flag (n_list is --n-list),
+# and its value reaches the handler through the key's reader on both paths.
 _COMMANDS = {
     "generate": (_cmd_generate, "n d kind seed out",
                  "sample a graph and write its edge list"),
@@ -469,11 +444,29 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_line)
         for key in keys.split():
             flag = "--" + key.replace("_", "-")
-            if key == "optimize":
-                sp.add_argument(flag, action="store_true")
+            if _READERS[key] is _flag:
+                sp.add_argument(flag, action="store_const", const=True)
             else:
                 sp.add_argument(flag)
     return parser
+
+
+def _join_dash_values(argv: list) -> list:
+    """Join a token that starts with a single "-" to the ``--flag`` before
+    it as ``--flag=value``, so that argparse reads ``--gamma -0.5,0.2`` or
+    ``--tree-value -inf`` as a value. A flag that takes no value is left
+    alone, as is a token that starts with "--"."""
+    tokens = []
+    for token in argv:
+        prev = tokens[-1] if tokens else ""
+        if (
+            token.startswith("-") and not token.startswith("--")
+            and prev.startswith("--") and "=" not in prev and prev != "--optimize"
+        ):
+            tokens[-1] = f"{prev}={token}"
+        else:
+            tokens.append(token)
+    return tokens
 
 
 def _emit_error(message: str, category: str) -> None:
@@ -483,16 +476,16 @@ def _emit_error(message: str, category: str) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = vars(_build_parser().parse_args(argv))
+        argv = sys.argv[1:] if argv is None else argv
+        args = vars(_build_parser().parse_args(_join_dash_values(argv)))
     except SystemExit as exc:  # --help exits through here
         return exc.code if isinstance(exc.code, int) else 0
     except InputError as exc:
         _emit_error(str(exc), exc.category)
         return 2
     handler = _COMMANDS[args.pop("command")][0]
-    options = {key: value for key, value in args.items() if value is not None}
     try:
-        report = handler(options)
+        report = handler(_read(args))
     except InputError as exc:
         _emit_error(str(exc), exc.category)
         return 2

@@ -8,14 +8,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
+
 __all__ = ["as_generator", "derive_seeds"]
 
 
 def as_generator(seed: int | np.random.Generator) -> np.random.Generator:
-    """Return a PCG64-backed generator for ``seed``, or pass one through."""
+    """Return a PCG64-backed generator for ``seed``, or pass one through.
+    A negative seed is refused."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(int(seed))
+    seed = int(seed)
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def derive_seeds(seed: int | np.random.Generator, count: int) -> list[int]:

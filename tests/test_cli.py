@@ -6,6 +6,7 @@ stderr behave exactly as a shell user sees them.
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,17 @@ from pathlib import Path
 
 import pytest
 
-from qaoa_locality.cli import _COMMANDS, main
+from qaoa_locality.cli import _COMMANDS, _READERS, _random_params, main
+from qaoa_locality.experiments import (
+    cycle_census_experiment,
+    end_to_end,
+    ensemble_equivalence,
+    locality_check,
+    report_json,
+    tree_fraction_experiment,
+)
+from qaoa_locality.graphs import EnsembleSpec
+from qaoa_locality.optimize import optimize
 from qaoa_locality.qaoa import CostModel, QaoaParams
 from qaoa_locality.trees import TreePathSum, tree_expectation
 
@@ -327,8 +338,9 @@ def test_parity_cases_cover_every_command():
 @pytest.mark.parametrize("case", list(PARITY_CASES))
 def test_command_line_and_config_share_defaults(tmp_path, monkeypatch, capsys, case):
     """The command line and a config file reach every command with one set
-    of keys, and optional keys are defaulted by the handlers alone, so both
-    print one report and write the same files."""
+    of keys, read by one reader per key, and an optional key left out keeps
+    the default of the library call it feeds, so both print one report and
+    write the same files."""
     argv, config = PARITY_CASES[case]
     outputs = []
     for side in ("argv", "config"):
@@ -547,17 +559,19 @@ def assert_refused(code, out, err):
         {"command": "cycles", "n": 20, "d": 3, "out": 1},
         {"command": "cycles", "n": 20, "d": 3, "csv_out": 2},
         {"command": "generate", "n": 16, "d": 3, "out": 5},
+        {"command": "prune", "in": "ring.edges", "bits": 1100, "d": 2},
+        {"command": "tree-expect", "d": 3, "p": 1, "model": ["mis"]},
     ],
     ids=[
         "scalar-gamma", "scalar-p-list", "float-in-p-list", "float-d", "bool-d",
         "string-optimize", "bool-tree-value", "list-in", "int-out", "int-csv-out",
-        "int-generate-out",
+        "int-generate-out", "int-bits", "list-model",
     ],
 )
 def test_config_refuses_what_the_command_line_refuses(tmp_path, monkeypatch, capsys, config):
     """Integer keys take a JSON integer or an integer string, list keys a
-    list or a comma-separated string, optimize a boolean and paths a string;
-    nothing runs and nothing is written otherwise."""
+    list or a comma-separated string, optimize a boolean, and text keys and
+    paths a string; nothing runs and nothing is written otherwise."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "config.json").write_text(json.dumps(config))
     assert_refused(*call_main(capsys, "run", "--config", "config.json"))
@@ -613,3 +627,136 @@ def test_config_values_of_any_type_exit_cleanly(tmp_path, monkeypatch, capsys, c
                 assert code in (2, 3) and out == "", (config, code, err)
                 assert err.count("\n") == 1
                 assert set(json.loads(err)) == {"error"}
+
+
+def test_text_keys_take_strings_only(tmp_path, monkeypatch, capsys):
+    """A text key is not turned into a string: 1100 is not the bits "1100"."""
+    monkeypatch.chdir(tmp_path)
+    Path("ring.edges").write_text(RING)
+    for key, config in [
+        ("bits", {"command": "prune", "in": "ring.edges", "bits": 1100, "d": 2}),
+        ("model", {"command": "tree-expect", "d": 3, "p": 1, "model": ["mis"]}),
+    ]:
+        Path("config.json").write_text(json.dumps(config))
+        code, out, err = call_main(capsys, "run", "--config", "config.json")
+        assert_refused(code, out, err)
+        message = json.loads(err)["error"]["message"]
+        assert message == f"option {key!r} must be a string, got {config[key]!r}"
+
+
+def test_readers_cover_exactly_the_command_keys():
+    keys = {key for _, names, _ in _COMMANDS.values() for key in names.split()}
+    assert set(_READERS) == keys | {"out", "csv_out"}
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_help_lists_the_command_keys(capsys, name):
+    code, out, err = call_main(capsys, name, "--help")
+    assert (code, err) == (0, "")
+    flags = {"--" + key.replace("_", "-") for key in _COMMANDS[name][1].split()}
+    assert set(re.findall(r"--[a-z][a-z-]*", out)) == flags | {"--help"}
+
+
+MAXCUT = CostModel.maxcut()
+
+# Each ensemble command given only its required flags, and the library call
+# given only its required arguments: cycles' kmax of 6 is the command's own.
+LIBRARY_DEFAULTS = {
+    "cycles": (
+        ["--n", "10", "--d", "3"],
+        lambda: cycle_census_experiment(EnsembleSpec(10, 3), 6),
+    ),
+    "tree-fraction": (
+        ["--n", "10", "--d", "3", "--p-list", "1,2"],
+        lambda: tree_fraction_experiment(EnsembleSpec(10, 3), [1, 2]),
+    ),
+    "end-to-end": (
+        ["--n", "8", "--d", "3", "--p", "1"],
+        lambda: end_to_end(EnsembleSpec(8, 3), 1, MAXCUT),
+    ),
+    "equivalence": (
+        ["--n-list", "8", "--d", "2", "--p", "1"],
+        lambda: ensemble_equivalence(
+            [8], 2, 1, MAXCUT, optimize(2, 1, MAXCUT).best_params
+        ),
+    ),
+    "locality-check": (
+        ["--n", "8", "--d", "3", "--p", "1"],
+        lambda: locality_check(
+            EnsembleSpec(8, 3), 1, MAXCUT, _random_params(MAXCUT, 1, 0)
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LIBRARY_DEFAULTS))
+def test_defaults_come_from_the_library(capsys, name):
+    flags, library_call = LIBRARY_DEFAULTS[name]
+    code, out, err = call_main(capsys, name, *flags)
+    assert code == 0, err
+    assert out == report_json(library_call())
+
+
+# The commands that take --seed, each with its other required flags.
+SEEDED = {
+    "generate": ["--n", "16", "--d", "3", "--out", "g.edges"],
+    "cycles": ["--n", "16", "--d", "3"],
+    "locality-check": ["--n", "8", "--d", "3", "--p", "1"],
+    "equivalence": ["--n-list", "8", "--d", "2", "--p", "1"],
+    "tree-fraction": ["--n", "16", "--d", "3", "--p-list", "1"],
+    "end-to-end": ["--n", "8", "--d", "3", "--p", "1"],
+}
+
+
+def test_seeded_commands_are_every_command_with_a_seed():
+    assert set(SEEDED) == {name for name, (_, keys, _) in _COMMANDS.items() if "seed" in keys.split()}
+
+
+@pytest.mark.parametrize("name", list(SEEDED))
+def test_negative_seeds_exit_2(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    flags = SEEDED[name]
+    config = {flag[2:].replace("-", "_"): value for flag, value in zip(flags[::2], flags[1::2])}
+    Path("config.json").write_text(json.dumps({"command": name, **config, "seed": -1}))
+    for args in ([name, *flags, "--seed", "-1"], ["run", "--config", "config.json"]):
+        code, out, err = call_main(capsys, *args)
+        assert_refused(code, out, err)
+        assert json.loads(err)["error"]["message"] == "seed must be nonnegative, got -1"
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_flag_values_may_start_with_a_minus_sign(capsys):
+    flags = ["tree-expect", "--d", "3", "--p", "2"]
+    joined = call_main(capsys, *flags, "--gamma=-0.5,0.2", "--beta=-1e-3,0.2")
+    spaced = call_main(capsys, *flags, "--gamma", "-0.5,0.2", "--beta", "-1e-3,0.2")
+    assert joined[0] == 0, joined[2]
+    assert json.loads(joined[1])["config"]["gamma"] == [-0.5, 0.2]
+    assert spaced == joined
+
+
+def test_minus_inf_tree_value_is_read_as_a_value(capsys):
+    code, out, err = call_main(
+        capsys, "ratio-bound", "--d", "3", "--p", "1", "--tree-value", "-inf"
+    )
+    assert_refused(code, out, err)
+    message = json.loads(err)["error"]["message"]
+    assert message == "tree value must be a finite number, got '-inf'"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--out", "--seed", "2"], "argument --out: expected one argument"),
+        (["tree-expect", "--d", "3", "--p", "1", "--gamma"],
+         "argument --gamma: expected one argument"),
+        (["ratio-bound", "--d", "3", "--p", "1", "--optimize", "-1"],
+         "unrecognized arguments: -1"),
+    ],
+    ids=["flag-after-flag", "flag-at-end", "value-after-optimize"],
+)
+def test_a_flag_without_its_value_is_still_refused(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = call_main(capsys, *argv)
+    assert_refused(code, out, err)
+    assert json.loads(err)["error"]["message"] == f"invalid command line: {message}"
+    assert list(tmp_path.iterdir()) == []

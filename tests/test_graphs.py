@@ -21,7 +21,7 @@ from qaoa_locality.graphs import (
     tree_edge_fraction,
     write_edgelist,
 )
-from qaoa_locality.rng import as_generator
+from qaoa_locality.rng import as_generator, derive_seeds
 from qaoa_locality.trees import build_canonical_tree
 from small_graphs import (
     complete_bipartite_graph,
@@ -232,6 +232,13 @@ def test_sample_graph_dispatches_on_kind():
     assert sample_graph(EnsembleSpec(8, 3, "general", 1)).m == 12
     g = sample_graph(EnsembleSpec(8, 3, "bipartite", 1))
     assert g.bipartition is not None
+
+
+def test_negative_seeds_are_refused():
+    with pytest.raises(InputError, match="seed must be nonnegative, got -1"):
+        sample_graph(EnsembleSpec(16, 3, "general", -1))
+    with pytest.raises(InputError, match="seed must be nonnegative, got -1"):
+        derive_seeds(-1, 2)
 
 
 def test_ensemble_spec_validation():

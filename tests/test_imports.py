@@ -4,6 +4,9 @@ package, and every public name is read somewhere in the package or the
 benchmark; an import or a helper nothing reads is dead weight that hides
 real dependencies."""
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -197,3 +200,16 @@ def test_an_unread_dataclass_field_is_caught(tmp_path):
         encoding="utf-8",
     )
     assert unread_dataclass_fields(tmp_path) == [("Box", "label"), ("Tag", "extra")]
+
+
+def test_importing_the_package_leaves_the_command_line_out():
+    """``import qaoa_locality`` loads neither the command-line module nor
+    argparse, so changes there stay off every library caller's import."""
+    code = (
+        "import json, sys, qaoa_locality; print(json.dumps([qaoa_locality.__file__, "
+        "sorted({'qaoa_locality.cli', 'argparse'} & set(sys.modules))]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    path, loaded = json.loads(proc.stdout)
+    assert Path(path).parent == PACKAGE
+    assert loaded == []
