@@ -28,10 +28,8 @@ from .qaoa import (
     QaoaParams,
     Statevector,
     bit_values,
-    bits_to_index,
     cost_table,
     cost_value,
-    edge_cost,
     expect_edge,
     expect_total,
     index_to_bits,

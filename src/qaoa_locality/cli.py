@@ -287,6 +287,7 @@ def _cmd_ratio_bound(options: _Options) -> dict:
     if ("tree_value" in options) == do_optimize:
         raise InputError("give exactly one of --tree-value or --optimize")
     if do_optimize:
+        ratio_ceiling(model, d, p, 0.0)  # refuse a case without a ceiling before searching
         value = optimize(d, p, model, **_given(options, "init")).best_value
     else:
         _refuse_unread(options, ["init"], "ratio-bound --tree-value")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -84,9 +84,6 @@ class Graph:
     edges: list[tuple[int, int]]
     adjacency: list[list[int]]
     bipartition: list[int] | None = None
-    _incident: list[list[int]] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @classmethod
     def from_edges(
@@ -139,22 +136,6 @@ class Graph:
 
     def degree_of(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-            return False
-        a, b = (u, v) if len(self.adjacency[u]) <= len(self.adjacency[v]) else (v, u)
-        return b in self.adjacency[a]
-
-    def incident_edges(self) -> list[list[int]]:
-        """Edge indices incident to each vertex (computed once, then cached)."""
-        if self._incident is None:
-            inc: list[list[int]] = [[] for _ in range(self.n)]
-            for idx, (u, v) in enumerate(self.edges):
-                inc[u].append(idx)
-                inc[v].append(idx)
-            self._incident = inc
-        return self._incident
 
 
 @dataclass(frozen=True)
@@ -291,10 +272,11 @@ def sample_graph(spec: EnsembleSpec) -> Graph:
     return generate_regular(spec)
 
 
-def _edge_ball(g: Graph, incident, middle: int, radius: int) -> list[int]:
+def _edge_ball(g: Graph, middle: tuple[int, int], radius: int) -> list[tuple[int, int]]:
     # BFS over edges; two edges are adjacent when they share an endpoint.
-    # Returns edge ids at edge-distance <= radius in discovery order.
-    edges = g.edges
+    # Returns the edges (u, v), u < v, at edge-distance <= radius in
+    # discovery order. A sorted row meets its vertex's edges in edge order.
+    adjacency = g.adjacency
     dist = {middle: 0}
     order = [middle]
     queue = deque([middle])
@@ -303,9 +285,9 @@ def _edge_ball(g: Graph, incident, middle: int, radius: int) -> list[int]:
         de = dist[e]
         if de == radius:
             continue
-        u, v = edges[e]
-        for w in (u, v):
-            for f in incident[w]:
+        for w in e:
+            for x in adjacency[w]:
+                f = (w, x) if w < x else (x, w)
                 if f not in dist:
                     dist[f] = de + 1
                     order.append(f)
@@ -327,15 +309,11 @@ def edge_neighborhood(g: Graph, edge, radius: int) -> Graph:
     u, v = int(edge[0]), int(edge[1])
     if u > v:
         u, v = v, u
-    if u == v or not g.has_edge(u, v):
+    if not (0 <= u and v < g.n and v in g.adjacency[u]):
         raise InputError(f"({u}, {v}) is not an edge of the graph")
-    incident = g.incident_edges()
-    middle = next(e for e in incident[u] if g.edges[e] == (u, v))
-    ids = _edge_ball(g, incident, middle, radius)
     pos = {u: 0, v: 1}
     ball_edges = []
-    for e in ids:
-        a, b = g.edges[e]
+    for a, b in _edge_ball(g, (u, v), radius):
         for w in (a, b):
             if w not in pos:
                 pos[w] = len(pos)

@@ -79,8 +79,8 @@ def grid_search(
     p: int,
     model: CostModel,
     initial: str = "plus",
-    resolution: int = 64,
     *,
+    resolution: int,
     budget: int = DEFAULT_BUDGET,
 ) -> OptResult:
     """Evaluate every point of the periodic grid and return the argmax.
@@ -227,7 +227,7 @@ def optimize(
     """
     if resolution is None:
         resolution = 64 if p <= 1 else 16
-    grid = grid_search(d, p, model, initial, resolution, budget=budget)
+    grid = grid_search(d, p, model, initial, resolution=resolution, budget=budget)
     if p == 0:
         return grid
     # A stable sort keeps flat-index order among equal values, which is the

@@ -28,10 +28,8 @@ __all__ = [
     "CostModel",
     "QaoaParams",
     "Statevector",
-    "bits_to_index",
     "index_to_bits",
     "bit_values",
-    "edge_cost",
     "cost_value",
     "cost_table",
     "prepare_initial",
@@ -158,29 +156,15 @@ def bit_values(bits, n: int | None = None) -> list[int]:
     return vals
 
 
-def bits_to_index(bits) -> int:
-    """Index of a basis state; bit i of the result is vertex i's value."""
-    idx = 0
-    for i, b in enumerate(bit_values(bits)):
-        if b:
-            idx |= 1 << i
-    return idx
-
-
 def index_to_bits(index: int, m: int) -> str:
-    """Inverse of :func:`bits_to_index`; vertex 0 is the first character."""
+    """Bit string of a basis state's index; vertex 0, the least significant
+    bit, is the first character."""
     return "".join("1" if (index >> i) & 1 else "0" for i in range(m))
 
 
-def edge_cost(model: CostModel, bi: int, bj: int) -> Fraction:
-    """Exact per-edge cost at bit values (bi, bj)."""
-    if bi not in (0, 1) or bj not in (0, 1):
-        raise InputError("bit values must be 0 or 1")
-    return Fraction(model.numerators[bi][bj], model.denominator)
-
-
 def cost_value(model: CostModel, g: Graph, bits) -> Fraction:
-    """Exact total cost of a bit assignment: sum of edge_cost over edges."""
+    """Exact total cost of a bit assignment: the sum over edges of
+    ``numerators[b_u][b_v]``, over the model's denominator."""
     vals = bit_values(bits, g.n)
     table = model.numerators
     return Fraction(sum(table[vals[u]][vals[v]] for u, v in g.edges), model.denominator)
@@ -238,9 +222,7 @@ def _mix_inplace(
     # t0 and t1 are half-state buffers, so no full-size temporary is made.
     c = math.cos(beta)
     s = math.sin(beta)
-    if s == 0.0:
-        if c != 1.0:
-            amps *= c  # beta = pi: global factor -1
+    if s == 0.0:  # only beta = 0 has sin exactly 0.0: the identity
         return
     js = 1j * s
     for k in range(m):
@@ -305,7 +287,7 @@ def expect_edge(state: Statevector, edge, model: CostModel) -> float:
     total = 0.0
     for a in (0, 1):
         for b in (0, 1):
-            # int / int is correctly rounded, so this is float(edge_cost(...))
+            # int / int is correctly rounded, so this is the exact cost as a float
             total += P[a, b] * (model.numerators[a][b] / model.denominator)
     return float(total)
 

@@ -43,11 +43,6 @@ __all__ = [
 class TreeExpectation:
     """Middle-edge expectation of the canonical tree at one angle schedule."""
 
-    model: CostModel
-    d: int
-    p: int
-    params: QaoaParams
-    initial: str
     value: float
 
 
@@ -97,7 +92,7 @@ def tree_expectation(
         raise InputError(f"parameter depth {params.p} must equal the radius {p}")
     tree = build_canonical_tree(d, p)
     value = neighborhood_expectation(tree, model, params, initial)
-    return TreeExpectation(model, d, p, params, initial, value)
+    return TreeExpectation(value)
 
 
 class TreePathSum:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import qaoa_locality.cli as cli_module
 from qaoa_locality.cli import _COMMANDS, _READERS, _random_params, main
 from qaoa_locality.experiments import (
     cycle_census_experiment,
@@ -114,6 +115,28 @@ def test_ratio_bound_unknown_constant_is_refused():
     error = stderr_error(proc)
     assert error["category"] == "invalid-input"
     assert "no constant available" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--d", "4", "--p", "2"],
+         "no constant available for the cut ceiling at d=4: the literature "
+         "gives only the form 'd/4 + O(sqrt(d))'"),
+        (["--model", "mis", "--d", "2", "--p", "1"],
+         "no constant available for the independent-set ceiling at d=2"),
+    ],
+    ids=["maxcut-d4", "mis-d2"],
+)
+def test_ratio_bound_refuses_before_it_searches(monkeypatch, capsys, flags, message):
+    """A case without a ceiling is known from the model and d alone, so
+    ``--optimize`` is refused before any angle search runs."""
+    searches = []
+    monkeypatch.setattr(cli_module, "optimize", lambda *a, **k: searches.append(a))
+    code, out, err = call_main(capsys, "ratio-bound", *flags, "--optimize")
+    assert_refused(code, out, err)
+    assert err == json.dumps({"error": {"category": "invalid-input", "message": message}}) + "\n"
+    assert searches == []
 
 
 def test_prune_subcommand(tmp_path):

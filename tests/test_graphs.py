@@ -1,3 +1,6 @@
+import re
+from collections import deque
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -316,6 +319,78 @@ def test_neighborhood_ball_matches_distance_definition():
             expected = nx.Graph(list(dist))
             nx.set_node_attributes(expected, {edge[0]: "u", edge[1]: "v"}, "end")
             assert nx.is_isomorphic(ball, expected, node_match=same_end), (edge, p)
+
+
+# The ball as it was built before the walk went over the adjacency rows,
+# kept as the reference: a BFS over edge ids through a table of the edge
+# ids at each vertex, relabelled in discovery order.
+def incidence_ball(g, edge, radius):
+    incident = [[] for _ in range(g.n)]
+    for idx, (a, b) in enumerate(g.edges):
+        incident[a].append(idx)
+        incident[b].append(idx)
+    u, v = sorted(edge)
+    middle = next(e for e in incident[u] if g.edges[e] == (u, v))
+    dist = {middle: 0}
+    order = [middle]
+    queue = deque([middle])
+    while queue:
+        e = queue.popleft()
+        de = dist[e]
+        if de == radius:
+            continue
+        for w in g.edges[e]:
+            for f in incident[w]:
+                if f not in dist:
+                    dist[f] = de + 1
+                    order.append(f)
+                    queue.append(f)
+    pos = {u: 0, v: 1}
+    ball_edges = []
+    for e in order:
+        a, b = g.edges[e]
+        for w in (a, b):
+            if w not in pos:
+                pos[w] = len(pos)
+        ball_edges.append((pos[a], pos[b]))
+    ball = Graph.from_edges(len(pos), ball_edges)
+    return ball.n, ball.edges, ball.adjacency
+
+
+def test_balls_match_the_incidence_bfs():
+    """Walking the sorted adjacency rows visits the edges in the order of
+    an edge-id BFS, so every ball comes out with the same labels."""
+    graphs = [
+        sample_graph(EnsembleSpec(n, d, kind, 10 * d + n))
+        for kind in ("general", "bipartite")
+        for d in (2, 3, 4, 5)
+        for n in (16, 40)
+    ]
+    graphs += irregular_graphs()
+    graphs += [build_canonical_tree(d, p) for d in (2, 3, 4) for p in range(4)]
+    for g in graphs:
+        for u, v in g.edges:
+            for r in range(5):
+                want = incidence_ball(g, (u, v), r)
+                for edge in ((u, v), (v, u)):
+                    ball = edge_neighborhood(g, edge, r)
+                    assert (ball.n, ball.edges, ball.adjacency) == want, (g.edges, edge, r)
+
+
+@pytest.mark.parametrize(
+    "pair, text",
+    [
+        ((3, 0), "(0, 3) is not an edge"),
+        ((2, 2), "(2, 2) is not an edge"),
+        ((5, 6), "(5, 6) is not an edge"),
+        ((-1, 0), "(-1, 0) is not an edge"),
+        ((7, 6), "(6, 7) is not an edge"),
+    ],
+    ids=["absent", "self", "one-end-past-n", "negative", "both-ends-past-n"],
+)
+def test_neighborhood_refuses_a_pair_that_is_not_an_edge(pair, text):
+    with pytest.raises(InputError, match=re.escape(text)):
+        edge_neighborhood(cycle_graph(6), pair, 1)
 
 
 def test_regular_tree_neighborhood_matches_canonical_tree():

@@ -25,7 +25,13 @@ def test_search_domain_periods():
     assert MC.gamma_period == 2 * math.pi
     assert MIS3.gamma_period == 12 * math.pi
     with pytest.raises(InputError, match="depth must be nonnegative"):
-        grid_search(3, -1, MC)
+        grid_search(3, -1, MC, resolution=64)
+
+
+def test_grid_resolution_has_no_default():
+    """optimize holds the one default resolution; grid_search needs one given."""
+    with pytest.raises(TypeError, match="resolution"):
+        grid_search(3, 1, MC)
 
 
 def grid_angles(index, p, res, model):

@@ -14,10 +14,8 @@ from qaoa_locality.qaoa import (
     QaoaParams,
     Statevector,
     bit_values,
-    bits_to_index,
     cost_table,
     cost_value,
-    edge_cost,
     expect_edge,
     expect_total,
     index_to_bits,
@@ -101,11 +99,16 @@ def test_p0_returns_initial_state():
 # ------------------------------------------------------------- cost models
 
 
+def table_edge_cost(model, a, b):
+    """The per-edge cost read from the model's one table."""
+    return Fraction(model.numerators[a][b], model.denominator)
+
+
 def test_edge_cost_values():
-    assert edge_cost(MC, 0, 0) == 0 and edge_cost(MC, 1, 1) == 0
-    assert edge_cost(MC, 0, 1) == 1 and edge_cost(MC, 1, 0) == 1
-    assert edge_cost(MIS3, 1, 0) == Fraction(1, 6)
-    assert edge_cost(MIS3, 1, 1) == Fraction(1, 3) - 1
+    assert table_edge_cost(MC, 0, 0) == 0 and table_edge_cost(MC, 1, 1) == 0
+    assert table_edge_cost(MC, 0, 1) == 1 and table_edge_cost(MC, 1, 0) == 1
+    assert table_edge_cost(MIS3, 1, 0) == Fraction(1, 6)
+    assert table_edge_cost(MIS3, 1, 1) == Fraction(1, 3) - 1
     assert CostModel.mis(2).denominator == 4
     assert MC.gamma_period == 2 * math.pi
     assert MIS3.gamma_period == 12 * math.pi
@@ -117,7 +120,7 @@ def test_cost_model_validation():
     with pytest.raises(InputError):
         CostModel.mis(0)
     # the degree must be an integer: a string, a float or a bool is refused
-    # here rather than failing later in edge_cost or meaning d = 1
+    # here rather than failing later in the cost table or meaning d = 1
     for d in ("3", 3.0, 2.5, True, None, 0, -2):
         with pytest.raises(InputError):
             CostModel("mis", d)
@@ -172,8 +175,8 @@ PROPERTY_GRAPHS = {
 
 @pytest.mark.parametrize("name", list(PROPERTY_GRAPHS))
 def test_every_cost_reads_one_edge_table(name):
-    """edge_cost is the per-edge formula and cost_value its sum, every
-    cost_table entry is float(cost_value) exactly, and expect_edge and
+    """The model's table holds the per-edge formula and cost_value its sum,
+    every cost_table entry is float(cost_value) exactly, and expect_edge and
     TreePathSum use the same floats, for MaxCut and MIS(d) at degrees that
     do and do not match the graph's."""
     g = PROPERTY_GRAPHS[name]
@@ -181,7 +184,7 @@ def test_every_cost_reads_one_edge_table(name):
     for model in [MC] + [CostModel.mis(k) for k in (1, 2, 3, 4, 5, 7)]:
         table = cost_table(model, g)
         edge_costs = [[reference_edge_cost(model, a, b) for b in (0, 1)] for a in (0, 1)]
-        assert [[edge_cost(model, a, b) for b in (0, 1)] for a in (0, 1)] == edge_costs
+        assert [[table_edge_cost(model, a, b) for b in (0, 1)] for a in (0, 1)] == edge_costs
         edge_floats = [[float(c) for c in row] for row in edge_costs]
         assert TreePathSum(2, 1, model).cost.tolist() == edge_floats
         for i in range(1 << g.n):
@@ -204,11 +207,15 @@ def test_every_cost_reads_one_edge_table(name):
 # --------------------------------------------------------------- bit maps
 
 
+def bits_to_index(bits):
+    """Index of a basis state; bit i of the result is vertex i's value."""
+    return sum(int(b) << i for i, b in enumerate(bits))
+
+
 def test_bit_round_trips():
     assert bit_values("0110") == [0, 1, 1, 0]
     assert bit_values([1, 0, 1]) == [1, 0, 1]
-    assert bits_to_index("100") == 1  # vertex 0 is the least significant bit
-    assert bits_to_index("001") == 4
+    assert index_to_bits(1, 3) == "100"  # vertex 0 is the least significant bit
     assert index_to_bits(4, 3) == "001"
     for i in range(16):
         assert bits_to_index(index_to_bits(i, 4)) == i
@@ -251,7 +258,10 @@ def test_in_place_kernel_matches_reference_loop():
         for p in (1, 2, 3):
             for g in small:
                 params = random_params(model, p, rng)
-                # beta=pi takes the global-sign branch
+                # beta=0.0 takes the early return, the identity; beta=pi has
+                # sin(pi) != 0.0, so it runs the general loop
+                if p == 2:
+                    params = QaoaParams(params.gammas, params.betas[:1] + (0.0,))
                 if p == 3:
                     params = QaoaParams(params.gammas, params.betas[:2] + (math.pi,))
                 for initial in ("plus", "zero"):
