@@ -2,27 +2,27 @@
 
 Every subcommand prints a JSON report to stdout and exits 0 on success.
 Failures write a machine-readable error object to stderr and exit 2 for
-invalid input or 3 for resource-limit violations. One table, ``_COMMANDS``,
-names each subcommand's option keys: every key is a ``--flag`` and a key of
-a ``run --config`` JSON file. A second table, ``_READERS``, holds one reader
-per key, and both paths pass every given value through it before the
-command runs, so they accept and refuse the same values. A key left out
-keeps the default of the library call it feeds. A config file may add
-``out`` and ``csv_out`` paths for the serialized report, where the command
-does not read that key itself. Any other key that the command, or the
-chosen form of it, never reads is refused.
+invalid input or 3 for resource-limit violations. ``COMMAND --key VALUE
+...`` is read as the ``{key: value}`` body that ``run --config`` loads from
+a JSON file, and one function runs both. One table, ``_COMMANDS``, names
+each subcommand's option keys (``--n-list``, ``--n_list`` and ``"n-list"``
+are the key ``n_list``), and a second, ``_READERS``, reads every given
+value before the command runs. A key left out keeps the default of the
+library call it feeds. ``out`` and ``csv_out`` write the serialized report,
+where the command does not read that key itself. Any other key that the
+command, or the chosen form of it, never reads is refused, so a flag is
+spelt out in full.
 
+On the command line ``--optimize`` takes no value, and the token after any
+other flag is its value unless it starts with "--" (``--gamma -0.5,0.2``).
 A config value may keep its JSON type: an integer key takes an integer or a
 string ``int()`` reads, a list key a list or a comma-separated string,
 ``optimize`` a boolean, and a text key (``model``, ``kind``, ``init``,
 ``bits``) or a path a string. Any other type, and a number that is not
-finite, is refused as the command line would refuse it. On the command line
-a value may start with "-", as in ``--gamma -0.5,0.2``. Seeds must be
-nonnegative.
+finite, is refused. Seeds must be nonnegative.
 """
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import math
@@ -369,33 +369,14 @@ def _cmd_run(options: _Options) -> dict:
     command = str(command).replace("_", "-")
     if command == "run":
         raise InputError("config files cannot nest 'run'")
-    if command not in _COMMANDS:
-        known = ", ".join(sorted(_COMMANDS.keys() - {"run"}))
-        raise InputError(f"unknown command {command!r} (known: {known})")
-    handler, keys, _ = _COMMANDS[command]
-    read = set(keys.split())
-    _refuse_unread(body, sorted(body.keys() - read - {"out", "csv_out"}), command)
-    body = _read(body)
-    # a key the command reads itself, such as generate's edge-list path
-    # "out", is not a report path
-    out, csv_out = (None if key in read else body.get(key) for key in ("out", "csv_out"))
-    report = handler(body)
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(report_json(report))
-    if csv_out is not None:
-        with open(csv_out, "w", encoding="utf-8") as fh:
-            fh.write(csv_from_report(report))
-    return report
+    return _execute(command, body)
 
 
 # ----------------------------------------------------------------------
-# the command table and argument parsing
+# the command table, and one path from a command line or a config file
 # ----------------------------------------------------------------------
 
-# Each subcommand's handler, the option keys it reads and its help line. A
-# key is both a config-file key and a command-line flag (n_list is --n-list),
-# and its value reaches the handler through the key's reader on both paths.
+# Each subcommand's handler, the option keys it reads and its help line.
 _COMMANDS = {
     "generate": (_cmd_generate, "n d kind seed out",
                  "sample a graph and write its edge list"),
@@ -420,81 +401,94 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument parser that reports failures as :class:`InputError`.
-
-    The default implementation prints usage text to stderr and exits;
-    routing through the package error type keeps stderr a single JSON
-    object, the same contract every other failure follows.
-    """
-
-    def error(self, message):
-        raise InputError(f"invalid command line: {message}")
+def _command(name: str):
+    """The table entry of command ``name``."""
+    if name not in _COMMANDS:
+        known = ", ".join(sorted(_COMMANDS.keys() - {"run"}))
+        raise InputError(f"unknown command {name!r} (known: {known})")
+    return _COMMANDS[name]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="qaoa-locality",
-        description=(
-            "Locality-based simulation and analysis of the alternating-"
-            "operator algorithm on random regular graphs"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, keys, help_line) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_line)
-        for key in keys.split():
-            flag = "--" + key.replace("_", "-")
-            if _READERS[key] is _flag:
-                sp.add_argument(flag, action="store_const", const=True)
-            else:
-                sp.add_argument(flag)
-    return parser
+def _execute(command: str, body: dict) -> dict:
+    """Run ``command`` on an option body, from the command line or a config
+    file: refuse the keys it never reads, read every value, call the handler
+    and write the report to ``out`` and ``csv_out``."""
+    handler, keys, _ = _command(command)
+    read = set(keys.split())
+    _refuse_unread(body, sorted(body.keys() - read - {"out", "csv_out"}), command)
+    options = _read(body)
+    # a key the command reads itself (generate's edge list "out") is no report path
+    outputs = [
+        (options[key], form)
+        for key, form in (("out", report_json), ("csv_out", csv_from_report))
+        if key in options and key not in read
+    ]
+    report = handler(options)
+    for path, form in outputs:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(form(report))
+    return report
 
 
-def _join_dash_values(argv: list) -> list:
-    """Join a token that starts with a single "-" to the ``--flag`` before
-    it as ``--flag=value``, so that argparse reads ``--gamma -0.5,0.2`` or
-    ``--tree-value -inf`` as a value. A flag that takes no value is left
-    alone, as is a token that starts with "--"."""
-    tokens = []
-    for token in argv:
-        prev = tokens[-1] if tokens else ""
-        if (
-            token.startswith("-") and not token.startswith("--")
-            and prev.startswith("--") and "=" not in prev and prev != "--optimize"
-        ):
-            tokens[-1] = f"{prev}={token}"
+_HELP = ("-h", "--help")
+
+
+def _parse(argv: list) -> tuple:
+    """The command and its option body, keyed as in a config file; the body
+    is None when help is asked for. ``--key=VALUE`` is ``--key VALUE``."""
+    if not argv:
+        raise InputError("invalid command line: the following arguments are required: command")
+    command, *rest = argv
+    if command in _HELP:
+        return command, None
+    body, stray = {}, []
+    tokens = iter(rest)
+    for token in tokens:
+        flag, given, value = token.partition("=")
+        key = flag[2:].replace("-", "_")
+        if token in _HELP:
+            return command, None
+        if not (flag.startswith("--") and key):
+            stray.append(token)
+        elif given:
+            body[key] = value
+        elif _READERS.get(key) is _flag:
+            body[key] = True
         else:
-            tokens.append(token)
-    return tokens
+            body[key] = next(tokens, "--")
+            if body[key].startswith("--"):
+                raise InputError(f"invalid command line: argument {flag}: expected one argument")
+    if stray:
+        raise InputError(f"invalid command line: unrecognized arguments: {' '.join(stray)}")
+    return command, body
 
 
-def _emit_error(message: str, category: str) -> None:
-    payload = {"error": {"category": category, "message": message}}
-    sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
+def _usage(names) -> str:
+    """The usage line and help line of each command in ``names``."""
+    text = ""
+    for name in names:
+        _, keys, help_line = _command(name)
+        flags = " ".join(
+            f"[--{key.replace('_', '-')}]" if _READERS[key] is _flag
+            else f"[--{key.replace('_', '-')} {key.upper()}]"
+            for key in keys.split()
+        )
+        text += f"usage: qaoa-locality {name} [--help] {flags}\n    {help_line}\n"
+    return text
 
 
 def main(argv=None) -> int:
     try:
-        argv = sys.argv[1:] if argv is None else argv
-        args = vars(_build_parser().parse_args(_join_dash_values(argv)))
-    except SystemExit as exc:  # --help exits through here
-        return exc.code if isinstance(exc.code, int) else 0
-    except InputError as exc:
-        _emit_error(str(exc), exc.category)
-        return 2
-    handler = _COMMANDS[args.pop("command")][0]
-    try:
-        report = handler(_read(args))
-    except InputError as exc:
-        _emit_error(str(exc), exc.category)
-        return 2
-    except ResourceError as exc:
-        _emit_error(str(exc), exc.category)
-        return 3
-    except OSError as exc:
-        _emit_error(str(exc), "invalid-input")
-        return 2
+        command, body = _parse(sys.argv[1:] if argv is None else argv)
+        if body is None:
+            sys.stdout.write(_usage(_COMMANDS if command in _HELP else [command]))
+            return 0
+        report = _execute(command, body)
+    except (InputError, ResourceError, OSError) as exc:
+        # a path that cannot be read or written is invalid input
+        category = getattr(exc, "category", InputError.category)
+        error = {"error": {"category": category, "message": str(exc)}}
+        sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
+        return 3 if category == ResourceError.category else 2
     sys.stdout.write(report_json(report))
     return 0

@@ -272,29 +272,6 @@ def sample_graph(spec: EnsembleSpec) -> Graph:
     return generate_regular(spec)
 
 
-def _edge_ball(g: Graph, middle: tuple[int, int], radius: int) -> list[tuple[int, int]]:
-    # BFS over edges; two edges are adjacent when they share an endpoint.
-    # Returns the edges (u, v), u < v, at edge-distance <= radius in
-    # discovery order. A sorted row meets its vertex's edges in edge order.
-    adjacency = g.adjacency
-    dist = {middle: 0}
-    order = [middle]
-    queue = deque([middle])
-    while queue:
-        e = queue.popleft()
-        de = dist[e]
-        if de == radius:
-            continue
-        for w in e:
-            for x in adjacency[w]:
-                f = (w, x) if w < x else (x, w)
-                if f not in dist:
-                    dist[f] = de + 1
-                    order.append(f)
-                    queue.append(f)
-    return order
-
-
 def edge_neighborhood(g: Graph, edge, radius: int) -> Graph:
     """The ball of edges within ``radius`` edge-steps of ``edge``, as a graph.
 
@@ -311,13 +288,26 @@ def edge_neighborhood(g: Graph, edge, radius: int) -> Graph:
         u, v = v, u
     if not (0 <= u and v < g.n and v in g.adjacency[u]):
         raise InputError(f"({u}, {v}) is not an edge of the graph")
+    # BFS over edges (u, v), u < v, adjacent when they share an endpoint. A sorted
+    # row meets its vertex's edges in edge order; a vertex is labelled when reached.
+    adjacency = g.adjacency
     pos = {u: 0, v: 1}
-    ball_edges = []
-    for a, b in _edge_ball(g, (u, v), radius):
-        for w in (a, b):
-            if w not in pos:
-                pos[w] = len(pos)
-        ball_edges.append((pos[a], pos[b]))
+    dist = {(u, v): 0}
+    ball_edges = [(0, 1)]
+    queue = deque([(u, v)])
+    while queue:
+        e = queue.popleft()
+        de = dist[e]
+        if de == radius:
+            continue
+        for w in e:
+            for x in adjacency[w]:
+                f = (w, x) if w < x else (x, w)
+                if f not in dist:
+                    dist[f] = de + 1
+                    pos.setdefault(x, len(pos))
+                    ball_edges.append((pos[f[0]], pos[f[1]]))
+                    queue.append(f)
     return Graph.from_edges(len(pos), ball_edges)
 
 
@@ -487,21 +477,17 @@ def count_cycles(g: Graph, kmax: int) -> dict[int, int]:
     keep = bytearray(g.n)
     for v in anchors:
         keep[v] = 1
-    # the search never leaves the kept vertices, so only their rows are built
-    adj: list[list[int]] = [[]] * g.n
-    adjsets: list[set[int]] = [set()] * g.n
-    for v in anchors:
-        adj[v] = [w for w in g.adjacency[v] if keep[w]]
-        adjsets[v] = set(adj[v])
+    adjacency = g.adjacency
     on_path = bytearray(g.n)
 
     def extend(start: int, second: int, vertex: int, length: int) -> None:
+        # the search never leaves the kept vertices
         on_path[vertex] = 1
-        for w in adj[vertex]:
-            if w <= start or on_path[w]:
+        for w in adjacency[vertex]:
+            if w <= start or on_path[w] or not keep[w]:
                 continue
             grown = length + 1
-            if grown >= 3 and second < w and start in adjsets[w]:
+            if grown >= 3 and second < w and start in adjacency[w]:
                 counts[grown] += 1
             if grown < kmax:
                 extend(start, second, w, grown)
@@ -509,8 +495,8 @@ def count_cycles(g: Graph, kmax: int) -> dict[int, int]:
 
     for s in anchors:
         on_path[s] = 1
-        for a in adj[s]:
-            if a > s:
+        for a in adjacency[s]:
+            if a > s and keep[a]:
                 extend(s, a, a, 2)
         on_path[s] = 0
     return counts

@@ -87,14 +87,17 @@ def grid_search(
 
     The grid has ``resolution`` points per axis over the half-open periods,
     [0, model.gamma_period) for gammas and [0, pi) for betas, so p layers
-    cost resolution**(2p) evaluations; exceeding ``budget`` raises before
-    any work happens. One path-sum call per gamma tuple evaluates every
-    beta tuple at once. The first maximum in the trace is the best point.
+    cost resolution**(2p) evaluations; a ``budget`` below 1 is refused, and
+    exceeding it raises, before any work happens. One path-sum call per
+    gamma tuple evaluates every beta tuple at once. The first maximum in
+    the trace is the best point.
     """
     if resolution < 2:
         raise InputError("resolution must be at least 2")
     if p < 0:
         raise InputError("depth must be nonnegative")
+    if budget < 1:
+        raise InputError(f"budget must be at least 1, got {budget}")
     path_sum = TreePathSum(d, p, model, initial)
     total = resolution ** (2 * p)
     if total > budget:

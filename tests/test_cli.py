@@ -783,3 +783,81 @@ def test_a_flag_without_its_value_is_still_refused(tmp_path, monkeypatch, capsys
     assert_refused(code, out, err)
     assert json.loads(err)["error"]["message"] == f"invalid command line: {message}"
     assert list(tmp_path.iterdir()) == []
+
+
+def config_of(argv):
+    """The config-file body of a ``COMMAND --key VALUE ...`` line."""
+    return {"command": argv[0], **{flag[2:]: value for flag, value in zip(argv[1::2], argv[2::2])}}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cycles", "--n", "16", "--d", "3", "--tri", "2", "--km", "4"],
+         "cycles does not read option(s) km, tri"),
+        (["end-to-end", "--n", "8", "--d", "3", "--p", "1", "--s", "3"],
+         "end-to-end does not read option(s) s"),
+        (["teleport", "--n", "8"],
+         "unknown command 'teleport' (known: cycles, end-to-end, equivalence, generate, "
+         "locality-check, optimize, prune, ratio-bound, tree-expect, tree-fraction)"),
+    ],
+    ids=["abbreviated-flags", "ambiguous-flag", "unknown-command"],
+)
+def test_the_command_line_is_refused_as_its_config_file(tmp_path, monkeypatch, capsys, argv, message):
+    """A flag is spelt out in full: an abbreviation is a key the command
+    never reads, and a command is looked up in one table, on the command
+    line as in a config file."""
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(config_of(argv)))
+    for args in (argv, ["run", "--config", "config.json"]):
+        code, out, err = call_main(capsys, *args)
+        assert_refused(code, out, err)
+        assert json.loads(err)["error"]["message"] == message
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_an_underscore_spells_the_same_flag(capsys):
+    flags = ["--d", "2", "--p", "1", "--trials", "3"]
+    dashed = call_main(capsys, "equivalence", "--n-list", "8,10", *flags)
+    assert dashed[0] == 0, dashed[2]
+    assert call_main(capsys, "equivalence", "--n_list", "8,10", *flags) == dashed
+
+
+def test_report_paths_on_the_command_line_write_what_a_config_file_writes(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    argv = PARITY_CASES["cycles-bipartite"][0]
+    paths = {"out": "report.json", "csv_out": "series.csv"}
+    Path("config.json").write_text(json.dumps({**config_of(argv), **paths}))
+    written = []
+    for args in ([*argv, "--out", "report.json", "--csv-out", "series.csv"],
+                 ["run", "--config", "config.json"]):
+        code, out, err = call_main(capsys, *args)
+        assert (code, err) == (0, ""), err
+        written.append((out, *(Path(path).read_bytes() for path in paths.values())))
+        for path in paths.values():
+            Path(path).unlink()
+    assert written[0] == written[1]
+    assert written[0][1] == written[0][0].encode("utf-8")
+
+
+def test_a_value_that_looks_like_help_is_a_value(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("ring.edges").write_text(RING)
+    code, out, err = call_main(capsys, "prune", "--in", "ring.edges", "--bits", "-h", "--d", "2")
+    assert_refused(code, out, err)
+    assert json.loads(err)["error"]["message"] == "bit strings may only contain 0 and 1"
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budgets_below_one_exit_2(tmp_path, monkeypatch, capsys, budget):
+    """A budget below 1 is invalid input, refused before any search."""
+    monkeypatch.chdir(tmp_path)
+    for argv in (["optimize", "--d", "3", "--p", "1", "--budget", str(budget)],
+                 ["end-to-end", "--n", "8", "--d", "3", "--p", "1", "--budget", str(budget)]):
+        Path("config.json").write_text(json.dumps({**config_of(argv), "budget": budget}))
+        for args in (argv, ["run", "--config", "config.json"]):
+            code, out, err = call_main(capsys, *args)
+            assert_refused(code, out, err)
+            assert json.loads(err)["error"]["message"] == f"budget must be at least 1, got {budget}"

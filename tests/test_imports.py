@@ -213,3 +213,14 @@ def test_importing_the_package_leaves_the_command_line_out():
     path, loaded = json.loads(proc.stdout)
     assert Path(path).parent == PACKAGE
     assert loaded == []
+
+
+def test_the_command_line_does_not_load_argparse():
+    code = (
+        "import json, sys, qaoa_locality.cli as cli; "
+        "print(json.dumps([cli.__file__, 'argparse' in sys.modules]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    path, loaded = json.loads(proc.stdout)
+    assert Path(path).parent == PACKAGE
+    assert loaded is False

@@ -101,6 +101,14 @@ def test_grid_budget_guardrail():
         grid_search(3, 1, MC, resolution=1)
 
 
+def test_budget_below_one_is_invalid_input():
+    for budget in (0, -1):
+        with pytest.raises(InputError, match=f"budget must be at least 1, got {budget}"):
+            grid_search(3, 0, MC, resolution=2, budget=budget)
+    # a budget of 1 still pays for the one point of a p=0 grid
+    assert grid_search(3, 0, MC, resolution=2, budget=1).evaluations == 1
+
+
 def test_grid_p0_single_evaluation():
     result = grid_search(3, 0, MC, resolution=64)
     assert result.best_params.p == 0
