@@ -31,6 +31,7 @@ from .qaoa import (
     cost_table,
     cost_value,
     expect_edge,
+    expect_edges,
     expect_total,
     index_to_bits,
     prepare_initial,

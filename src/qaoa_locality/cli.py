@@ -404,8 +404,7 @@ _COMMANDS = {
 def _command(name: str):
     """The table entry of command ``name``."""
     if name not in _COMMANDS:
-        known = ", ".join(sorted(_COMMANDS.keys() - {"run"}))
-        raise InputError(f"unknown command {name!r} (known: {known})")
+        raise InputError(f"unknown command {name!r} (known: {', '.join(sorted(_COMMANDS))})")
     return _COMMANDS[name]
 
 
@@ -441,6 +440,7 @@ def _parse(argv: list) -> tuple:
     command, *rest = argv
     if command in _HELP:
         return command, None
+    _command(command)  # an unknown command is named before any stray token
     body, stray = {}, []
     tokens = iter(rest)
     for token in tokens:

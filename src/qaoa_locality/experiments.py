@@ -35,7 +35,7 @@ from .qaoa import (
     QaoaParams,
     bit_values,
     cost_value,
-    expect_edge,
+    expect_edges,
     run_qaoa,
     sample_bitstrings,
 )
@@ -260,9 +260,10 @@ def locality_check(
 
     Every tree ball is the canonical tree, so one path-sum value serves all
     of them; it is computed at the first tree edge, and a run without one
-    evaluates no tree. Reports the maximum absolute discrepancy over
-    everything checked; if no edge anywhere has a tree neighborhood the
-    report says so instead.
+    evaluates no tree. The edges of one graph are read from one probability
+    vector, and its state is freed before the next graph's is built. Reports
+    the maximum absolute discrepancy over everything checked; if no edge
+    anywhere has a tree neighborhood the report says so instead.
     """
     p = int(p)
     trials = int(trials)
@@ -277,31 +278,27 @@ def locality_check(
     edges_total = 0
     trial_graphs = _trial_graphs(spec, derive_seeds(spec.seed, trials))
     for trial, (child, g) in enumerate(trial_graphs):
+        radii = edge_tree_radii(g, p).tolist()
+        tree_edges = [edge for edge, radius in zip(g.edges, radii) if radius >= p]
         state = run_qaoa(g, model, params, initial)
-        worst = 0.0
-        tree_edges = 0
-        for edge, radius in zip(g.edges, edge_tree_radii(g, p).tolist()):
-            if radius < p:
-                continue
-            if tree_value is None:
-                tree_value = TreePathSum(spec.d, p, model, initial).value(
-                    params.gammas, params.betas
-                )
-            tree_edges += 1
-            diff = abs(expect_edge(state, edge, model) - tree_value)
-            if diff > worst:
-                worst = diff
+        values = expect_edges(state, tree_edges, model)
+        del state  # freed before the next trial builds its own
+        if values and tree_value is None:
+            tree_value = TreePathSum(spec.d, p, model, initial).value(
+                params.gammas, params.betas
+            )
+        worst = max((abs(value - tree_value) for value in values), default=0.0)
         rows.append(
             {
                 "trial": trial,
                 "seed": child,
                 "edges": g.m,
-                "tree_edges": tree_edges,
+                "tree_edges": len(tree_edges),
                 "max_abs_diff": worst,
             }
         )
         worst_overall = max(worst_overall, worst)
-        tree_edges_total += tree_edges
+        tree_edges_total += len(tree_edges)
         edges_total += g.m
     config = {
         **dataclasses.asdict(spec),

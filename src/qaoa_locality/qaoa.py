@@ -35,19 +35,24 @@ __all__ = [
     "prepare_initial",
     "run_qaoa",
     "expect_edge",
+    "expect_edges",
     "expect_total",
     "sample_bitstrings",
 ]
 
-# run_qaoa peaks at about 2.5 times the 16 * 2**m byte state: the state, the
-# float64 cost table and one state-sized scratch buffer (VmHWM 195 MiB at
-# n=22, p=2, 160 MiB above the interpreter's, for a 64 MiB state), so 26
-# qubits need about 2.5 GiB.
+# run_qaoa peaks at about 1.5 times the 16 * 2**m byte state (the state and
+# an 8-byte cost index per amplitude; VmHWM 97 MiB above the interpreter's
+# at n=22, p=2), so 26 qubits need about 1.5 GiB.
 DEFAULT_QUBIT_CAP = 26
 
 MAXCUT = "maxcut"
 MIS = "mis"
 INITIAL_STATES = ("zero", "plus")
+
+# Kernel passes go through blocks of 2**12 amplitudes (2**15 made an n=20
+# mixer only 10% faster), and the mixer acts on 4 qubits at a time.
+_BLOCK = 1 << 12
+_GROUP = 4
 
 
 @dataclass(frozen=True)
@@ -134,11 +139,19 @@ class Statevector:
 
     def norm(self) -> float:
         a = self.amplitudes
-        return float(np.sqrt(np.sum(a.real * a.real + a.imag * a.imag)))
+        return math.sqrt(np.vdot(a, a).real)
 
     def probabilities(self) -> np.ndarray:
+        """|a|**2 of every amplitude, with no state-sized temporary."""
         a = self.amplitudes
-        return a.real * a.real + a.imag * a.imag
+        probs = np.empty(a.size)
+        square = np.empty(min(a.size, _BLOCK))
+        for start in range(0, a.size, square.size):
+            part = a[start : start + square.size]
+            out = probs[start : start + square.size]
+            np.multiply(part.real, part.real, out=out)
+            out += np.multiply(part.imag, part.imag, out=square)
+        return probs
 
 
 def bit_values(bits, n: int | None = None) -> list[int]:
@@ -175,115 +188,151 @@ def _edge_view(arr: np.ndarray, m: int, i: int, j: int) -> np.ndarray:
     return arr.reshape(1 << (m - 1 - j), 2, 1 << (j - 1 - i), 2, 1 << i)
 
 
-def cost_table(model: CostModel, g: Graph) -> np.ndarray:
-    """Vector of total cost over all 2**n basis states.
+def _cost_levels(model: CostModel, g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Every basis state's total cost as ``levels[index]``: ``index`` holds
+    its integer cost numerator less g.m times the least edge numerator.
 
-    Accumulates the model's nonzero integer numerators in float64 (exact at
-    these sizes) and divides once by a denominator other than 1.
-    """
-    m = g.n
-    num = np.zeros(1 << m)
+    Vertex by vertex, the first 2**v entries hold the sums over the edges
+    below v, and both halves of the first 2**(v+1) add v's edges to them."""
     table = model.numerators
-    terms = [(a, b, float(table[a][b])) for a in (0, 1) for b in (0, 1) if table[a][b]]
-    for u, v in g.edges:
-        view = _edge_view(num, m, u, v)
-        for a, b, c in terms:
-            view[:, b, :, a, :] += c
-    if model.denominator != 1:
-        num /= float(model.denominator)
-    return num
+    low = min(min(row) for row in table)
+    high = max(max(row) for row in table)
+    terms = [(a, b, table[a][b] - low) for a in (0, 1) for b in (0, 1) if table[a][b] != low]
+    index = np.zeros(_register_size(g.n), dtype=np.intp)
+    for v in range(g.n):
+        size = 1 << v
+        index[size : 2 * size] = index[:size]
+        for u in g.adjacency[v]:
+            if u > v:
+                break  # each row lists the smaller neighbours first
+            for a, b, c in terms:
+                half = index[b * size : (b + 1) * size].reshape(-1, 2, 1 << u)
+                half[:, a, :] += c
+    levels = (np.arange(g.m * (high - low) + 1) + g.m * low) / model.denominator
+    return index, levels
 
 
-def prepare_initial(m: int, initial: str = "plus") -> Statevector:
-    """Product initial state: "zero" is |0...0>, "plus" the uniform state.
+def cost_table(model: CostModel, g: Graph) -> np.ndarray:
+    """Vector of total cost over all 2**n basis states: each exact integer
+    numerator divided once by the model's denominator."""
+    index, levels = _cost_levels(model, g)
+    return levels[index]
 
-    Every register is allocated here, so this is the one place that checks
-    a register against ``DEFAULT_QUBIT_CAP``; the check runs before any
-    allocation."""
-    if initial not in INITIAL_STATES:
-        raise InputError(f"unknown initial state {initial!r}")
-    m = int(m)
+
+def _register_size(m: int) -> int:
+    """2**m, checked against ``DEFAULT_QUBIT_CAP`` before the state or a
+    cost table of that length is allocated."""
     if m < 1:
         raise InputError("need at least one qubit")
     if m > DEFAULT_QUBIT_CAP:
         raise ResourceError(f"{m} qubits exceed the cap of {DEFAULT_QUBIT_CAP}")
+    return 1 << m
+
+
+def prepare_initial(m: int, initial: str = "plus") -> Statevector:
+    """Product initial state: "zero" is |0...0>, "plus" the uniform state."""
+    if initial not in INITIAL_STATES:
+        raise InputError(f"unknown initial state {initial!r}")
+    m = int(m)
+    size = _register_size(m)
     if initial == "zero":
-        amps = np.zeros(1 << m, dtype=np.complex128)
+        amps = np.zeros(size, dtype=np.complex128)
         amps[0] = 1.0
     else:
-        amps = np.full(1 << m, 2.0 ** (-m / 2.0), dtype=np.complex128)
+        amps = np.full(size, 2.0 ** (-m / 2.0), dtype=np.complex128)
     return Statevector(m, amps)
 
 
-def _mix_inplace(
-    amps: np.ndarray, m: int, beta: float, t0: np.ndarray, t1: np.ndarray
-) -> None:
-    # exp(-i*beta*X) = [[cos b, -i sin b], [-i sin b, cos b]] on each qubit;
-    # t0 and t1 are half-state buffers, so no full-size temporary is made.
-    c = math.cos(beta)
-    s = math.sin(beta)
-    if s == 0.0:  # only beta = 0 has sin exactly 0.0: the identity
-        return
-    js = 1j * s
-    for k in range(m):
-        view = amps.reshape(-1, 2, 1 << k)
-        a0 = view[:, 0, :]
-        a1 = view[:, 1, :]
-        b0 = t0.reshape(-1, 1 << k)
-        b1 = t1.reshape(-1, 1 << k)
-        np.multiply(a0, c, out=b0)
-        np.multiply(a1, js, out=b1)
-        b0 -= b1  # new a0 = c*a0 - i*s*a1
-        np.multiply(a0, js, out=b1)
-        a1 *= c
-        a1 -= b1  # new a1 = c*a1 - i*s*a0
-        a0[...] = b0
+# _FLIPS[i, j] is the number of bits in which i and j differ.
+_FLIPS = np.array([[bin(i ^ j).count("1") for j in range(1 << _GROUP)] for i in range(1 << _GROUP)])
+
+
+def _mixer_factor(c: float, s: float, w: int) -> np.ndarray:
+    """exp(-i*beta*X) on each of w qubits, c = cos(beta), s = sin(beta):
+    entry (i, j) is c**(w - k) * (-i*s)**k where i and j differ in k bits,
+    so the matrix is symmetric."""
+    weights = np.array([c ** (w - k) * (-1j * s) ** k for k in range(w + 1)])
+    return weights[_FLIPS[: 1 << w, : 1 << w]]
+
+
+def _mix_group(amps: np.ndarray, u: np.ndarray, low: int, buf: np.ndarray) -> None:
+    # Apply u to the qubits above the lowest log2(low), multiplying whole
+    # (dim, low) slabs or column slices of one into buf and copying back.
+    dim = u.shape[0]
+    view = amps.reshape(-1, dim, low)
+    cols = min(low, buf.size // dim)
+    rows = max(1, buf.size // (dim * low))
+    for r in range(0, view.shape[0], rows):
+        for t in range(0, low, cols):
+            part = view[r : r + rows, :, t : t + cols]
+            out = buf[: part.size].reshape(part.shape)
+            np.matmul(u, part, out=out)
+            part[...] = out
 
 
 def _evolve(
-    amps: np.ndarray, m: int, table: np.ndarray, params: QaoaParams
+    amps: np.ndarray, m: int, index: np.ndarray, levels: np.ndarray, params: QaoaParams
 ) -> None:
-    # One state-sized scratch buffer holds the phase vector, and its two
-    # halves are the mixer's buffers.
-    scratch = np.empty(amps.size, dtype=np.complex128)
-    half = amps.size // 2
+    # Per layer: one pass applies the phase, exp of the few cost levels
+    # looked up by index, and the mixer on the lowest qubit group; then one
+    # pass per higher group, all through one block-sized buffer.
+    size = amps.size
+    buf = np.empty(min(size, _BLOCK), dtype=np.complex128)
+    widths = [min(_GROUP, m - k) for k in range(0, m, _GROUP)]
     for gamma, beta in zip(params.gammas, params.betas):
-        np.multiply(table, -1j * gamma, out=scratch)
-        np.exp(scratch, out=scratch)
-        amps *= scratch
-        _mix_inplace(amps, m, beta, scratch[:half], scratch[half:])
+        lut = np.exp(levels * (-1j * gamma))
+        c, s = math.cos(beta), math.sin(beta)
+        # only beta = 0 has sin exactly 0.0, where the mixer is the identity
+        mixing = s != 0.0
+        factors = {w: _mixer_factor(c, s, w) for w in set(widths)} if mixing else {}
+        for start in range(0, size, buf.size):
+            part = amps[start : start + buf.size]
+            # mode="clip" keeps take from buffering its whole output
+            np.take(lut, index[start : start + buf.size], out=buf, mode="clip")
+            part *= buf
+            if mixing:
+                rows = part.reshape(-1, 1 << widths[0])
+                np.matmul(rows, factors[widths[0]], out=buf.reshape(rows.shape))
+                part[...] = buf
+        if mixing:
+            low = 1 << widths[0]
+            for w in widths[1:]:
+                _mix_group(amps, factors[w], low, buf)
+                low <<= w
 
 
 def run_qaoa(
     g: Graph, model: CostModel, params: QaoaParams, initial: str = "plus"
 ) -> Statevector:
     """Prepare the initial state and apply all p layers in order, in place."""
-    state = prepare_initial(g.n, initial)
     if params.p == 0:
-        return state
-    # The table and the scratch buffers are freed before the returned
-    # Statevector's norm check allocates its own temporaries.
-    _evolve(state.amplitudes, g.n, cost_table(model, g), params)
+        return prepare_initial(g.n, initial)
+    # the buffers numpy takes to build the cost index go before the state
+    # exists
+    index, levels = _cost_levels(model, g)
+    state = prepare_initial(g.n, initial)
+    _evolve(state.amplitudes, g.n, index, levels, params)
     return Statevector(g.n, state.amplitudes)
 
 
-def _edge_marginals(amps: np.ndarray, m: int, i: int, j: int) -> np.ndarray:
+def _edge_marginals(probs: np.ndarray, m: int, i: int, j: int) -> np.ndarray:
     """2x2 array P with P[a, b] = Prob(bit_i = a, bit_j = b); needs i < j."""
-    view = _edge_view(amps, m, i, j)
-    p = (view.real**2 + view.imag**2).sum(axis=(0, 2, 4))
-    return p.T  # sum produced [bit_j, bit_i]
+    return _edge_view(probs, m, i, j).sum(axis=(0, 2, 4)).T  # the sum is [bit_j, bit_i]
 
 
-def expect_edge(state: Statevector, edge, model: CostModel) -> float:
-    """Expectation of one edge's cost in the given state."""
+def _ordered_edge(edge, m: int) -> tuple[int, int]:
     u, v = int(edge[0]), int(edge[1])
     if u == v:
         raise InputError("edge endpoints must differ")
     if u > v:
         u, v = v, u
-    if v >= state.m or u < 0:
+    if v >= m or u < 0:
         raise InputError("edge endpoint outside the register")
-    P = _edge_marginals(state.amplitudes, state.m, u, v)
+    return u, v
+
+
+def _edge_expectation(probs: np.ndarray, m: int, u: int, v: int, model: CostModel) -> float:
+    P = _edge_marginals(probs, m, u, v)
     total = 0.0
     for a in (0, 1):
         for b in (0, 1):
@@ -292,11 +341,26 @@ def expect_edge(state: Statevector, edge, model: CostModel) -> float:
     return float(total)
 
 
+def expect_edge(state: Statevector, edge, model: CostModel) -> float:
+    """Expectation of one edge's cost in the given state."""
+    u, v = _ordered_edge(edge, state.m)
+    return _edge_expectation(state.probabilities(), state.m, u, v, model)
+
+
+def expect_edges(state: Statevector, edges, model: CostModel) -> list[float]:
+    """``expect_edge`` of each edge in turn, from one probability vector."""
+    pairs = [_ordered_edge(edge, state.m) for edge in edges]
+    probs = state.probabilities()
+    return [_edge_expectation(probs, state.m, u, v, model) for u, v in pairs]
+
+
 def expect_total(state: Statevector, g: Graph, model: CostModel) -> float:
     """Expectation of the total cost; equals the sum of edge expectations."""
     if state.m != g.n:
         raise InputError("state register and graph sizes differ")
-    return float(np.dot(state.probabilities(), cost_table(model, g)))
+    # the table first: building it needs twice its size
+    table = cost_table(model, g)
+    return float(np.dot(state.probabilities(), table))
 
 
 def sample_bitstrings(state: Statevector, count: int, seed) -> list[str]:
@@ -306,6 +370,6 @@ def sample_bitstrings(state: Statevector, count: int, seed) -> list[str]:
         raise InputError("sample count must be nonnegative")
     rng = as_generator(seed)
     probs = state.probabilities()
-    probs = probs / probs.sum()
+    probs /= probs.sum()
     picks = rng.choice(probs.size, size=count, p=probs)
     return [index_to_bits(int(b), state.m) for b in picks]

@@ -799,9 +799,14 @@ def config_of(argv):
          "end-to-end does not read option(s) s"),
         (["teleport", "--n", "8"],
          "unknown command 'teleport' (known: cycles, end-to-end, equivalence, generate, "
-         "locality-check, optimize, prune, ratio-bound, tree-expect, tree-fraction)"),
+         "locality-check, optimize, prune, ratio-bound, run, tree-expect, tree-fraction)"),
+        # a flag in the command's place is looked up as the command, before
+        # the token after it could be refused as stray
+        (["--n", "3"],
+         "unknown command '--n' (known: cycles, end-to-end, equivalence, generate, "
+         "locality-check, optimize, prune, ratio-bound, run, tree-expect, tree-fraction)"),
     ],
-    ids=["abbreviated-flags", "ambiguous-flag", "unknown-command"],
+    ids=["abbreviated-flags", "ambiguous-flag", "unknown-command", "flag-for-command"],
 )
 def test_the_command_line_is_refused_as_its_config_file(tmp_path, monkeypatch, capsys, argv, message):
     """A flag is spelt out in full: an abbreviation is a key the command

@@ -1,7 +1,12 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +225,23 @@ def test_locality_check_without_tree_edges_evaluates_no_tree():
     assert results["edges_seen"] == 12
 
 
+def test_locality_check_holds_one_state_at_a_time():
+    """Each trial's state is freed before the next trial builds its own, so
+    the peak holds one 2**16-amplitude state, its cost-level index and one
+    block buffer, not two states."""
+    spec = EnsembleSpec(16, 3, "general", 5)
+    params = QaoaParams((0.8,), (0.4,))
+    locality_check(EnsembleSpec(8, 3, "general", 5), 1, MC, params, trials=1)  # lazy imports
+    tracemalloc.start()
+    try:
+        report = locality_check(spec, 1, MC, params, trials=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["results"]["tree_edges_checked"] > 0
+    assert peak <= 1.6 * (16 << spec.n)
+
+
 def test_locality_check_validates():
     spec = EnsembleSpec(8, 3, "general", 0)
     with pytest.raises(InputError):
@@ -395,7 +417,8 @@ def test_end_to_end_independent_set_prunes_samples():
 
 
 def test_independent_set_end_to_end_reports_are_pinned():
-    # recorded before every cost was read from the model's one edge table
+    # recorded before every cost was read from the model's one edge table;
+    # se_total again when the mixer went to Kronecker factors
     general = end_to_end(EnsembleSpec(16, 3, "general", 7), 1, MIS3, seed=7, trials=3, samples=32)
     assert general["results"]["pruning"] == {
         "samples": 96, "all_independent": True, "positive_cost_samples": 93,
@@ -403,7 +426,7 @@ def test_independent_set_end_to_end_reports_are_pinned():
         "max_set_size": 6, "mean_input_cost": 1.5104166666666667,
     }
     assert general["results"]["simulation"] == {
-        "trials": 3, "mean_total": 1.4972116735732577, "se_total": 0.009650957709960271,
+        "trials": 3, "mean_total": 1.4972116735732577, "se_total": 0.00965095770996031,
         "mean_per_edge": 0.06238381973221907, "mean_nontree_fraction": 0.08333333333333333,
     }
     bipartite = end_to_end(
@@ -469,23 +492,26 @@ P1 = QaoaParams((0.8,), (0.4,))
 P2 = QaoaParams((0.7, 1.9), (0.4, 0.2))
 
 # sha256 of each report's JSON text, recorded before the experiments shared
-# one trial loop and the ratio ceiling held its constants inline
+# one trial loop and the ratio ceiling held its constants inline. The
+# locality, equivalence and d=4 end-to-end digests were recorded again when
+# the mixer went to 16 x 16 Kronecker factors: only floats moved, by at most
+# 3.6e-15, and every string, count and sample stayed equal.
 PINNED_REPORTS = {
     "locality-p1": (
         lambda: locality_check(EnsembleSpec(14, 3, "general", 7), 1, MC, P1, trials=4),
-        "a7a653020baea12b5c96616aeb8556a75cc51868a6490a46e553fd81fda307f2",
+        "34639812b8dc526ee6954f03d171c9bf1f487a1a2b65fb7dcdfeace80ca87c3f",
     ),
     "locality-p2": (
         lambda: locality_check(EnsembleSpec(16, 3, "general", 3), 2, MIS3, P2, "zero", trials=3),
-        "371f8225cb02f6db666e7757c56d9cb89e0e13dd8eb3ad1556c91b13128c4991",
+        "c530e01bb3e310b77887df876eaad6a91f0ed07f8530edfec54913ab812a4f03",
     ),
     "equivalence-p1": (
         lambda: ensemble_equivalence([10, 12], 3, 1, MC, P1, trials=5, seed=4),
-        "8dcce2005486f8ffb003c7f50d1be6378cb74f0d684bf71b20600f66d1cecfcc",
+        "ba4140189966ea190a392b3f5248cfcfc3b777d31e2511554b5e27351c2bdcc0",
     ),
     "equivalence-p2": (
         lambda: ensemble_equivalence([14], 3, 2, MIS3, P2, trials=3, seed=6),
-        "e83ea14689ade40be990b851ddb9cbdf584b299b7181668eed190fabdd0d13f6",
+        "367a1e93c4dde4aa8b915924131a6f740b8d4ef499f82b233200549414c83fc6",
     ),
     "cycles-general": (
         lambda: cycle_census_experiment(EnsembleSpec(200, 3, "general", 5), 6, trials=10),
@@ -515,12 +541,12 @@ PINNED_REPORTS = {
         lambda: end_to_end(
             EnsembleSpec(10, 4, "general", 6), 1, CostModel.mis(4), seed=6, trials=2, samples=8
         ),
-        "d6b0305513f48bff2e58c4865c520d81692aed4755bd54dab8d3f6948a712f17",
+        "86e037cb4877311bc5c25c2882c9a6a1598fb76da5cb52c0453b05e1bfa4f563",
     ),
     # no cut constant: the ratio section holds the refusal's text
     "end-to-end-maxcut-d4": (
         lambda: end_to_end(EnsembleSpec(12, 4, "general", 2), 1, MC, seed=2, trials=2),
-        "808341b8f6880f512d5f0afcb9618ecdb9ba9ddd0dadc72d25600ba3bb578aba",
+        "962d617cadb673f9e98cf05bd635ba6f7c61b76f22b5b1bbee8a2cc66358a3e0",
     ),
     "end-to-end-p0": (
         lambda: end_to_end(EnsembleSpec(10, 3, "bipartite", 3), 0, MC, seed=3, trials=3, samples=0),
@@ -534,6 +560,27 @@ def test_whole_reports_are_pinned(case):
     build, digest = PINNED_REPORTS[case]
     text = report_json(build())
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, text
+
+
+def test_a_pinned_report_does_not_depend_on_the_blas_thread_count():
+    """The mixer's matrix products run in BLAS, which may split them over
+    threads; the report must come out byte-equal either way."""
+    script = (
+        "import hashlib, sys; sys.path.insert(0, sys.argv[1]); "
+        "from test_experiments import PINNED_REPORTS, report_json; "
+        "text = report_json(PINNED_REPORTS['locality-p2'][0]()); "
+        "print(hashlib.sha256(text.encode('utf-8')).hexdigest())"
+    )
+    digests = set()
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(Path(__file__).parent)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    assert digests == {PINNED_REPORTS["locality-p2"][1]}
 
 
 # ------------------------------------------------------------ serialization

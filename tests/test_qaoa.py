@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,7 +25,7 @@ from qaoa_locality.qaoa import (
     sample_bitstrings,
 )
 from qaoa_locality.trees import TreePathSum
-from small_graphs import complete_graph, cycle_graph
+from small_graphs import complete_graph, cycle_graph, path_graph
 
 MC = CostModel.maxcut()
 MIS3 = CostModel.mis(3)
@@ -249,14 +250,24 @@ def reference_qaoa(g, model, params, initial):
     return amps
 
 
+def kernel_graph(m):
+    """A graph on m vertices: sampled 3-regular where one exists, else a
+    cycle, an edge or a lone vertex."""
+    if m >= 4 and m % 2 == 0:
+        return sample_graph(EnsembleSpec(m, 3, "general", m))
+    return cycle_graph(m) if m >= 3 else path_graph(m)
+
+
 def test_in_place_kernel_matches_reference_loop():
+    """The kernel applies the mixer as one Kronecker factor per group of up
+    to four qubits, so it rounds differently from the per-qubit loop: the
+    two agree to 1e-14 in every amplitude. Every register size mod 4 is
+    covered, and at m = 16 and 17 the state spans several blocks."""
     rng = np.random.default_rng(29)
-    small = [complete_graph(2), cycle_graph(7)] + [
-        sample_graph(EnsembleSpec(n, 3, "general", n)) for n in (8, 12)
-    ]
-    for model in (MC, MIS3):
-        for p in (1, 2, 3):
-            for g in small:
+    for m in list(range(1, 14)) + [16, 17]:
+        g = kernel_graph(m)
+        for model in (MC, MIS3):
+            for p in (1, 2, 3):
                 params = random_params(model, p, rng)
                 # beta=0.0 takes the early return, the identity; beta=pi has
                 # sin(pi) != 0.0, so it runs the general loop
@@ -267,7 +278,23 @@ def test_in_place_kernel_matches_reference_loop():
                 for initial in ("plus", "zero"):
                     got = run_qaoa(g, model, params, initial).amplitudes
                     want = reference_qaoa(g, model, params, initial)
-                    assert np.array_equal(got, want)
+                    assert np.max(np.abs(got - want)) <= 1e-14, (m, model, p, initial)
+
+
+def test_run_qaoa_needs_no_state_sized_scratch():
+    """Beside the state, a run holds one 8-byte cost-level index per
+    amplitude and one block buffer; the norm check allocates nothing."""
+    g = sample_graph(EnsembleSpec(16, 3, "general", 3))
+    state_bytes = 16 << g.n
+    params = QaoaParams((0.4, 1.1), (0.7, 2.0))
+    run_qaoa(cycle_graph(5), MIS3, params)  # lazy imports
+    tracemalloc.start()
+    try:
+        run_qaoa(g, MIS3, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * state_bytes
 
 
 # ------------------------------------------------------------ state checks
