@@ -24,7 +24,7 @@ from qaoa_locality.experiments import (
     report_json,
     tree_fraction_experiment,
 )
-from qaoa_locality.graphs import EnsembleSpec
+from qaoa_locality.graphs import EnsembleSpec, sample_graph, write_edgelist
 from qaoa_locality.optimize import optimize
 from qaoa_locality.qaoa import CostModel, QaoaParams
 from qaoa_locality.trees import TreePathSum, tree_expectation
@@ -557,6 +557,61 @@ PINNED_OPTIMIZE_REPORTS = {
 def test_optimize_reports_are_pinned(capsys, case):
     flags, digest = PINNED_OPTIMIZE_REPORTS[case]
     code, out, err = call_main(capsys, "optimize", *flags)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
+
+
+# sha256 of the stdout report of commands that PARITY_CASES checks only
+# command line against config file, recorded while ratio_ceiling still
+# returned a dataclass and the ball's edge had a reader of its own
+PINNED_COMMAND_REPORTS = {
+    "ratio-bound-value": (
+        ["ratio-bound", "--d", "3", "--p", "1", "--tree-value", "0.6924500897298755"],
+        "9f3f1025e2509930a1696a086f5a0ed00d5ac2de8047b36d7ef15e2b142b132b",
+    ),
+    "ratio-bound-value-mis-d3-above": (
+        ["ratio-bound", "--model", "mis", "--d", "3", "--p", "2", "--tree-value", "0.5"],
+        "b0fa9f3b98bfe7509f71eead0c0d7d69b05b7025c46f4145f83cf84b2610dc31",
+    ),
+    "ratio-bound-value-mis-d5": (
+        ["ratio-bound", "--model", "mis", "--d", "5", "--p", "1", "--tree-value", "0.02"],
+        "284d6c2e4ca756a373dbc34b24da52d5f05c4ff39b93c8949fad57f30a80181a",
+    ),
+    "ratio-bound-optimize": (
+        ["ratio-bound", "--d", "3", "--p", "1", "--optimize"],
+        "390d1094f81ef92dbceea8b398b6a3f284d0426e134cd390450ebf4718000164",
+    ),
+    "ratio-bound-optimize-mis-zero": (
+        ["ratio-bound", "--model", "mis", "--d", "3", "--p", "1", "--optimize", "--init", "zero"],
+        "8f24493e8921ddeb5a66f59ec63948249919745e3a63e7671e51312076f5681d",
+    ),
+    "prune-ring": (
+        ["prune", "--in", "ring.edges", "--bits", "1100", "--d", "2"],
+        "18150fecd7938e9cb8fe8e97f08a41da178cba46005815d28b2b7f4642b7bee7",
+    ),
+    "prune-d3": (
+        ["prune", "--in", "d3.edges", "--bits", "10110111001101011101", "--d", "3"],
+        "674d83c9180d2e0e256cbf6d044bbcb6447a813d9e15b704e32a60c45460814c",
+    ),
+    "tree-expect": (
+        ["tree-expect", "--d", "3", "--p", "2", "--gamma", "0.7,1.9", "--beta", "0.4,0.2"],
+        "572e50a79d6bff0262ea5aa246e9adf99873c0daf76796152118c3a7bedf1467",
+    ),
+    "tree-expect-mis-zero": (
+        ["tree-expect", "--d", "4", "--p", "2", "--model", "mis", "--init", "zero",
+         "--gamma", "1,2", "--beta", "0.3,0.2"],
+        "63d4db471367770bf627c27a9b0e73226bba61fd0a925cd64c105f5e7b0f7a11",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_COMMAND_REPORTS))
+def test_command_reports_are_pinned(tmp_path, monkeypatch, capsys, case):
+    argv, digest = PINNED_COMMAND_REPORTS[case]
+    monkeypatch.chdir(tmp_path)
+    Path("ring.edges").write_text(RING)
+    write_edgelist(sample_graph(EnsembleSpec(20, 3, "general", 5)), "d3.edges")
+    code, out, err = call_main(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
 
