@@ -30,7 +30,6 @@ from .qaoa import (
     bit_values,
     cost_table,
     cost_value,
-    expect_edge,
     expect_edges,
     expect_total,
     index_to_bits,
@@ -58,7 +57,6 @@ from .optimize import (
 from .experiments import (
     SCHEMA_VERSION,
     PruneResult,
-    RatioReport,
     csv_from_report,
     cycle_census_experiment,
     cycle_oracle_mean,

@@ -292,7 +292,7 @@ def _cmd_ratio_bound(options: _Options) -> dict:
     else:
         _refuse_unread(options, ["init"], "ratio-bound --tree-value")
         value = options["tree_value"]
-    report = ratio_ceiling(model, d, p, value)
+    ratio = ratio_ceiling(model, d, p, value)
     config = {
         "d": d,
         "p": p,
@@ -304,13 +304,13 @@ def _cmd_ratio_bound(options: _Options) -> dict:
         "ratio-bound",
         config,
         {
-            "tree_value": report.tree_value,
-            "ceiling": report.ceiling,
-            "achieved_ratio": report.achieved_ratio,
-            "within_ceiling": report.within_ceiling,
-            "asymptotic": report.asymptotic,
-            "finite_size_correction_unquantified": report.finite_size_flag,
-            "provenance": report.provenance,
+            "tree_value": ratio["tree_value"],
+            "ceiling": ratio["ceiling"],
+            "achieved_ratio": ratio["achieved_ratio"],
+            "within_ceiling": ratio["within_ceiling"],
+            "asymptotic": ratio["asymptotic"],
+            "finite_size_correction_unquantified": ratio["finite_size_flag"],
+            "provenance": ratio["provenance"],
         },
     )
 

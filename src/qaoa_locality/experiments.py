@@ -44,7 +44,6 @@ from .trees import LightConeSum, TreePathSum, predicted_ensemble_cost
 
 __all__ = [
     "SCHEMA_VERSION",
-    "RatioReport",
     "PruneResult",
     "ratio_ceiling",
     "prune",
@@ -66,33 +65,19 @@ SCHEMA_VERSION = 1
 # ratio ceilings
 # ----------------------------------------------------------------------
 
-@dataclass
-class RatioReport:
-    """Approximation-ratio ceiling versus the ratio implied by a tree value.
-
-    ``achieved_ratio`` is ``tree_value`` for the cut model (expected cut
-    n*d/2 * C over the bipartite optimum n*d/2) and ``d * tree_value`` for
-    the independent-set model (output value n*d/2 * C over the bipartite
-    optimum n/2). ``finite_size_flag`` records that the prediction carries
-    an unquantified finite-size correction. ``asymptotic`` marks ceilings
-    taken from a large-d formula rather than a fixed-d constant.
-    """
-
-    model: str
-    d: int
-    p: int
-    tree_value: float
-    ceiling: float
-    achieved_ratio: float
-    finite_size_flag: bool
-    provenance: dict
-    asymptotic: bool = False
-    within_ceiling: bool = True
-
-
-def ratio_ceiling(model, d: int, p: int, best_tree_value: float) -> RatioReport:
+def ratio_ceiling(model, d: int, p: int, best_tree_value: float) -> dict:
     """Compare the ratio implied by a single-edge tree value against the
     literature ceiling for the ensemble optimum.
+
+    The record holds ``model``, ``d``, ``p``, ``tree_value``, ``ceiling``
+    and ``achieved_ratio``: ``tree_value`` for the cut model (expected cut
+    n*d/2 * C over the bipartite optimum n*d/2) and ``d * tree_value`` for
+    the independent-set model (output value n*d/2 * C over the bipartite
+    optimum n/2). ``within_ceiling`` compares the two. ``finite_size_flag``
+    records that the prediction carries an unquantified finite-size
+    correction, ``provenance`` holds the constant and its source, and
+    ``asymptotic`` marks ceilings taken from a large-d formula rather than
+    a fixed-d constant.
 
     Covered cases: cut model at d = 3 (optimal cut below 1.4026 n, ceiling
     2 * 1.4026 / 3); independent set at d = 3 (maximum set below 0.454 n,
@@ -141,18 +126,18 @@ def ratio_ceiling(model, d: int, p: int, best_tree_value: float) -> RatioReport:
             )
         ceiling = 2.0 * constant
         achieved = d * value
-    return RatioReport(
-        model=kind,
-        d=d,
-        p=p,
-        tree_value=value,
-        ceiling=ceiling,
-        achieved_ratio=achieved,
-        finite_size_flag=True,
-        provenance={"constant": constant, "source": source},
-        asymptotic=asymptotic,
-        within_ceiling=achieved <= ceiling + 1e-9,
-    )
+    return {
+        "model": kind,
+        "d": d,
+        "p": p,
+        "tree_value": value,
+        "ceiling": ceiling,
+        "achieved_ratio": achieved,
+        "finite_size_flag": True,
+        "provenance": {"constant": constant, "source": source},
+        "asymptotic": asymptotic,
+        "within_ceiling": achieved <= ceiling + 1e-9,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -574,8 +559,7 @@ def end_to_end(
     mean_total, se_total = _mean_se(totals)
     edges = spec.n * spec.d // 2
     try:
-        ratio = dataclasses.asdict(ratio_ceiling(model, spec.d, p, tree_value))
-        ratio["available"] = True
+        ratio = {**ratio_ceiling(model, spec.d, p, tree_value), "available": True}
     except InputError as exc:
         ratio = {"available": False, "reason": str(exc)}
     config = {
@@ -654,8 +638,6 @@ def _plain(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _plain(dataclasses.asdict(obj))
     return obj
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "cost_table",
     "prepare_initial",
     "run_qaoa",
-    "expect_edge",
     "expect_edges",
     "expect_total",
     "sample_bitstrings",
@@ -282,23 +281,19 @@ def _evolve(
     for gamma, beta in zip(params.gammas, params.betas):
         lut = np.exp(levels * (-1j * gamma))
         c, s = math.cos(beta), math.sin(beta)
-        # only beta = 0 has sin exactly 0.0, where the mixer is the identity
-        mixing = s != 0.0
-        factors = {w: _mixer_factor(c, s, w) for w in set(widths)} if mixing else {}
+        factors = {w: _mixer_factor(c, s, w) for w in set(widths)}
         for start in range(0, size, buf.size):
             part = amps[start : start + buf.size]
             # mode="clip" keeps take from buffering its whole output
             np.take(lut, index[start : start + buf.size], out=buf, mode="clip")
             part *= buf
-            if mixing:
-                rows = part.reshape(-1, 1 << widths[0])
-                np.matmul(rows, factors[widths[0]], out=buf.reshape(rows.shape))
-                part[...] = buf
-        if mixing:
-            low = 1 << widths[0]
-            for w in widths[1:]:
-                _mix_group(amps, factors[w], low, buf)
-                low <<= w
+            rows = part.reshape(-1, 1 << widths[0])
+            np.matmul(rows, factors[widths[0]], out=buf.reshape(rows.shape))
+            part[...] = buf
+        low = 1 << widths[0]
+        for w in widths[1:]:
+            _mix_group(amps, factors[w], low, buf)
+            low <<= w
 
 
 def run_qaoa(
@@ -341,14 +336,9 @@ def _edge_expectation(probs: np.ndarray, m: int, u: int, v: int, model: CostMode
     return float(total)
 
 
-def expect_edge(state: Statevector, edge, model: CostModel) -> float:
-    """Expectation of one edge's cost in the given state."""
-    u, v = _ordered_edge(edge, state.m)
-    return _edge_expectation(state.probabilities(), state.m, u, v, model)
-
-
 def expect_edges(state: Statevector, edges, model: CostModel) -> list[float]:
-    """``expect_edge`` of each edge in turn, from one probability vector."""
+    """Expectation of each edge's cost in the given state, in the order
+    given, from one probability vector."""
     pairs = [_ordered_edge(edge, state.m) for edge in edges]
     probs = state.probabilities()
     return [_edge_expectation(probs, state.m, u, v, model) for u, v in pairs]

@@ -23,7 +23,7 @@ from .qaoa import (
     INITIAL_STATES,
     CostModel,
     QaoaParams,
-    expect_edge,
+    expect_edges,
     run_qaoa,
 )
 
@@ -209,7 +209,7 @@ def neighborhood_expectation(
     middle edge whenever the radius matches the depth.
     """
     state = run_qaoa(ball, model, params, initial)
-    return expect_edge(state, ball.edges[0], model)
+    return expect_edges(state, ball.edges[:1], model)[0]
 
 
 class LightConeSum:

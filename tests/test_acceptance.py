@@ -29,7 +29,7 @@ from qaoa_locality.qaoa import (
     CostModel,
     QaoaParams,
     cost_value,
-    expect_edge,
+    expect_edges,
     expect_total,
     run_qaoa,
 )
@@ -128,18 +128,18 @@ def test_acceptance_3_depth1_optimum(maxcut_p1):
 def test_acceptance_4_ratio_ceilings(optimized):
     failures = []
     cut = ratio_ceiling(MC, 3, 1, optimized[(MAXCUT, 1)].best_value)
-    if abs(cut.ceiling - 0.93507) > 1e-5:
-        failures.append(f"cut ceiling {cut.ceiling!r}")
+    if abs(cut["ceiling"] - 0.93507) > 1e-5:
+        failures.append(f"cut ceiling {cut['ceiling']!r}")
     ind = ratio_ceiling(MIS3, 3, 1, optimized[(MIS, 1)].best_value)
-    if abs(ind.ceiling - 0.90800) > 1e-5:
-        failures.append(f"independent-set ceiling {ind.ceiling!r}")
+    if abs(ind["ceiling"] - 0.90800) > 1e-5:
+        failures.append(f"independent-set ceiling {ind['ceiling']!r}")
     for (kind, p), result in optimized.items():
         model = MC if kind == MAXCUT else MIS3
         report = ratio_ceiling(model, 3, p, result.best_value)
-        if not report.within_ceiling:
+        if not report["within_ceiling"]:
             failures.append(
-                f"{kind} p={p}: achieved {report.achieved_ratio!r} "
-                f"exceeds ceiling {report.ceiling!r}"
+                f"{kind} p={p}: achieved {report['achieved_ratio']!r} "
+                f"exceeds ceiling {report['ceiling']!r}"
             )
     verdict(4, failures)
 
@@ -231,7 +231,7 @@ def test_acceptance_8_invariance_suite(optimized):
                 failures.append(f"norm drift {abs(norm - 1.0):.2e}")
 
             total = expect_total(state, g, model)
-            per_edge = sum(expect_edge(state, e, model) for e in g.edges)
+            per_edge = sum(expect_edges(state, g.edges, model))
             if abs(total - per_edge) > 1e-10:
                 failures.append("expectation not additive over edges")
 

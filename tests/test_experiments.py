@@ -43,10 +43,10 @@ MIS3 = CostModel.mis(3)
 
 
 def test_literature_constants_pinned():
-    assert ratio_ceiling(MC, 3, 1, 0.5).provenance["constant"] == 1.4026
-    assert ratio_ceiling(MIS3, 3, 1, 0.05).provenance["constant"] == 0.454
+    assert ratio_ceiling(MC, 3, 1, 0.5)["provenance"]["constant"] == 1.4026
+    assert ratio_ceiling(MIS3, 3, 1, 0.05)["provenance"]["constant"] == 0.454
     mis10 = ratio_ceiling(CostModel.mis(10), 10, 1, 0.01)
-    assert mis10.provenance["constant"] == 2.0 * math.log(10) / 10
+    assert mis10["provenance"]["constant"] == 2.0 * math.log(10) / 10
     with pytest.raises(InputError) as refusal:
         ratio_ceiling(MC, 4, 1, 0.6)
     assert "O(sqrt(d))" in str(refusal.value)
@@ -56,25 +56,25 @@ def test_literature_constants_pinned():
 
 def test_ratio_ceiling_cut_d3():
     report = ratio_ceiling(MC, 3, 1, 0.6924500897298755)
-    assert abs(report.ceiling - 0.93507) < 1e-5
-    assert report.achieved_ratio == 0.6924500897298755  # identity, no rescaling
-    assert report.within_ceiling and report.finite_size_flag
-    assert not report.asymptotic
-    assert "constant" in report.provenance
+    assert abs(report["ceiling"] - 0.93507) < 1e-5
+    assert report["achieved_ratio"] == 0.6924500897298755  # identity, no rescaling
+    assert report["within_ceiling"] and report["finite_size_flag"]
+    assert not report["asymptotic"]
+    assert "constant" in report["provenance"]
 
 
 def test_ratio_ceiling_independent_set_d3():
     report = ratio_ceiling(MIS3, 3, 1, 0.0631880662)
-    assert abs(report.ceiling - 0.90800) < 1e-5
-    assert report.achieved_ratio == pytest.approx(3 * 0.0631880662)
-    assert report.within_ceiling
+    assert abs(report["ceiling"] - 0.90800) < 1e-5
+    assert report["achieved_ratio"] == pytest.approx(3 * 0.0631880662)
+    assert report["within_ceiling"]
 
 
 def test_ratio_ceiling_large_d_independent_set_is_asymptotic():
     report = ratio_ceiling(CostModel.mis(5), 5, 1, 0.02)
-    assert report.asymptotic
-    assert report.ceiling == pytest.approx(2 * (2 * math.log(5) / 5))
-    assert report.achieved_ratio == pytest.approx(0.1)
+    assert report["asymptotic"]
+    assert report["ceiling"] == pytest.approx(2 * (2 * math.log(5) / 5))
+    assert report["achieved_ratio"] == pytest.approx(0.1)
 
 
 def test_ratio_ceiling_refuses_unknown_constants():
@@ -89,12 +89,12 @@ def test_ratio_ceiling_refuses_unknown_constants():
 def test_ratio_ceiling_accepts_model_names():
     by_name = ratio_ceiling("maxcut", 3, 1, 0.69)
     by_model = ratio_ceiling(MC, 3, 1, 0.69)
-    assert by_name.ceiling == by_model.ceiling
+    assert by_name["ceiling"] == by_model["ceiling"]
 
 
 def test_ratio_ceiling_flags_violation():
     report = ratio_ceiling(MC, 3, 1, 0.95)
-    assert not report.within_ceiling
+    assert not report["within_ceiling"]
 
 
 # ------------------------------------------------------------------ pruning

@@ -17,7 +17,7 @@ from qaoa_locality.qaoa import (
     bit_values,
     cost_table,
     cost_value,
-    expect_edge,
+    expect_edges,
     expect_total,
     index_to_bits,
     prepare_initial,
@@ -177,7 +177,7 @@ PROPERTY_GRAPHS = {
 @pytest.mark.parametrize("name", list(PROPERTY_GRAPHS))
 def test_every_cost_reads_one_edge_table(name):
     """The model's table holds the per-edge formula and cost_value its sum,
-    every cost_table entry is float(cost_value) exactly, and expect_edge and
+    every cost_table entry is float(cost_value) exactly, and expect_edges and
     TreePathSum use the same floats, for MaxCut and MIS(d) at degrees that
     do and do not match the graph's."""
     g = PROPERTY_GRAPHS[name]
@@ -202,7 +202,7 @@ def test_every_cost_reads_one_edge_table(name):
             state = Statevector(g.n, amps)
             vals = bit_values(index_to_bits(int(i), g.n))
             for u, v in g.edges:
-                assert expect_edge(state, (u, v), model) == edge_floats[vals[u]][vals[v]]
+                assert expect_edges(state, [(u, v)], model)[0] == edge_floats[vals[u]][vals[v]]
 
 
 # --------------------------------------------------------------- bit maps
@@ -269,8 +269,8 @@ def test_in_place_kernel_matches_reference_loop():
         for model in (MC, MIS3):
             for p in (1, 2, 3):
                 params = random_params(model, p, rng)
-                # beta=0.0 takes the early return, the identity; beta=pi has
-                # sin(pi) != 0.0, so it runs the general loop
+                # beta=0.0 gives the identity factor, which the reference
+                # loop skips; beta=pi has sin(pi) != 0.0
                 if p == 2:
                     params = QaoaParams(params.gammas, params.betas[:1] + (0.0,))
                 if p == 3:
@@ -339,7 +339,7 @@ def test_expect_total_is_sum_of_edges():
         for model in (MC, MIS3):
             st = run_qaoa(g, model, random_params(model, 2, rng))
             total = expect_total(st, g, model)
-            per_edge = sum(expect_edge(st, e, model) for e in g.edges)
+            per_edge = sum(expect_edges(st, g.edges, model))
             assert abs(total - per_edge) < 1e-10
 
 
@@ -352,17 +352,17 @@ def test_single_edge_closed_form():
         beta = float(rng.uniform(0, math.pi))
         st = run_qaoa(g, MC, QaoaParams((gamma,), (beta,)))
         want = 0.5 + 0.5 * math.sin(4 * beta) * math.sin(gamma)
-        assert abs(expect_edge(st, (0, 1), MC) - want) < 1e-12
+        assert abs(expect_edges(st, [(0, 1)], MC)[0] - want) < 1e-12
 
 
 def test_expect_edge_orientation_and_validation():
     g = cycle_graph(5)
     st = run_qaoa(g, MC, QaoaParams((0.4,), (0.9,)))
-    assert expect_edge(st, (4, 0), MC) == expect_edge(st, (0, 4), MC)
+    assert expect_edges(st, [(4, 0)], MC)[0] == expect_edges(st, [(0, 4)], MC)[0]
     with pytest.raises(InputError):
-        expect_edge(st, (0, 0), MC)
+        expect_edges(st, [(0, 0)], MC)
     with pytest.raises(InputError):
-        expect_edge(st, (0, 9), MC)
+        expect_edges(st, [(0, 9)], MC)
 
 
 def test_zero_angles_leave_plus_state_uniform():

@@ -6,7 +6,7 @@ import pytest
 
 from qaoa_locality.errors import InputError, ResourceError
 from qaoa_locality.graphs import edge_neighborhood
-from qaoa_locality.qaoa import CostModel, QaoaParams, expect_edge, run_qaoa
+from qaoa_locality.qaoa import CostModel, QaoaParams, expect_edges, run_qaoa
 from qaoa_locality.trees import (
     build_canonical_tree,
     neighborhood_expectation,
@@ -87,8 +87,8 @@ def test_side_swap_symmetry():
     params = QaoaParams((0.8,), (0.35,))
     tree = build_canonical_tree(3, 1)
     st = run_qaoa(tree, MC, params)
-    v = expect_edge(st, (0, 1), MC)
-    assert abs(v - expect_edge(st, (1, 0), MC)) == 0.0
+    v = expect_edges(st, [(0, 1)], MC)[0]
+    assert abs(v - expect_edges(st, [(1, 0)], MC)[0]) == 0.0
     # relabel: swap vertex 0 and 1 and each subtree
     swapped_edges = []
     relabel = {0: 1, 1: 0, 2: 4, 3: 5, 4: 2, 5: 3}
@@ -99,7 +99,7 @@ def test_side_swap_symmetry():
 
     g2 = Graph.from_edges(6, swapped_edges)
     st2 = run_qaoa(g2, MC, params)
-    assert abs(expect_edge(st2, (0, 1), MC) - v) < 1e-12
+    assert abs(expect_edges(st2, [(0, 1)], MC)[0] - v) < 1e-12
 
 
 def test_tree_expectation_validates_depth():
@@ -135,7 +135,7 @@ def test_neighborhood_expectation_on_ring():
         ball = edge_neighborhood(g, edge, 1)
         assert ball.m == ball.n - 1
         local = neighborhood_expectation(ball, MC, params)
-        assert abs(local - expect_edge(st, edge, MC)) < 1e-12
+        assert abs(local - expect_edges(st, [edge], MC)[0]) < 1e-12
 
 
 def test_degree_two_tree_matches_ring_interior():
@@ -145,7 +145,7 @@ def test_degree_two_tree_matches_ring_interior():
     tree_value = tree_expectation(2, 1, MC, params).value
     ring = cycle_graph(8)
     st = run_qaoa(ring, MC, params)
-    assert abs(tree_value - expect_edge(st, (0, 1), MC)) < 1e-12
+    assert abs(tree_value - expect_edges(st, [(0, 1)], MC)[0]) < 1e-12
 
 
 def test_predicted_ensemble_cost_arithmetic():
