@@ -30,6 +30,7 @@ import sys
 
 from .errors import InputError, ResourceError
 from .experiments import (
+    _equivalence_specs,
     _model_config,
     csv_from_report,
     cycle_census_experiment,
@@ -274,9 +275,11 @@ def _cmd_locality_check(options: _Options) -> dict:
 def _cmd_equivalence(options: _Options) -> dict:
     n_list, d, p = options["n_list"], options["d"], options["p"]
     model = _model(options)
+    ensembles = _given(options, "trials", "seed")
+    _equivalence_specs(n_list, d, **ensembles)  # refuse bad input before searching
     best = optimize(d, p, model, **_given(options, "init")).best_params
     return ensemble_equivalence(
-        n_list, d, p, model, best, **_given(options, "init", "trials", "seed")
+        n_list, d, p, model, best, **_given(options, "init"), **ensembles
     )
 
 

@@ -90,6 +90,8 @@ def ratio_ceiling(model, d: int, p: int, best_tree_value: float) -> dict:
     if kind not in (MAXCUT, MIS):
         raise InputError(f"unknown cost model {kind!r}")
     d = int(d)
+    if isinstance(model, CostModel):
+        model.check_degree(d)
     p = int(p)
     value = float(best_tree_value)
     asymptotic = False
@@ -256,6 +258,7 @@ def locality_check(
         raise InputError(f"parameter depth {params.p} must equal p={p}")
     if trials < 1:
         raise InputError("need at least one trial")
+    model.check_degree(spec.d)
     tree_value = None
     rows = []
     worst_overall = 0.0
@@ -304,6 +307,22 @@ def locality_check(
     return make_report("locality-check", config, payload)
 
 
+def _equivalence_specs(n_list, d: int, trials: int = 100, seed: int = 0) -> list:
+    """The general and the bipartite ensemble of each n, seeded as
+    :func:`ensemble_equivalence` seeds them: every input of that experiment
+    but the model and the angles is checked before anything is sampled."""
+    n_list = [int(n) for n in n_list]
+    if not n_list:
+        raise InputError("n_list must not be empty")
+    if int(trials) < 2:
+        raise InputError("need at least two trials for standard errors")
+    seeds = iter(derive_seeds(seed, 2 * len(n_list)))
+    return [
+        tuple(EnsembleSpec(n, d, kind, next(seeds)) for kind in ("general", "bipartite"))
+        for n in n_list
+    ]
+
+
 def ensemble_equivalence(
     n_list,
     d: int,
@@ -322,36 +341,26 @@ def ensemble_equivalence(
     neighborhood is not a tree contribute an unquantified bias. Each graph's
     exact total and tree-edge count come from :class:`LightConeSum`.
     """
-    n_list = [int(n) for n in n_list]
-    if not n_list:
-        raise InputError("n_list must not be empty")
+    specs = _equivalence_specs(n_list, d, trials, seed)
     p = int(p)
     trials = int(trials)
-    if trials < 2:
-        raise InputError("need at least two trials for standard errors")
     if params.p != p:
         raise InputError(f"parameter depth {params.p} must equal p={p}")
     light_cone = LightConeSum(d, model, params, initial)
     tree_value = light_cone.tree_value
-    kinds = ("general", "bipartite")
-    stream = derive_seeds(seed, len(n_list) * len(kinds))
     rows = []
     all_ok = True
-    position = 0
-    for n in n_list:
-        stats = {}
-        for kind in kinds:
-            spec = EnsembleSpec(n, d, kind, stream[position])
-            position += 1
+    for general, bipartite in specs:
+        stats = []
+        for spec in (general, bipartite):
             per_edge = []
             nontree = []
             for _, g in _trial_graphs(spec, derive_seeds(spec.seed, trials)):
                 total, tree_edges = light_cone.total(g)
                 per_edge.append(total / g.m)
                 nontree.append(1.0 - tree_edges / g.m)
-            stats[kind] = (*_mean_se(per_edge), float(np.mean(nontree)))
-        mean_g, se_g, frac_g = stats["general"]
-        mean_b, se_b, frac_b = stats["bipartite"]
+            stats.append((*_mean_se(per_edge), float(np.mean(nontree))))
+        (mean_g, se_g, frac_g), (mean_b, se_b, frac_b) = stats
         gap = abs(mean_g - mean_b)
         # the 1e-9 floor keeps a zero-variance band (every sampled graph
         # locally tree-like, e.g. bipartite at p=1) from rejecting float
@@ -363,7 +372,7 @@ def ensemble_equivalence(
         all_ok = all_ok and row_ok
         rows.append(
             {
-                "n": n,
+                "n": general.n,
                 "general_mean": mean_g,
                 "general_se": se_g,
                 "general_nontree_fraction": frac_g,
@@ -378,7 +387,7 @@ def ensemble_equivalence(
             }
         )
     config = {
-        "n_list": n_list,
+        "n_list": [general.n for general, _ in specs],
         "d": int(d),
         "p": p,
         "model": _model_config(model),

@@ -83,6 +83,12 @@ class CostModel:
     def mis(cls, d: int) -> "CostModel":
         return cls(MIS, int(d))
 
+    def check_degree(self, d: int) -> None:
+        """Refuse a degree other than k for mis(k), a cost per edge of a
+        k-regular graph."""
+        if self.kind == MIS and d != self.d:
+            raise InputError(f"mis({self.d}) is defined on {self.d}-regular graphs, not at degree {d}")
+
     @property
     def numerators(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return ((0, 1), (1, 0)) if self.kind == MAXCUT else ((0, 1), (1, 2 - 2 * self.d))
@@ -133,7 +139,7 @@ class Statevector:
         if self.m < 1 or self.amplitudes.shape != (1 << self.m,):
             raise InputError("amplitude vector must have length 2**m, m >= 1")
         nrm = self.norm()
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:  # a NaN norm fails this test too
             raise InputError(f"state is not normalized: |norm-1| = {abs(nrm - 1.0):.3e}")
 
     def norm(self) -> float:
@@ -361,5 +367,9 @@ def sample_bitstrings(state: Statevector, count: int, seed) -> list[str]:
     rng = as_generator(seed)
     probs = state.probabilities()
     probs /= probs.sum()
-    picks = rng.choice(probs.size, size=count, p=probs)
+    # Generator.choice's own steps with p, in place: the same draws without
+    # a second state-sized vector for the cumulative sum
+    np.cumsum(probs, out=probs)
+    probs /= probs[-1]
+    picks = probs.searchsorted(rng.random(count), side="right")
     return [index_to_bits(int(b), state.m) for b in picks]

@@ -128,6 +128,7 @@ class TreePathSum:
             raise InputError("radius must be nonnegative")
         if initial not in INITIAL_STATES:
             raise InputError(f"unknown initial state {initial!r}")
+        model.check_degree(d)
         self.d = int(d)
         self.p = int(p)
         self._check_size(1)

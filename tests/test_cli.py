@@ -139,6 +139,27 @@ def test_ratio_bound_refuses_before_it_searches(monkeypatch, capsys, flags, mess
     assert searches == []
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n-list", "8", "--trials", "1"], "need at least two trials for standard errors"),
+        (["--n-list", "8", "--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["--n-list", "16,9"], "general ensemble needs n*d even"),
+    ],
+    ids=["trials", "seed", "later-n"],
+)
+def test_equivalence_refuses_before_it_searches(monkeypatch, capsys, flags, message):
+    """The experiment's own input check runs before the angle search."""
+
+    def search(*args, **kwargs):
+        raise AssertionError("searched for angles")
+
+    monkeypatch.setattr(cli_module, "optimize", search)
+    code, out, err = call_main(capsys, "equivalence", *flags, "--d", "3", "--p", "2")
+    assert_refused(code, out, err)
+    assert err == json.dumps({"error": {"category": "invalid-input", "message": message}}) + "\n"
+
+
 def test_prune_subcommand(tmp_path):
     path = tmp_path / "ring.edges"
     path.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")

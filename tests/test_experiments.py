@@ -32,7 +32,7 @@ from qaoa_locality.graphs import EnsembleSpec, Graph, sample_graph
 from qaoa_locality.optimize import optimize
 from qaoa_locality.qaoa import CostModel, QaoaParams, cost_value
 from qaoa_locality.rng import as_generator
-from qaoa_locality.trees import tree_expectation
+from qaoa_locality.trees import TreePathSum, tree_expectation
 from small_graphs import complete_graph, cycle_graph, path_graph
 
 MC = CostModel.maxcut()
@@ -95,6 +95,27 @@ def test_ratio_ceiling_accepts_model_names():
 def test_ratio_ceiling_flags_violation():
     report = ratio_ceiling(MC, 3, 1, 0.95)
     assert not report["within_ceiling"]
+
+
+def test_an_mis_model_must_match_the_degree(monkeypatch):
+    """mis(k) is a cost per edge of a k-regular graph, so a degree that
+    differs is refused where the two meet; locality_check refuses it before
+    it samples a graph."""
+    mis5 = CostModel.mis(5)
+    message = r"mis\(5\) is defined on 5-regular graphs, not at degree 3"
+    with pytest.raises(InputError, match=message):
+        TreePathSum(3, 1, mis5)
+    with pytest.raises(InputError, match=message):
+        ratio_ceiling(mis5, 3, 1, 0.05)
+    with pytest.raises(InputError, match=message):
+        optimize(3, 1, mis5, resolution=2)
+
+    def no_sampling(spec):
+        raise AssertionError("sampled a graph")
+
+    monkeypatch.setattr(experiments_module, "sample_graph", no_sampling)
+    with pytest.raises(InputError, match=message):
+        locality_check(EnsembleSpec(12, 3, "general", 1), 1, mis5, QaoaParams((0.3,), (0.2,)))
 
 
 # ------------------------------------------------------------------ pruning
@@ -279,6 +300,28 @@ def test_equivalence_tree_value_matches_statevector(model, params):
     report = ensemble_equivalence([8], 3, params.p, model, params, trials=2)
     want = tree_expectation(3, params.p, model, params).value
     assert abs(report["results"]["tree_value"] - want) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n_list, kwargs, message",
+    [
+        ([16, 9], {}, "general ensemble needs n*d even"),
+        ([16], {"trials": 1}, "need at least two trials for standard errors"),
+        ([16], {"seed": -1}, "seed must be nonnegative, got -1"),
+    ],
+    ids=["later-n", "trials", "seed"],
+)
+def test_equivalence_refuses_bad_input_before_any_work(monkeypatch, n_list, kwargs, message):
+    """Every ensemble is built and checked before the first graph is drawn,
+    so a bad later n costs no trials of the earlier ones."""
+
+    def no_sampling(spec):
+        raise AssertionError("sampled a graph")
+
+    monkeypatch.setattr(experiments_module, "sample_graph", no_sampling)
+    with pytest.raises(InputError) as refusal:
+        ensemble_equivalence(n_list, 3, 1, MC, QaoaParams((0.9,), (0.5,)), **kwargs)
+    assert str(refusal.value) == message
 
 
 def test_equivalence_report_shape():

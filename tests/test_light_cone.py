@@ -117,8 +117,9 @@ def test_only_balls_with_a_cycle_are_built(monkeypatch):
 
 def test_tree_balls_use_the_path_sum():
     params = QaoaParams((0.7, 1.3), (0.2, 0.6))
-    light_cone = LightConeSum(2, MIS3, params, "zero")
-    assert light_cone.tree_value == TreePathSum(2, 2, MIS3, "zero").value(
+    mis2 = CostModel.mis(2)
+    light_cone = LightConeSum(2, mis2, params, "zero")
+    assert light_cone.tree_value == TreePathSum(2, 2, mis2, "zero").value(
         params.gammas, params.betas
     )
     total, tree_edges = light_cone.total(cycle_graph(40))

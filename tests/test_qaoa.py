@@ -187,7 +187,9 @@ def test_every_cost_reads_one_edge_table(name):
         edge_costs = [[reference_edge_cost(model, a, b) for b in (0, 1)] for a in (0, 1)]
         assert [[table_edge_cost(model, a, b) for b in (0, 1)] for a in (0, 1)] == edge_costs
         edge_floats = [[float(c) for c in row] for row in edge_costs]
-        assert TreePathSum(2, 1, model).cost.tolist() == edge_floats
+        # the path sum takes mis(k) at degree k alone, and no degree below 2
+        if model.d != 1:
+            assert TreePathSum(model.d or 2, 1, model).cost.tolist() == edge_floats
         for i in range(1 << g.n):
             bits = index_to_bits(i, g.n)
             vals = bit_values(bits)
@@ -318,6 +320,9 @@ def test_statevector_rejects_unnormalized():
         Statevector(2, np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
     with pytest.raises(InputError):
         Statevector(2, np.zeros(3, dtype=complex))
+    # a NaN norm passes no bound, so it is refused where the state is built
+    with pytest.raises(InputError):
+        Statevector(1, np.array([np.nan, 0.0], dtype=complex))
 
 
 def test_norm_preserved_through_layers():
@@ -423,3 +428,34 @@ def test_sampling_deterministic_and_plausible():
     assert sample_bitstrings(st, 0, 1) == []
     with pytest.raises(InputError):
         sample_bitstrings(st, -1, 1)
+
+
+def test_sampling_draws_what_generator_choice_draws():
+    """The sampler takes Generator.choice's steps in place, so every seed
+    draws the indices that choice draws from the normalized probabilities."""
+    rng = np.random.default_rng(31)
+    for m, model in ((4, MC), (9, MIS3), (12, MC), (13, MIS3)):
+        g = kernel_graph(m)
+        for initial in ("plus", "zero"):
+            state = run_qaoa(g, model, random_params(model, 2, rng), initial)
+            probs = state.probabilities()
+            probs /= probs.sum()
+            for seed in (0, 7, 2**40 + 3):
+                want = np.random.default_rng(seed).choice(probs.size, 300, p=probs)
+                got = sample_bitstrings(state, 300, seed)
+                assert got == [index_to_bits(int(i), m) for i in want]
+
+
+def test_sampling_holds_one_probability_vector():
+    """Beside the caller's state, a call holds its probability vector and
+    the cumulative sum in that same array."""
+    g = sample_graph(EnsembleSpec(16, 3, "general", 4))
+    state = run_qaoa(g, MIS3, QaoaParams((0.4,), (0.7,)))
+    sample_bitstrings(run_qaoa(cycle_graph(5), MIS3, QaoaParams((0.4,), (0.7,))), 4, 0)
+    tracemalloc.start()
+    try:
+        sample_bitstrings(state, 64, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * (8 << g.n)
