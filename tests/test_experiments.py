@@ -56,6 +56,10 @@ def test_literature_constants_pinned():
 
 def test_ratio_ceiling_cut_d3():
     report = ratio_ceiling(MC, 3, 1, 0.6924500897298755)
+    assert list(report) == [
+        "model", "d", "p", "tree_value", "ceiling", "achieved_ratio",
+        "finite_size_flag", "provenance", "asymptotic", "within_ceiling",
+    ]
     assert abs(report["ceiling"] - 0.93507) < 1e-5
     assert report["achieved_ratio"] == 0.6924500897298755  # identity, no rescaling
     assert report["within_ceiling"] and report["finite_size_flag"]
