@@ -532,11 +532,11 @@ def end_to_end(
         raise InputError("need at least one trial")
     if samples < 0:
         raise InputError("sample count must be nonnegative")
+    children = derive_seeds(seed, 2 * trials)  # refuses a bad seed before the search
     opt = optimize(spec.d, p, model, initial, budget=budget)
     params = opt.best_params
     tree_value = opt.best_value
     light_cone = LightConeSum(spec.d, model, params, initial)
-    children = derive_seeds(seed, 2 * trials)
     totals = []
     nontree = []
     prune_total = 0

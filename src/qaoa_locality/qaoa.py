@@ -188,11 +188,6 @@ def cost_value(model: CostModel, g: Graph, bits) -> Fraction:
     return Fraction(sum(table[vals[u]][vals[v]] for u, v in g.edges), model.denominator)
 
 
-def _edge_view(arr: np.ndarray, m: int, i: int, j: int) -> np.ndarray:
-    # Reshape so axis 1 is bit j and axis 3 is bit i (requires i < j).
-    return arr.reshape(1 << (m - 1 - j), 2, 1 << (j - 1 - i), 2, 1 << i)
-
-
 def _cost_levels(model: CostModel, g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Every basis state's total cost as ``levels[index]``: ``index`` holds
     its integer cost numerator less g.m times the least edge numerator.
@@ -317,8 +312,11 @@ def run_qaoa(
 
 
 def _edge_marginals(probs: np.ndarray, m: int, i: int, j: int) -> np.ndarray:
-    """2x2 array P with P[a, b] = Prob(bit_i = a, bit_j = b); needs i < j."""
-    return _edge_view(probs, m, i, j).sum(axis=(0, 2, 4)).T  # the sum is [bit_j, bit_i]
+    """2x2 array P with P[a, b] = Prob(bit_i = a, bit_j = b) of a 2**m
+    vector; needs i < j."""
+    # axis 1 is bit j and axis 3 bit i, so the sum is [bit_j, bit_i]
+    view = probs.reshape(1 << (m - 1 - j), 2, 1 << (j - 1 - i), 2, 1 << i)
+    return view.sum(axis=(0, 2, 4)).T
 
 
 def _ordered_edge(edge, m: int) -> tuple[int, int]:
@@ -332,22 +330,46 @@ def _ordered_edge(edge, m: int) -> tuple[int, int]:
     return u, v
 
 
-def _edge_expectation(probs: np.ndarray, m: int, u: int, v: int, model: CostModel) -> float:
-    P = _edge_marginals(probs, m, u, v)
-    total = 0.0
-    for a in (0, 1):
-        for b in (0, 1):
-            # int / int is correctly rounded, so this is the exact cost as a float
-            total += P[a, b] * (model.numerators[a][b] / model.denominator)
-    return float(total)
-
-
 def expect_edges(state: Statevector, edges, model: CostModel) -> list[float]:
     """Expectation of each edge's cost in the given state, in the order
-    given, from one probability vector."""
+    given, from one probability vector.
+
+    The vector is read as a 2**h x 2**l matrix M, l = m // 2, whose columns
+    hold the low l bits and whose rows the high h. An edge inside the low
+    half reads the column sums of M, one inside the high half its row sums,
+    and an edge (i, j) across the halves the sums of the rows whose bit j
+    is 0 and of those whose bit j is 1, two 2**l vectors split on bit i.
+    Each of these is one contiguous reduction, made once per state (the
+    row halves once per high bit j) and only if an edge needs it."""
     pairs = [_ordered_edge(edge, state.m) for edge in edges]
-    probs = state.probabilities()
-    return [_edge_expectation(probs, state.m, u, v, model) for u, v in pairs]
+    if not pairs:
+        return []
+    low = state.m // 2
+    high = state.m - low
+    matrix = state.probabilities().reshape(-1, 1 << low)
+    cols = rows = None
+    halves = {}
+    # int / int is correctly rounded, so each cost is exact as a float
+    costs = [[c / model.denominator for c in row] for row in model.numerators]
+    values = []
+    for i, j in pairs:
+        if j < low:
+            if cols is None:
+                cols = matrix.sum(axis=0)
+            P = _edge_marginals(cols, low, i, j)
+        elif i >= low:
+            if rows is None:
+                rows = matrix.sum(axis=1)
+            P = _edge_marginals(rows, high, i - low, j - low)
+        else:
+            k = j - low
+            if k not in halves:
+                split = matrix.reshape(-1, 2, 1 << k, 1 << low)
+                halves[k] = [split[:, b].sum(axis=(0, 1)) for b in (0, 1)]
+            P = np.array([half.reshape(-1, 2, 1 << i).sum(axis=(0, 2)) for half in halves[k]]).T
+        P = P.tolist()
+        values.append(sum(P[a][b] * costs[a][b] for a in (0, 1) for b in (0, 1)))
+    return values
 
 
 def expect_total(state: Statevector, g: Graph, model: CostModel) -> float:

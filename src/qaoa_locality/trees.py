@@ -87,9 +87,11 @@ def tree_expectation(
     must have exactly p layers.
 
     This is the statevector oracle for :class:`TreePathSum`; it needs a
-    register of ``tree_vertex_count(d, p)`` qubits."""
+    register of ``tree_vertex_count(d, p)`` qubits, and like the path sum it
+    refuses mis(k) at a degree other than k."""
     if params.p != p:
         raise InputError(f"parameter depth {params.p} must equal the radius {p}")
+    model.check_degree(d)
     tree = build_canonical_tree(d, p)
     value = neighborhood_expectation(tree, model, params, initial)
     return TreeExpectation(value)
@@ -208,6 +210,9 @@ def neighborhood_expectation(
     cancel out of that edge's expectation, so on a ball from
     :func:`edge_neighborhood` this equals the full-graph expectation of the
     middle edge whenever the radius matches the depth.
+
+    Any model is taken: a ball has no single degree to check mis(k)
+    against, as its boundary vertices keep only the edges inside it.
     """
     state = run_qaoa(ball, model, params, initial)
     return expect_edges(state, ball.edges[:1], model)[0]

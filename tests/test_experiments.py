@@ -453,6 +453,15 @@ def test_end_to_end_depth0_baseline():
     assert results["ratio"]["within_ceiling"]
 
 
+def test_end_to_end_refuses_a_negative_seed_before_it_searches(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched the angles")
+
+    monkeypatch.setattr(experiments_module, "optimize", no_search)
+    with pytest.raises(InputError, match="seed must be nonnegative, got -1"):
+        end_to_end(EnsembleSpec(8, 3, "general", 0), 2, MC, seed=-1, trials=2)
+
+
 def test_end_to_end_independent_set_prunes_samples():
     spec = EnsembleSpec(8, 3, "general", 11)
     report = end_to_end(spec, 1, MIS3, seed=11, trials=2, samples=10)
@@ -542,15 +551,18 @@ P2 = QaoaParams((0.7, 1.9), (0.4, 0.2))
 # one trial loop and the ratio ceiling held its constants inline. The
 # locality, equivalence and d=4 end-to-end digests were recorded again when
 # the mixer went to 16 x 16 Kronecker factors: only floats moved, by at most
-# 3.6e-15, and every string, count and sample stayed equal.
+# 3.6e-15, and every string, count and sample stayed equal. The locality,
+# p=2 equivalence and d=4 end-to-end digests were recorded again when the
+# edge reader went to sums over the register's two halves: only floats
+# moved, by at most 3.6e-15.
 PINNED_REPORTS = {
     "locality-p1": (
         lambda: locality_check(EnsembleSpec(14, 3, "general", 7), 1, MC, P1, trials=4),
-        "34639812b8dc526ee6954f03d171c9bf1f487a1a2b65fb7dcdfeace80ca87c3f",
+        "e0451f5e9675fcb9fbef28e0aa8a04eb9092c8c4531fe82eedf8b2ea38cff550",
     ),
     "locality-p2": (
         lambda: locality_check(EnsembleSpec(16, 3, "general", 3), 2, MIS3, P2, "zero", trials=3),
-        "c530e01bb3e310b77887df876eaad6a91f0ed07f8530edfec54913ab812a4f03",
+        "05633a3f02cd3570813792a59a807eb05f74741151a23cd5c85793c64024cd48",
     ),
     "equivalence-p1": (
         lambda: ensemble_equivalence([10, 12], 3, 1, MC, P1, trials=5, seed=4),
@@ -558,7 +570,7 @@ PINNED_REPORTS = {
     ),
     "equivalence-p2": (
         lambda: ensemble_equivalence([14], 3, 2, MIS3, P2, trials=3, seed=6),
-        "367a1e93c4dde4aa8b915924131a6f740b8d4ef499f82b233200549414c83fc6",
+        "e8483384ca99df460ccee33524d64a1e5369a9b83d1fddd0acb3ee0e81ef25aa",
     ),
     "cycles-general": (
         lambda: cycle_census_experiment(EnsembleSpec(200, 3, "general", 5), 6, trials=10),
@@ -593,7 +605,7 @@ PINNED_REPORTS = {
     # no cut constant: the ratio section holds the refusal's text
     "end-to-end-maxcut-d4": (
         lambda: end_to_end(EnsembleSpec(12, 4, "general", 2), 1, MC, seed=2, trials=2),
-        "962d617cadb673f9e98cf05bd635ba6f7c61b76f22b5b1bbee8a2cc66358a3e0",
+        "808341b8f6880f512d5f0afcb9618ecdb9ba9ddd0dadc72d25600ba3bb578aba",
     ),
     "end-to-end-p0": (
         lambda: end_to_end(EnsembleSpec(10, 3, "bipartite", 3), 0, MC, seed=3, trials=3, samples=0),

@@ -370,6 +370,104 @@ def test_expect_edge_orientation_and_validation():
         expect_edges(st, [(0, 9)], MC)
 
 
+def random_state(m, rng):
+    amps = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+    return Statevector(m, amps / np.linalg.norm(amps))
+
+
+def quarter_views(probs, m, i, j):
+    """view[:, b, :, a, ...] holds the entries with bit j = b and bit i = a
+    (i < j); trailing axes of ``probs`` are kept."""
+    return probs.reshape(1 << (m - 1 - j), 2, 1 << (j - 1 - i), 2, 1 << i, *probs.shape[1:])
+
+
+def integer_limbs(probs, count=4, bits=26):
+    """Each probability as ``count`` integer-valued floats below 2**bits,
+    limb k holding its bits from 2**(-bits*k) down to 2**(-bits*(k+1)).
+    Sums of up to 2**26 limbs stay integers below 2**53, so numpy adds
+    them without rounding, in any order."""
+    limbs = np.empty((probs.size, count))
+    rest = probs.copy()
+    for k in range(count):
+        rest *= 2.0**bits
+        limbs[:, k] = np.floor(rest)
+        rest -= limbs[:, k]
+    assert not rest.any()  # every bit of every probability is in a limb
+    return limbs
+
+
+def edge_expectation(P, model):
+    return math.fsum(
+        P[a][b] * (model.numerators[a][b] / model.denominator) for a in (0, 1) for b in (0, 1)
+    )
+
+
+@pytest.mark.parametrize("m", [*range(2, 15), pytest.param(20, marks=pytest.mark.slow)])
+def test_expect_edges_matches_exact_marginals(m):
+    """Every pair of a random state, given in both orders, against its four
+    marginals summed exactly (integer limbs, rounded once by math.fsum), and
+    against the former reader's strided five-axis sum per edge."""
+    rng = np.random.default_rng(1000 + m)
+    state = random_state(m, rng)
+    probs = state.probabilities()
+    limbs = integer_limbs(probs)
+    scales = [2.0 ** (-26 * (k + 1)) for k in range(limbs.shape[1])]
+    pairs = list(combinations(range(m), 2))
+    got = {
+        model: expect_edges(state, pairs + [(j, i) for i, j in pairs], model)
+        for model in (MC, MIS3)
+    }
+    for k, (i, j) in enumerate(pairs):
+        sums = quarter_views(limbs, m, i, j).sum(axis=(0, 2, 4))  # [bit_j, bit_i, limb]
+        exact = [[math.fsum(sums[b, a] * scales) for b in (0, 1)] for a in (0, 1)]
+        five_axis = quarter_views(probs, m, i, j).sum(axis=(0, 2, 4)).T
+        for model, values in got.items():
+            assert values[k] == values[len(pairs) + k]
+            assert abs(values[k] - edge_expectation(exact, model)) <= 1e-15, (m, i, j)
+            assert abs(values[k] - edge_expectation(five_axis, model)) <= 1e-13
+
+
+def test_expect_edges_of_no_edges_and_repeated_edges():
+    rng = np.random.default_rng(3)
+    state = random_state(9, rng)
+    assert expect_edges(state, [], MC) == []
+    edges = [(1, 7), (0, 2), (1, 7), (7, 1), (6, 8), (0, 2), (6, 8)]
+    got = expect_edges(state, edges, MIS3)
+    assert got[0] == got[2] == got[3] and got[1] == got[5] and got[4] == got[6]
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 10])
+def test_expect_edges_reads_basis_states_exactly(m):
+    """All pairs of a basis state at once, low, high and across the two
+    halves of the register, give the table's float cost exactly."""
+    rng = np.random.default_rng(m)
+    pairs = list(combinations(range(m), 2))
+    for model in (MC, MIS3, CostModel.mis(5)):
+        edge_floats = [[c / model.denominator for c in row] for row in model.numerators]
+        for i in rng.integers(0, 1 << m, size=6):
+            amps = np.zeros(1 << m, dtype=np.complex128)
+            amps[i] = 1.0
+            vals = bit_values(index_to_bits(int(i), m))
+            got = expect_edges(Statevector(m, amps), pairs, model)
+            assert got == [edge_floats[vals[u]][vals[v]] for u, v in pairs]
+
+
+def test_expect_edges_holds_one_probability_vector():
+    """Beside the caller's state, reading every edge holds the probability
+    vector (half the state's bytes) and vectors of its square root's length."""
+    g = sample_graph(EnsembleSpec(16, 3, "general", 4))
+    state = run_qaoa(g, MIS3, QaoaParams((0.4,), (0.7,)))
+    expect_edges(run_qaoa(cycle_graph(5), MIS3, QaoaParams((0.4,), (0.7,))), [(0, 4)], MIS3)
+    pairs = list(combinations(range(g.n), 2))
+    tracemalloc.start()
+    try:
+        expect_edges(state, pairs, MIS3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.55 * (16 << g.n)
+
+
 def test_zero_angles_leave_plus_state_uniform():
     g = sample_graph(EnsembleSpec(12, 3, "general", 8))
     st = run_qaoa(g, MC, QaoaParams.zeros(2))

@@ -107,6 +107,18 @@ def test_tree_expectation_validates_depth():
         tree_expectation(3, 2, MC, QaoaParams((0.1,), (0.2,)))
 
 
+def test_tree_expectation_refuses_an_mis_model_of_another_degree():
+    """The statevector oracle refuses what the path sum it checks refuses;
+    a bare ball takes any model."""
+    params = QaoaParams((0.3,), (0.2,))
+    with pytest.raises(InputError, match=r"mis\(5\) is defined on 5-regular graphs"):
+        tree_expectation(3, 1, CostModel.mis(5), params)
+    tree = build_canonical_tree(3, 1)
+    want = tree_expectation(3, 1, CostModel.mis(3), params).value
+    assert neighborhood_expectation(tree, CostModel.mis(3), params) == want
+    assert math.isfinite(neighborhood_expectation(tree, CostModel.mis(5), params))
+
+
 def test_tree_expectation_zero_angles():
     assert abs(tree_expectation(3, 1, MC, QaoaParams.zeros(1)).value - 0.5) < 1e-12
     mis = CostModel.mis(3)
