@@ -365,8 +365,9 @@ def expect_edges(state: Statevector, edges, model: CostModel) -> list[float]:
             k = j - low
             if k not in halves:
                 split = matrix.reshape(-1, 2, 1 << k, 1 << low)
-                halves[k] = [split[:, b].sum(axis=(0, 1)) for b in (0, 1)]
-            P = np.array([half.reshape(-1, 2, 1 << i).sum(axis=(0, 2)) for half in halves[k]]).T
+                # one 2**(l+1) vector whose top bit is bit j
+                halves[k] = np.concatenate([split[:, b].sum(axis=(0, 1)) for b in (0, 1)])
+            P = _edge_marginals(halves[k], low + 1, i, low)
         P = P.tolist()
         values.append(sum(P[a][b] * costs[a][b] for a in (0, 1) for b in (0, 1)))
     return values
