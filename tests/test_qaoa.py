@@ -383,9 +383,9 @@ def quarter_views(probs, m, i, j):
 
 def integer_limbs(probs, count=4, bits=26):
     """Each probability as ``count`` integer-valued floats below 2**bits,
-    limb k holding its bits from 2**(-bits*k) down to 2**(-bits*(k+1)).
-    Sums of up to 2**26 limbs stay integers below 2**53, so numpy adds
-    them without rounding, in any order."""
+    limb k holding its bits from 2**(-bits*k) down to 2**(-bits*(k+1)),
+    and the scale of each limb. Sums of up to 2**26 limbs stay integers
+    below 2**53, so numpy adds them without rounding, in any order."""
     limbs = np.empty((probs.size, count))
     rest = probs.copy()
     for k in range(count):
@@ -393,7 +393,7 @@ def integer_limbs(probs, count=4, bits=26):
         limbs[:, k] = np.floor(rest)
         rest -= limbs[:, k]
     assert not rest.any()  # every bit of every probability is in a limb
-    return limbs
+    return limbs, [2.0 ** (-bits * (k + 1)) for k in range(count)]
 
 
 def edge_expectation(P, model):
@@ -410,8 +410,7 @@ def test_expect_edges_matches_exact_marginals(m):
     rng = np.random.default_rng(1000 + m)
     state = random_state(m, rng)
     probs = state.probabilities()
-    limbs = integer_limbs(probs)
-    scales = [2.0 ** (-26 * (k + 1)) for k in range(limbs.shape[1])]
+    limbs, scales = integer_limbs(probs)
     pairs = list(combinations(range(m), 2))
     got = {
         model: expect_edges(state, pairs + [(j, i) for i, j in pairs], model)
