@@ -108,9 +108,11 @@ def grid_search(
     bvals = [math.pi * k / resolution for k in range(resolution)]
     # At p=0 the one beta tuple is (), so columns has shape (0, 1).
     columns = np.array(list(itertools.product(bvals, repeat=p))).T
-    trace = np.concatenate(
-        [path_sum.value(gs, columns) for gs in itertools.product(gvals, repeat=p)]
-    )
+    # Each call fills one row of the trace, so no list of rows is held.
+    trace = np.empty((resolution**p, columns.shape[1]))
+    for row, gs in zip(trace, itertools.product(gvals, repeat=p)):
+        row[:] = path_sum.value(gs, columns)
+    trace = trace.reshape(-1)
     best = int(np.argmax(trace))
     return OptResult(
         best_params=_grid_point(best, p, resolution, model.gamma_period),
@@ -170,8 +172,10 @@ def refine(
     value never drops below the start value; hitting ``max_passes`` first
     returns the best point so far with ``converged`` false.
     """
-    if tolerance <= 0:
-        raise InputError("tolerance must be positive")
+    if not tolerance > 0:
+        raise InputError(f"tolerance must be positive, got {tolerance}")
+    if max_passes < 0:
+        raise InputError(f"max_passes must be nonnegative, got {max_passes}")
     if start.p != p:
         raise InputError(f"start has depth {start.p}, expected {p}")
     obj = _TreeObjective(d, p, model, initial)
@@ -233,9 +237,16 @@ def optimize(
     grid = grid_search(d, p, model, initial, resolution=resolution, budget=budget)
     if p == 0:
         return grid
-    # A stable sort keeps flat-index order among equal values, which is the
+    # The starts lie at or above the _STARTS-th largest distinct value,
+    # found by masked maxima without a copy of the trace; a stable sort of
+    # them keeps flat-index order among equal values, which is the
     # lexicographic (gammas, betas) order of _rank's tie-break.
-    starts = np.argsort(-grid.trace, kind="stable")[:_STARTS]
+    trace = grid.trace
+    cut = np.inf
+    for _ in range(_STARTS):
+        cut = np.max(trace, where=trace < cut, initial=-np.inf)
+    best = np.flatnonzero(trace >= cut).tolist()
+    starts = sorted(best, key=trace.__getitem__, reverse=True)[:_STARTS]
     results = [
         refine(_grid_point(i, p, resolution, model.gamma_period), d, p, model, initial)
         for i in starts

@@ -11,6 +11,7 @@ exact totals of whole graphs.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,12 @@ from .qaoa import (
     expect_edges,
     run_qaoa,
 )
+
+# K and K_c act on groups of at most this many adjacent slices. With 5 the
+# 2p+1 slices of p <= 2 form one group: optimize(3, 2) took 0.18 s, against
+# 0.22 s with groups of 3 or 4. One d=3 value at p=10 took 0.37 s, against
+# 0.34 s with groups of 3 or 4 and 0.50 s with groups of 6.
+_GROUP = 5
 
 __all__ = [
     "TreeExpectation",
@@ -110,17 +117,24 @@ class TreePathSum:
     the model's edge-cost table. On a tree the sum factors into messages
     passed up from the leaves, H <- (K (f*H))**(d-1) once per level, and
     the value is Re g.(K_c g) with g = f*H at the root, where K_c puts c on
-    the measured slice. A level costs O(p * 4**p) whatever the size of the
-    tree (Basso, Farhi, Marwaha, Villalonga & Zhou, arXiv:2110.14206).
+    the measured slice (Basso, Farhi, Marwaha, Villalonga & Zhou,
+    arXiv:2110.14206).
+
+    K and K_c act through ceil((2p+1)/5) groups of at most ``_GROUP`` = 5
+    adjacent slices, one dense 2**w x 2**w factor per group, so a level
+    costs one matrix product of the 2**(2p+1) entries with each group's
+    factor, whatever the size of the tree. The factors depend on the
+    gammas alone and the weight on the betas alone; the last of each is
+    kept, so a call that repeats either one reuses it.
 
     Build one per (d, p, model, initial) and call :meth:`value` per angle
     schedule; it equals :func:`tree_expectation`, whose register grows
-    with the tree, while the path sum grows with p alone. ``betas`` of
-    shape (p, n) evaluates n beta schedules at once: the batch rides as a
-    trailing axis through the same code, and the n values come back as an
-    array. The weight holds n * 2**(2p+1) complex entries and is refused
-    above 2**(DEFAULT_QUBIT_CAP - 1) before anything is allocated, which
-    allows p <= 12 for one schedule.
+    with the tree, while the path sum grows with p alone. ``gammas`` must
+    be p numbers. ``betas`` of shape (p, n) evaluates n beta schedules at
+    once: the batch rides as a further axis through the same code, and the
+    n values come back as an array. The weight holds n * 2**(2p+1) complex
+    entries and is refused above 2**(DEFAULT_QUBIT_CAP - 1) before
+    anything is allocated, which allows p <= 12 for one schedule.
     """
 
     def __init__(self, d: int, p: int, model: CostModel, initial: str = "plus"):
@@ -137,21 +151,52 @@ class TreePathSum:
         den = model.denominator
         self.cost = np.array([[n / den for n in row] for row in model.numerators])
         amp = [1.0, 0.0] if initial == "zero" else [math.sqrt(0.5)] * 2
-        self.start = np.array([amp], dtype=np.complex128)
-        # Slice j as the middle axis of a (2**j, 2, rest) view, so a 2x2
-        # factor acts on it by one broadcast matmul; the later slices and
-        # any batch axis fold into the last axis.
-        self._views = [(1 << j, 2, -1) for j in range(2 * self.p + 1)]
+        self.start = np.array(amp, dtype=np.complex128)
         # Reverses the p+1 bits of a ket-chain index: the bra-chain order.
         bits = (2,) * (self.p + 1)
         self._reversed = np.arange(1 << (self.p + 1)).reshape(bits).transpose().reshape(-1)
-        self._ones = np.ones((2, 2))
+        # K's phase on slice j is gamma_k times c on ket slice k-1, minus it
+        # on bra slice 2p+1-k, and 0 on the measured slice p; a last row
+        # puts c on the measured slice alone, for K_c.
+        slices = 2 * self.p + 1
+        signs = np.zeros((self.p + 1, slices))
+        for k in range(self.p):
+            signs[k, k], signs[k, slices - 1 - k] = 1.0, -1.0
+        signs[self.p, self.p] = 1.0
+        # Per group of w slices, each row of signs gives one 2**w x 2**w
+        # table over the group's (row, column) bits, the Kronecker sum of
+        # sign * c over its slices; a group's phases are gammas @ its first
+        # p tables, all groups end to end.
+        count = -(-slices // _GROUP)
+        widths = [slices // count + (i < slices % count) for i in range(count)]
+        sizes = [1 << w for w in widths]
+        # (offset, size) of each group's factor in the flat phase list
+        self._blocks = list(zip(itertools.accumulate([m * m for m in sizes], initial=0), sizes))
+        blocks, s = [], 0
+        for w in widths:
+            table = np.zeros((self.p + 1, 1, 1))
+            for j in range(s, s + w):
+                term = signs[:, j, None, None] * self.cost
+                table = table[:, :, None, :, None] + term[:, None, :, None, :]
+                table = table.reshape(self.p + 1, 2 * table.shape[1], -1)
+            if s <= self.p < s + w:
+                self._measured_slice = (len(blocks), table[self.p])
+            blocks.append(table[: self.p].reshape(self.p, 1 << 2 * w))
+            s += w
+        # The entries take few distinct phases (9 at p=2 for MaxCut), so
+        # exp runs on those alone and one take spreads them over the groups.
+        columns = {}
+        phases = np.concatenate(blocks, axis=1).T.tolist()
+        self._index = np.array([columns.setdefault(tuple(c), len(columns)) for c in phases])
+        self._levels = np.array(list(columns)).T
+        self._f = self._weight_key = self._gamma_key = None
 
     def _check_size(self, schedules: int) -> None:
-        # value() peaks at about five arrays the size of the weight (VmHWM
-        # above the interpreter's, d=3 at p=10 and p=11), against run_qaoa's
-        # 2.5 states, so half the register's entries keep the path sum at
-        # the register's peak: 2.5 GiB at p=12.
+        # value() peaks at four arrays the size of the weight, the kept
+        # weight and three work arrays (VmHWM above the interpreter's, d=3:
+        # 4.05 weights at p=10, 4.02 at p=11). Half the register's entries
+        # hold that to two states of the register, 2 GiB at p=12, against
+        # run_qaoa's 1.5 states at the qubit cap.
         cap = DEFAULT_QUBIT_CAP - 1
         if schedules << (2 * self.p + 1) > 1 << cap:
             raise ResourceError(
@@ -162,40 +207,71 @@ class TreePathSum:
     def _weight(self, betas: np.ndarray) -> np.ndarray:
         # Ket chain over (a_1..a_p, a_0): initial amplitude times the mixer
         # element between consecutive slices; the mixer matrix is symmetric.
-        batch = betas.shape[1:]
-        ket = self.start.reshape((1, 2) + (1,) * len(batch))
-        for c, s in zip(np.cos(betas), -1j * np.sin(betas)):
-            mixer = np.array([[c, s], [s, c]])
-            ket = (ket[:, :, None] * mixer).reshape((-1, 2) + batch)
+        n = betas.shape[1]
+        ket = np.repeat(self.start[None, :, None], n, axis=2)
+        cos, sin = np.cos(betas), -1j * np.sin(betas)
+        mixers = np.array([[cos, sin], [sin, cos]])
+        for k in range(self.p):
+            ket = (ket[:, :, None] * mixers[:, :, k]).reshape(-1, 2, n)
         # The bra chain is the conjugate over (a_0, a'_p..a'_1).
-        trailing = ket.shape[2:]
-        bra = ket.reshape((-1,) + trailing)[self._reversed].conj()
-        bra = bra.reshape((2, -1) + trailing)
-        return (ket[:, :, None] * bra[None]).reshape((-1,) + trailing)
+        bra = ket.reshape(-1, n)[self._reversed].conj().reshape(2, -1, n)
+        return (ket[:, :, None] * bra[None]).reshape(-1, n)
 
-    def _apply(self, factors, x: np.ndarray) -> np.ndarray:
-        shape = x.shape
-        for factor, view in zip(factors, self._views):
-            x = factor @ x.reshape(view)
-        return x.reshape(shape)
+    def _factors(self, gammas: np.ndarray):
+        # One dense factor of K per group, exp of the group's phases; K_c's
+        # group that holds the measured slice also multiplies by c there.
+        flat = np.exp(-1j * (gammas[:, None] * self._levels).sum(axis=0))[self._index]
+        kernel = [flat[a : a + m * m].reshape(m, m) for a, m in self._blocks]
+        measured = list(kernel)
+        group, cost = self._measured_slice
+        measured[group] = kernel[group] * cost
+        return kernel, measured
+
+    def _apply(self, factors, x: np.ndarray, bufs) -> np.ndarray:
+        # Each step contracts the leading group's bits and writes them last,
+        # one gemm per group into the next of ``bufs``, so after every group
+        # the slices are back in order with any batch axis moved to the
+        # front: the buffer returned holds (n, 2**(2p+1)). The factors are
+        # symmetric, since c is.
+        for factor, out in zip(factors, itertools.cycle(bufs)):
+            m = factor.shape[0]
+            np.matmul(x.reshape(m, -1).T, factor, out=out.reshape(-1, m))
+            x = out
+        return x
 
     def value(self, gammas, betas):
-        if len(gammas) != self.p or len(betas) != self.p:
-            raise InputError(f"angle schedule must have exactly {self.p} layers")
+        gammas = np.asarray(gammas, dtype=float)
         betas = np.asarray(betas, dtype=float)
-        self._check_size(math.prod(betas.shape[1:]))
-        f = self._weight(betas)
-        ket = [np.exp((-1j * float(g)) * self.cost) for g in gammas]
-        bra = [e.conj() for e in reversed(ket)]
-        kernel = ket + [self._ones] + bra
-        # At p=0 the weight has no beta to carry the batch; h brings it in.
-        h = np.ones(f.shape[:1] + betas.shape[1:])
+        if gammas.shape != (self.p,) or betas.shape[:1] != (self.p,):
+            raise InputError(
+                f"angle schedule must have exactly {self.p} layers: {self.p} gammas"
+                f" and {self.p} rows of betas"
+            )
+        batch = betas.shape[1:]
+        n = math.prod(batch)
+        self._check_size(n)
+        key = (betas.shape, betas.tobytes())
+        if key != self._weight_key:
+            self._f = None  # the old weight goes before the new one is built
+            self._f = self._weight(betas.reshape(self.p, n))
+            self._weight_key = key
+        if gammas.tobytes() != self._gamma_key:
+            self._kernel, self._measured = self._factors(gammas)
+            self._gamma_key = gammas.tobytes()
+        f = self._f
+        # g is f or sits in x; K g starts in y, so it never overwrites g.
+        g, x, y = f, np.empty_like(f), np.empty_like(f)
         for _ in range(self.p):
-            h = self._apply(kernel, f * h) ** (self.d - 1)
-        g = f * h
-        measured = ket + [self.cost] + bra
-        values = (g * self._apply(measured, g)).sum(axis=0).real
-        return float(values) if values.ndim == 0 else values
+            h = self._apply(self._kernel, g, (y, x))
+            h **= self.d - 1
+            if h is x:
+                x, y = y, x
+            g = np.multiply(f, h.reshape(n, -1).T, out=x)
+        # K_c g must leave g whole, so past one group it takes a third array.
+        spare = (y, np.empty_like(f)) if len(self._blocks) > 1 else (y,)
+        out = self._apply(self._measured, g, spare).reshape(n, -1)
+        values = np.multiply(out, g.T, out=out).sum(axis=1).real
+        return float(values[0]) if not batch else values.reshape(batch)
 
 
 def neighborhood_expectation(

@@ -474,7 +474,9 @@ def test_end_to_end_independent_set_prunes_samples():
 
 def test_independent_set_end_to_end_reports_are_pinned():
     # recorded before every cost was read from the model's one edge table;
-    # se_total again when the mixer went to Kronecker factors
+    # se_total again when the mixer went to Kronecker factors, and the
+    # simulation floats again when the path sum went to fused slice factors
+    # (the searched angles moved to a symmetric point; samples stayed equal)
     general = end_to_end(EnsembleSpec(16, 3, "general", 7), 1, MIS3, seed=7, trials=3, samples=32)
     assert general["results"]["pruning"] == {
         "samples": 96, "all_independent": True, "positive_cost_samples": 93,
@@ -482,8 +484,8 @@ def test_independent_set_end_to_end_reports_are_pinned():
         "max_set_size": 6, "mean_input_cost": 1.5104166666666667,
     }
     assert general["results"]["simulation"] == {
-        "trials": 3, "mean_total": 1.4972116735732577, "se_total": 0.00965095770996031,
-        "mean_per_edge": 0.06238381973221907, "mean_nontree_fraction": 0.08333333333333333,
+        "trials": 3, "mean_total": 1.4972116734230287, "se_total": 0.009650957785075335,
+        "mean_per_edge": 0.06238381972595953, "mean_nontree_fraction": 0.08333333333333333,
     }
     bipartite = end_to_end(
         EnsembleSpec(12, 3, "bipartite", 8), 1, MIS3, seed=8, trials=2, samples=24
@@ -494,8 +496,8 @@ def test_independent_set_end_to_end_reports_are_pinned():
         "max_set_size": 6, "mean_input_cost": 1.1770833333333333,
     }
     assert bipartite["results"]["simulation"] == {
-        "trials": 2, "mean_total": 1.1373851917448836, "se_total": 0.0,
-        "mean_per_edge": 0.06318806620804909, "mean_nontree_fraction": 0.0,
+        "trials": 2, "mean_total": 1.1373851917448847, "se_total": 0.0,
+        "mean_per_edge": 0.06318806620804915, "mean_nontree_fraction": 0.0,
     }
 
 
@@ -517,11 +519,13 @@ def test_prune_report_is_pinned():
 
 
 def test_independent_set_optimize_report_is_pinned():
-    # recorded before every cost was read from the model's one edge table
+    # recorded before every cost was read from the model's one edge table,
+    # and again when the path sum went to fused slice factors (the angles
+    # moved by at most 1.4e-8 and the value by 1.4e-17)
     result = optimize(3, 2, MIS3, "plus")
-    assert result.best_value == 0.08842126322193697
+    assert result.best_value == 0.08842126322193695
     assert result.best_params == QaoaParams(
-        (7.025721554222183, 16.667375428961023), (2.766743588624788, 2.929427613607489)
+        (7.025721544138371, 16.66737541981028), (2.766743588807201, 2.9294275995601744)
     )
     assert (result.refinement_iterations, result.converged, result.evaluations) == (
         90, True, 72881
@@ -554,7 +558,12 @@ P2 = QaoaParams((0.7, 1.9), (0.4, 0.2))
 # 3.6e-15, and every string, count and sample stayed equal. The locality,
 # p=2 equivalence and d=4 end-to-end digests were recorded again when the
 # edge reader went to sums over the register's two halves: only floats
-# moved, by at most 3.6e-15.
+# moved, by at most 3.6e-15. The locality-p2, p=2 equivalence and four
+# end-to-end digests were recorded again when the path sum went to fused
+# slice factors: tree values moved by at most 2.8e-16, each end-to-end angle
+# search returned a symmetric point of its old one, simulated totals moved
+# by at most 4.1e-8, and every string, count and sample stayed equal
+# (CHANGES.md lists each move).
 PINNED_REPORTS = {
     "locality-p1": (
         lambda: locality_check(EnsembleSpec(14, 3, "general", 7), 1, MC, P1, trials=4),
@@ -562,7 +571,7 @@ PINNED_REPORTS = {
     ),
     "locality-p2": (
         lambda: locality_check(EnsembleSpec(16, 3, "general", 3), 2, MIS3, P2, "zero", trials=3),
-        "05633a3f02cd3570813792a59a807eb05f74741151a23cd5c85793c64024cd48",
+        "b84be56c7f84da1d35bff30714f5464061c08db4e585e422a968ac9b0229e1c5",
     ),
     "equivalence-p1": (
         lambda: ensemble_equivalence([10, 12], 3, 1, MC, P1, trials=5, seed=4),
@@ -570,7 +579,7 @@ PINNED_REPORTS = {
     ),
     "equivalence-p2": (
         lambda: ensemble_equivalence([14], 3, 2, MIS3, P2, trials=3, seed=6),
-        "e8483384ca99df460ccee33524d64a1e5369a9b83d1fddd0acb3ee0e81ef25aa",
+        "32f2c2dcdbfe8394d64184a26ed5679dd824f2eadf6cf3304649b9f2d9024504",
     ),
     "cycles-general": (
         lambda: cycle_census_experiment(EnsembleSpec(200, 3, "general", 5), 6, trials=10),
@@ -587,25 +596,25 @@ PINNED_REPORTS = {
     # a ratio from the d=3 cut constant
     "end-to-end-maxcut-d3": (
         lambda: end_to_end(EnsembleSpec(16, 3, "general", 4), 1, MC, seed=4, trials=3),
-        "e83b4a46e81bb51cf601fbb71b61c0a7aeb6cf951b83f9b7ea7b1dcfc98cccd2",
+        "411993be1ce94d77771f82bfd11f95de92e11ee59873157b97fd4cd66ab22d18",
     ),
     "end-to-end-mis-d3-bipartite": (
         lambda: end_to_end(
             EnsembleSpec(12, 3, "bipartite", 5), 1, MIS3, seed=5, trials=2, samples=16
         ),
-        "7c545c7f2216176e6b77f01186917bbfbbd8346e66a9c352b5b4604c5aae46a1",
+        "76ff41234bd1b5cc5f82b153d9775102bc103727162aca9e04b447796d54b209",
     ),
     # the asymptotic large-d independent-set ceiling
     "end-to-end-mis-d4": (
         lambda: end_to_end(
             EnsembleSpec(10, 4, "general", 6), 1, CostModel.mis(4), seed=6, trials=2, samples=8
         ),
-        "86e037cb4877311bc5c25c2882c9a6a1598fb76da5cb52c0453b05e1bfa4f563",
+        "c4e93b3b597190ab4a9b185e45753ec7f30bd120201e751cc989330fe87eca9d",
     ),
     # no cut constant: the ratio section holds the refusal's text
     "end-to-end-maxcut-d4": (
         lambda: end_to_end(EnsembleSpec(12, 4, "general", 2), 1, MC, seed=2, trials=2),
-        "808341b8f6880f512d5f0afcb9618ecdb9ba9ddd0dadc72d25600ba3bb578aba",
+        "6f5c4eeb8a01b388a20df2851e68bfd96ba638c3580fd290b98faa508081d9bb",
     ),
     "end-to-end-p0": (
         lambda: end_to_end(EnsembleSpec(10, 3, "bipartite", 3), 0, MC, seed=3, trials=3, samples=0),
@@ -621,13 +630,13 @@ def test_whole_reports_are_pinned(case):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, text
 
 
-def test_a_pinned_report_does_not_depend_on_the_blas_thread_count():
-    """The mixer's matrix products run in BLAS, which may split them over
-    threads; the report must come out byte-equal either way."""
+def digests_by_blas_threads(case):
+    """The digest of one pinned report, built with one and with two BLAS
+    threads, each in a fresh interpreter."""
     script = (
         "import hashlib, sys; sys.path.insert(0, sys.argv[1]); "
         "from test_experiments import PINNED_REPORTS, report_json; "
-        "text = report_json(PINNED_REPORTS['locality-p2'][0]()); "
+        f"text = report_json(PINNED_REPORTS[{case!r}][0]()); "
         "print(hashlib.sha256(text.encode('utf-8')).hexdigest())"
     )
     digests = set()
@@ -639,7 +648,20 @@ def test_a_pinned_report_does_not_depend_on_the_blas_thread_count():
         )
         assert proc.returncode == 0, proc.stderr
         digests.add(proc.stdout.strip())
-    assert digests == {PINNED_REPORTS["locality-p2"][1]}
+    return digests
+
+
+def test_a_pinned_report_does_not_depend_on_the_blas_thread_count():
+    """The mixer's matrix products run in BLAS, which may split them over
+    threads; the report must come out byte-equal either way."""
+    assert digests_by_blas_threads("locality-p2") == {PINNED_REPORTS["locality-p2"][1]}
+
+
+def test_a_pinned_path_sum_report_does_not_depend_on_the_blas_thread_count():
+    """The path sum's group factors run in BLAS too: this report's angle
+    search (grid and refinement) and tree value go through it."""
+    case = "end-to-end-maxcut-d3"
+    assert digests_by_blas_threads(case) == {PINNED_REPORTS[case][1]}
 
 
 # ------------------------------------------------------------ serialization

@@ -69,8 +69,12 @@ def test_grid_tie_is_pinned():
     assert (result.evaluations, result.grid_resolution) == (4, 2)
 
 
+# Tie counts as recorded; the MaxCut count at resolution 8 went from 1 to 2
+# when the path sum went to fused slice factors: points 47 and 63, at
+# gamma = 5pi/4 and 7pi/4 where sin(gamma) * cos(gamma)**2 is the same, now
+# agree to the last bit.
 @pytest.mark.parametrize(
-    "model, initial, res, ties", [(MIS3, "zero", 64, 64), (MC, "plus", 8, 1), (MC, "plus", 2, 4)]
+    "model, initial, res, ties", [(MIS3, "zero", 64, 64), (MC, "plus", 8, 2), (MC, "plus", 2, 4)]
 )
 def test_grid_best_point_is_the_first_maximum(model, initial, res, ties):
     """The best point is the first maximum of the trace, whose index gives
@@ -146,6 +150,33 @@ def test_refine_validates_inputs():
         refine(QaoaParams((0.1,), (0.1,)), 3, 1, MC, tolerance=0.0)
     with pytest.raises(InputError):
         refine(QaoaParams((0.1,), (0.1,)), 3, 2, MC)
+
+
+def fail_on_evaluation(monkeypatch):
+    module = importlib.import_module("qaoa_locality.optimize")
+
+    class Refusing(_TreeObjective):
+        def value(self, gammas, betas):
+            raise AssertionError("evaluated before the input check")
+
+    monkeypatch.setattr(module, "_TreeObjective", Refusing)
+
+
+def test_refine_refuses_a_nan_tolerance_before_it_evaluates(monkeypatch):
+    fail_on_evaluation(monkeypatch)
+    with pytest.raises(InputError, match="tolerance"):
+        refine(QaoaParams((0.3,), (0.2,)), 3, 1, MC, tolerance=float("nan"))
+
+
+def test_refine_refuses_negative_max_passes_before_it_evaluates(monkeypatch):
+    fail_on_evaluation(monkeypatch)
+    with pytest.raises(InputError, match="max_passes"):
+        refine(QaoaParams((0.3,), (0.2,)), 3, 1, MC, max_passes=-1)
+    # no pass at all is allowed, and returns the start
+    monkeypatch.undo()
+    result = refine(QaoaParams((0.3,), (0.2,)), 3, 1, MC, max_passes=0)
+    assert result.best_params == QaoaParams((0.3,), (0.2,))
+    assert (result.refinement_iterations, result.converged) == (0, False)
 
 
 def test_optimize_depth1_known_values():
