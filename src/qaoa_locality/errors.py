@@ -1,6 +1,9 @@
-"""Shared exception types with machine-readable categories."""
+"""Shared exception types with machine-readable categories, and the one
+integer check every count, degree, depth, radius and seed goes through."""
 
-__all__ = ["InputError", "ResourceError"]
+import numpy as np
+
+__all__ = ["InputError", "ResourceError", "integer"]
 
 
 class InputError(ValueError):
@@ -14,3 +17,16 @@ class ResourceError(RuntimeError):
     stub-matching budget)."""
 
     category = "resource-limit"
+
+
+def integer(value, name: str, minimum: int, refusal: str | None = None) -> int:
+    """``value`` as a Python ``int``: an ``int`` or numpy integer, not a
+    bool, of at least ``minimum``. Any other type raises ``InputError``
+    saying ``name`` must be an integer; a smaller value raises it with
+    ``refusal``, by default saying ``name`` must be at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
+        raise InputError(refusal or f"{name} must be {bound}, got {value}")
+    return int(value)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, integer
 from .graphs import (
     EnsembleSpec,
     Graph,
@@ -65,7 +65,7 @@ SCHEMA_VERSION = 1
 # ratio ceilings
 # ----------------------------------------------------------------------
 
-def ratio_ceiling(model, d: int, p: int, best_tree_value: float) -> dict:
+def ratio_ceiling(model: CostModel, d: int, p: int, best_tree_value: float) -> dict:
     """Compare the ratio implied by a single-edge tree value against the
     literature ceiling for the ensemble optimum.
 
@@ -86,16 +86,14 @@ def ratio_ceiling(model, d: int, p: int, best_tree_value: float) -> dict:
     constant exists and a guessed number would be worse than an error: for
     the cut at large d only the form d/4 + O(sqrt(d)) is known.
     """
-    kind = model.kind if isinstance(model, CostModel) else str(model)
-    if kind not in (MAXCUT, MIS):
-        raise InputError(f"unknown cost model {kind!r}")
-    d = int(d)
-    if isinstance(model, CostModel):
-        model.check_degree(d)
-    p = int(p)
+    if not isinstance(model, CostModel):
+        raise InputError(f"unknown cost model {model!r}")
+    d = integer(d, "degree", 1)
+    model.check_degree(d)
+    p = integer(p, "depth", 0)
     value = float(best_tree_value)
     asymptotic = False
-    if kind == MAXCUT:
+    if model.kind == MAXCUT:
         if d != 3:
             raise InputError(
                 f"no constant available for the cut ceiling at d={d}: the "
@@ -129,7 +127,7 @@ def ratio_ceiling(model, d: int, p: int, best_tree_value: float) -> dict:
         ceiling = 2.0 * constant
         achieved = d * value
     return {
-        "model": kind,
+        "model": model.kind,
         "d": d,
         "p": p,
         "tree_value": value,
@@ -175,9 +173,7 @@ def prune(g: Graph, b, d: int) -> PruneResult:
     the input cost whenever that cost is positive. Terminates in at most n
     steps.
     """
-    d = int(d)
-    if d < 1:
-        raise InputError("degree must be at least 1")
+    d = integer(d, "degree", 1)
     for v in range(g.n):
         if g.degree_of(v) != d:
             raise InputError(
@@ -252,12 +248,10 @@ def locality_check(
     the maximum absolute discrepancy over everything checked; if no edge
     anywhere has a tree neighborhood the report says so instead.
     """
-    p = int(p)
-    trials = int(trials)
+    p = integer(p, "depth", 0)
+    trials = integer(trials, "trials", 1)
     if params.p != p:
         raise InputError(f"parameter depth {params.p} must equal p={p}")
-    if trials < 1:
-        raise InputError("need at least one trial")
     model.check_degree(spec.d)
     tree_value = None
     rows = []
@@ -311,11 +305,10 @@ def _equivalence_specs(n_list, d: int, trials: int = 100, seed: int = 0) -> list
     """The general and the bipartite ensemble of each n, seeded as
     :func:`ensemble_equivalence` seeds them: every input of that experiment
     but the model and the angles is checked before anything is sampled."""
-    n_list = [int(n) for n in n_list]
+    n_list = list(n_list)
     if not n_list:
         raise InputError("n_list must not be empty")
-    if int(trials) < 2:
-        raise InputError("need at least two trials for standard errors")
+    integer(trials, "trials", 2, "need at least two trials for standard errors")
     seeds = iter(derive_seeds(seed, 2 * len(n_list)))
     return [
         tuple(EnsembleSpec(n, d, kind, next(seeds)) for kind in ("general", "bipartite"))
@@ -342,8 +335,7 @@ def ensemble_equivalence(
     exact total and tree-edge count come from :class:`LightConeSum`.
     """
     specs = _equivalence_specs(n_list, d, trials, seed)
-    p = int(p)
-    trials = int(trials)
+    p = integer(p, "depth", 0)
     if params.p != p:
         raise InputError(f"parameter depth {params.p} must equal p={p}")
     light_cone = LightConeSum(d, model, params, initial)
@@ -388,13 +380,13 @@ def ensemble_equivalence(
         )
     config = {
         "n_list": [general.n for general, _ in specs],
-        "d": int(d),
+        "d": light_cone.d,
         "p": p,
         "model": _model_config(model),
         "params": _params_config(params),
         "initial": initial,
         "trials": trials,
-        "seed": int(seed),
+        "seed": seed,
     }
     payload = {
         "tree_value": tree_value,
@@ -408,8 +400,7 @@ def cycle_oracle_mean(d: int, k: int, kind: str = "general") -> float:
     """Limiting mean number of length-k cycles in the random d-regular
     ensemble: (d-1)^k / (2k) in general; bipartite doubles the even-length
     mean and has no odd cycles at all."""
-    if k < 3:
-        raise InputError("cycle length must be at least 3")
+    k = integer(k, "cycle length", 3)
     if kind == "bipartite":
         if k % 2 == 1:
             return 0.0
@@ -423,11 +414,8 @@ def cycle_census_experiment(spec: EnsembleSpec, kmax: int, trials: int = 100) ->
     """Empirical short-cycle counts across seeds, banded against the
     limiting means; bipartite runs additionally require every odd count to
     be exactly zero."""
-    kmax = int(kmax)
-    trials = int(trials)
-    _check_kmax(kmax)
-    if trials < 2:
-        raise InputError("need at least two trials for standard errors")
+    kmax = _check_kmax(kmax)
+    trials = integer(trials, "trials", 2, "need at least two trials for standard errors")
     samples: dict[int, list[int]] = {k: [] for k in range(3, kmax + 1)}
     odd_all_zero = True
     for _, g in _trial_graphs(spec, derive_seeds(spec.seed, trials)):
@@ -471,14 +459,10 @@ def tree_fraction_experiment(spec: EnsembleSpec, p_list, trials: int = 20) -> di
     """Mean fraction of edges with tree radius-p neighborhoods, per p,
     reported next to the neighborhood growth (d-1)^(2p) whose comparison
     against n indicates whether near-1 fractions should be expected."""
-    p_list = [int(p) for p in p_list]
+    p_list = [integer(p, "radius", 0) for p in p_list]
     if not p_list:
         raise InputError("p_list must not be empty")
-    if any(p < 0 for p in p_list):
-        raise InputError("radii must be nonnegative")
-    trials = int(trials)
-    if trials < 1:
-        raise InputError("need at least one trial")
+    trials = integer(trials, "trials", 1)
     # Each graph is walked once, at the largest radius, and only its
     # fractions are kept: a ball is a tree at radius p exactly when the
     # edge's tree radius is at least p.
@@ -525,13 +509,9 @@ def end_to_end(
     Every graph and every sample is drawn from ``seed``, which the report
     echoes as ``seed_graphs``; ``spec.seed`` is never read, so two specs
     that differ only in their seed give the same report."""
-    p = int(p)
-    trials = int(trials)
-    samples = int(samples)
-    if trials < 1:
-        raise InputError("need at least one trial")
-    if samples < 0:
-        raise InputError("sample count must be nonnegative")
+    p = integer(p, "depth", 0)
+    trials = integer(trials, "trials", 1)
+    samples = integer(samples, "sample count", 0)
     children = derive_seeds(seed, 2 * trials)  # refuses a bad seed before the search
     opt = optimize(spec.d, p, model, initial, budget=budget)
     params = opt.best_params
@@ -575,11 +555,11 @@ def end_to_end(
         "n": spec.n,
         "d": spec.d,
         "kind": spec.kind,
-        "seed_graphs": int(seed),
+        "seed_graphs": seed,
         "p": p,
         "model": _model_config(model),
         "initial": initial,
-        "budget": int(budget),
+        "budget": budget,
         "trials": trials,
         "samples": samples,
     }

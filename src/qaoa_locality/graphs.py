@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InputError, ResourceError
+from .errors import InputError, ResourceError, integer
 from .rng import as_generator
 
 __all__ = [
@@ -92,9 +92,7 @@ class Graph:
         edges,
         bipartition=None,
     ) -> "Graph":
-        if int(n) < 1:
-            raise InputError("vertex count must be at least 1")
-        n = int(n)
+        n = integer(n, "vertex count", 1)
         seen: set[tuple[int, int]] = set()
         norm: list[tuple[int, int]] = []
         for pair in edges:
@@ -144,7 +142,8 @@ class EnsembleSpec:
 
     ``kind`` is "general" (uniform simple d-regular) or "bipartite" (uniform
     simple d-regular bipartite with classes 0..n/2-1 and n/2..n-1). ``n``
-    and ``d`` must be integers; numpy integers are stored as ``int``.
+    and ``d`` must be integers of at least 1; numpy integers are stored as
+    ``int``.
     """
 
     n: int
@@ -156,12 +155,7 @@ class EnsembleSpec:
         if self.kind not in ("general", "bipartite"):
             raise InputError(f"unknown ensemble kind {self.kind!r}")
         for name in ("n", "d"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise InputError(f"ensemble {name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.d < 1:
-            raise InputError("degree must be at least 1")
+            object.__setattr__(self, name, integer(getattr(self, name), f"ensemble {name}", 1))
         if self.n <= self.d:
             raise InputError("need n > d for a simple d-regular graph")
         if self.kind == "general" and (self.n * self.d) % 2 != 0:
@@ -281,8 +275,7 @@ def edge_neighborhood(g: Graph, edge, radius: int) -> Graph:
     1, so the middle edge (0, 1) sorts first and is ``ball.edges[0]``. The
     ball is connected, so it is a tree exactly when ``ball.m == ball.n - 1``.
     """
-    if radius < 0:
-        raise InputError("radius must be nonnegative")
+    radius = integer(radius, "radius", 0)
     u, v = int(edge[0]), int(edge[1])
     if u > v:
         u, v = v, u
@@ -418,9 +411,7 @@ def edge_tree_radii(g: Graph, rmax: int) -> np.ndarray:
     the middle edge, end at distinct vertices: those walks cover every edge
     of the ball. One vectorized walk from all edges gives every radius.
     """
-    rmax = int(rmax)
-    if rmax < 0:
-        raise InputError("radius must be nonnegative")
+    rmax = integer(rmax, "radius", 0)
     if g.m == 0:
         return np.zeros(0, dtype=np.int64)
     head, _, turns = _walk_tables(g)
@@ -441,13 +432,13 @@ def _short_cycle_vertices(g: Graph, kmax: int) -> list[int]:
     return np.flatnonzero(levels + 1 - first).tolist()
 
 
-def _check_kmax(kmax: int) -> None:
-    if kmax < 3:
-        raise InputError("kmax must be at least 3")
+def _check_kmax(kmax: int) -> int:
+    kmax = integer(kmax, "kmax", 3)
     if kmax > MAX_CYCLE_LENGTH:
         raise ResourceError(
             f"a cycle census to length {kmax} is above the limit of {MAX_CYCLE_LENGTH}"
         )
+    return kmax
 
 
 def count_cycles(g: Graph, kmax: int) -> dict[int, int]:
@@ -462,7 +453,7 @@ def count_cycles(g: Graph, kmax: int) -> dict[int, int]:
     traversal (smallest vertex first, smaller of its two cycle neighbors
     second).
     """
-    _check_kmax(kmax)
+    kmax = _check_kmax(kmax)
     top = max(map(len, g.adjacency))
     # from D=3 on, (D-1)**64 alone is above the limit, and below it the
     # power is 0 or 1, so a capped exponent gives the same answer
@@ -504,8 +495,7 @@ def count_cycles(g: Graph, kmax: int) -> dict[int, int]:
 
 def tree_edge_fraction(g: Graph, radius: int) -> float:
     """Fraction of edges whose radius-ball of edges is a tree."""
-    if radius < 0:
-        raise InputError("radius must be nonnegative")
+    radius = integer(radius, "radius", 0)
     if g.m == 0:
         return 1.0
     radii = edge_tree_radii(g, radius)

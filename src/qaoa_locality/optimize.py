@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ResourceError
+from .errors import InputError, ResourceError, integer
 from .qaoa import CostModel, QaoaParams
 from .trees import TreePathSum
 
@@ -92,12 +92,9 @@ def grid_search(
     gamma tuple evaluates every beta tuple at once. The first maximum in
     the trace is the best point.
     """
-    if resolution < 2:
-        raise InputError("resolution must be at least 2")
-    if p < 0:
-        raise InputError("depth must be nonnegative")
-    if budget < 1:
-        raise InputError(f"budget must be at least 1, got {budget}")
+    resolution = integer(resolution, "resolution", 2)
+    p = integer(p, "depth", 0)
+    budget = integer(budget, "budget", 1)
     path_sum = TreePathSum(d, p, model, initial)
     total = resolution ** (2 * p)
     if total > budget:
@@ -174,8 +171,7 @@ def refine(
     """
     if not tolerance > 0:
         raise InputError(f"tolerance must be positive, got {tolerance}")
-    if max_passes < 0:
-        raise InputError(f"max_passes must be nonnegative, got {max_passes}")
+    max_passes = integer(max_passes, "max_passes", 0)
     if start.p != p:
         raise InputError(f"start has depth {start.p}, expected {p}")
     obj = _TreeObjective(d, p, model, initial)
@@ -232,6 +228,7 @@ def optimize(
     The default resolution is 64 points per axis up to depth 1 and 16 from
     depth 2 on. Deterministic for fixed arguments.
     """
+    p = integer(p, "depth", 0)
     if resolution is None:
         resolution = 64 if p <= 1 else 16
     grid = grid_search(d, p, model, initial, resolution=resolution, budget=budget)
@@ -248,7 +245,7 @@ def optimize(
     best = np.flatnonzero(trace >= cut).tolist()
     starts = sorted(best, key=trace.__getitem__, reverse=True)[:_STARTS]
     results = [
-        refine(_grid_point(i, p, resolution, model.gamma_period), d, p, model, initial)
+        refine(_grid_point(i, p, grid.grid_resolution, model.gamma_period), d, p, model, initial)
         for i in starts
     ]
     best = min([grid, *results], key=_rank)
@@ -256,7 +253,7 @@ def optimize(
         best_params=best.best_params,
         best_value=best.best_value,
         trace=grid.trace,
-        grid_resolution=resolution,
+        grid_resolution=grid.grid_resolution,
         refinement_iterations=sum(res.refinement_iterations for res in results),
         converged=all(res.converged for res in results),
         evaluations=grid.evaluations + sum(res.evaluations for res in results),

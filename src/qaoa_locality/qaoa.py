@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError, ResourceError
+from .errors import InputError, ResourceError, integer
 from .graphs import Graph
 from .rng import as_generator
 
@@ -70,10 +70,7 @@ class CostModel:
         if self.kind not in (MAXCUT, MIS):
             raise InputError(f"unknown cost model {self.kind!r}")
         if self.kind == MIS:
-            d = self.d
-            if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
-                raise InputError("the independent-set cost needs an integer degree d >= 1")
-            object.__setattr__(self, "d", int(d))
+            object.__setattr__(self, "d", integer(self.d, "the independent-set degree", 1))
 
     @classmethod
     def maxcut(cls) -> "CostModel":
@@ -81,7 +78,7 @@ class CostModel:
 
     @classmethod
     def mis(cls, d: int) -> "CostModel":
-        return cls(MIS, int(d))
+        return cls(MIS, d)
 
     def check_degree(self, d: int) -> None:
         """Refuse a degree other than k for mis(k), a cost per edge of a
@@ -134,10 +131,10 @@ class Statevector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self.m = int(self.m)
+        self.m = integer(self.m, "qubit count", 1)
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.m < 1 or self.amplitudes.shape != (1 << self.m,):
-            raise InputError("amplitude vector must have length 2**m, m >= 1")
+        if self.amplitudes.shape != (1 << self.m,):
+            raise InputError("amplitude vector must have length 2**m")
         nrm = self.norm()
         if not abs(nrm - 1.0) <= 1e-12:  # a NaN norm fails this test too
             raise InputError(f"state is not normalized: |norm-1| = {abs(nrm - 1.0):.3e}")
@@ -198,7 +195,7 @@ def _cost_levels(model: CostModel, g: Graph) -> tuple[np.ndarray, np.ndarray]:
     low = min(min(row) for row in table)
     high = max(max(row) for row in table)
     terms = [(a, b, table[a][b] - low) for a in (0, 1) for b in (0, 1) if table[a][b] != low]
-    index = np.zeros(_register_size(g.n), dtype=np.intp)
+    index = np.zeros(1 << _qubits(g.n), dtype=np.intp)
     for v in range(g.n):
         size = 1 << v
         index[size : 2 * size] = index[:size]
@@ -219,22 +216,22 @@ def cost_table(model: CostModel, g: Graph) -> np.ndarray:
     return levels[index]
 
 
-def _register_size(m: int) -> int:
-    """2**m, checked against ``DEFAULT_QUBIT_CAP`` before the state or a
-    cost table of that length is allocated."""
-    if m < 1:
-        raise InputError("need at least one qubit")
+def _qubits(m: int) -> int:
+    """``m`` as a qubit count of at least 1, checked against
+    ``DEFAULT_QUBIT_CAP`` before the state or a cost table of length 2**m
+    is allocated."""
+    m = integer(m, "qubit count", 1)
     if m > DEFAULT_QUBIT_CAP:
         raise ResourceError(f"{m} qubits exceed the cap of {DEFAULT_QUBIT_CAP}")
-    return 1 << m
+    return m
 
 
 def prepare_initial(m: int, initial: str = "plus") -> Statevector:
     """Product initial state: "zero" is |0...0>, "plus" the uniform state."""
     if initial not in INITIAL_STATES:
         raise InputError(f"unknown initial state {initial!r}")
-    m = int(m)
-    size = _register_size(m)
+    m = _qubits(m)
+    size = 1 << m
     if initial == "zero":
         amps = np.zeros(size, dtype=np.complex128)
         amps[0] = 1.0
@@ -384,9 +381,7 @@ def expect_total(state: Statevector, g: Graph, model: CostModel) -> float:
 
 def sample_bitstrings(state: Statevector, count: int, seed) -> list[str]:
     """Draw basis-state samples; deterministic for a given seed."""
-    count = int(count)
-    if count < 0:
-        raise InputError("sample count must be nonnegative")
+    count = integer(count, "sample count", 0)
     rng = as_generator(seed)
     probs = state.probabilities()
     probs /= probs.sum()

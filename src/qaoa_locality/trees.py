@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ResourceError
+from .errors import InputError, ResourceError, integer
 from .graphs import Graph, edge_neighborhood, edge_tree_radii
 from .qaoa import (
     DEFAULT_QUBIT_CAP,
@@ -65,10 +65,8 @@ def build_canonical_tree(d: int, p: int) -> Graph:
     same every time, and the middle edge (0, 1) is edge 0, as in every ball
     from :func:`edge_neighborhood`.
     """
-    if d < 2:
-        raise InputError("degree must be at least 2")
-    if p < 0:
-        raise InputError("radius must be nonnegative")
+    d = integer(d, "degree", 2)
+    p = integer(p, "radius", 0)
     edges = [(0, 1)]
     frontier = [0, 1]
     nxt = 2
@@ -138,15 +136,11 @@ class TreePathSum:
     """
 
     def __init__(self, d: int, p: int, model: CostModel, initial: str = "plus"):
-        if d < 2:
-            raise InputError("degree must be at least 2")
-        if p < 0:
-            raise InputError("radius must be nonnegative")
+        self.d = integer(d, "degree", 2)
+        self.p = integer(p, "radius", 0)
         if initial not in INITIAL_STATES:
             raise InputError(f"unknown initial state {initial!r}")
-        model.check_degree(d)
-        self.d = int(d)
-        self.p = int(p)
+        model.check_degree(self.d)
         self._check_size(1)
         den = model.denominator
         self.cost = np.array([[n / den for n in row] for row in model.numerators])
@@ -313,13 +307,12 @@ class LightConeSum:
     def __init__(
         self, d: int, model: CostModel, params: QaoaParams, initial: str = "plus"
     ):
-        self.d = int(d)
+        path_sum = TreePathSum(d, params.p, model, initial)
+        self.d = path_sum.d
         self.model = model
         self.params = params
         self.initial = initial
-        self.tree_value = TreePathSum(self.d, params.p, model, initial).value(
-            params.gammas, params.betas
-        )
+        self.tree_value = path_sum.value(params.gammas, params.betas)
         self._balls: dict = {}
 
     def total(self, g: Graph) -> tuple[float, int]:

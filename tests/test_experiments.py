@@ -86,14 +86,10 @@ def test_ratio_ceiling_refuses_unknown_constants():
         ratio_ceiling(MC, 4, 1, 0.6)
     with pytest.raises(InputError, match="no constant available"):
         ratio_ceiling(CostModel.mis(2), 2, 1, 0.1)
-    with pytest.raises(InputError):
-        ratio_ceiling("vertexcover", 3, 1, 0.5)
-
-
-def test_ratio_ceiling_accepts_model_names():
-    by_name = ratio_ceiling("maxcut", 3, 1, 0.69)
-    by_model = ratio_ceiling(MC, 3, 1, 0.69)
-    assert by_name["ceiling"] == by_model["ceiling"]
+    # a model is a CostModel: the name "mis" has no degree to check d against
+    for name, d in (("vertexcover", 3), ("maxcut", 3), ("mis", 4)):
+        with pytest.raises(InputError, match="unknown cost model"):
+            ratio_ceiling(name, d, 1, 0.1)
 
 
 def test_ratio_ceiling_flags_violation():
@@ -273,6 +269,9 @@ def test_locality_check_validates():
         locality_check(spec, 2, MC, QaoaParams((0.1,), (0.1,)), trials=2)
     with pytest.raises(InputError):
         locality_check(spec, 1, MC, QaoaParams((0.1,), (0.1,)), trials=0)
+    # 1.5 used to run 1 trial
+    with pytest.raises(InputError):
+        locality_check(spec, 1, MC, QaoaParams((0.1,), (0.1,)), trials=1.5)
     # a perfect matching's tree balls have no canonical tree to compare with
     with pytest.raises(InputError, match="degree must be at least 2"):
         locality_check(EnsembleSpec(4, 1, "general", 0), 1, MC, QaoaParams((0.1,), (0.1,)))
@@ -460,6 +459,29 @@ def test_end_to_end_refuses_a_negative_seed_before_it_searches(monkeypatch):
     monkeypatch.setattr(experiments_module, "optimize", no_search)
     with pytest.raises(InputError, match="seed must be nonnegative, got -1"):
         end_to_end(EnsembleSpec(8, 3, "general", 0), 2, MC, seed=-1, trials=2)
+
+
+def test_numpy_integers_give_the_same_reports():
+    """Every count, degree, depth and seed may be a numpy integer: the
+    serialized report is the one Python ints give."""
+    spec = EnsembleSpec(10, 3, "general", 4)
+    params = QaoaParams((0.4,), (0.3,))
+    runs = [
+        lambda n: end_to_end(
+            spec, n(1), MIS3, budget=n(5000), seed=n(5), trials=n(2), samples=n(4)
+        ),
+        lambda n: locality_check(spec, n(1), MC, params, trials=n(2)),
+        lambda n: ensemble_equivalence(
+            [n(8), n(10)], n(3), n(1), MC, params, trials=n(2), seed=n(3)
+        ),
+        lambda n: cycle_census_experiment(spec, n(5), trials=n(3)),
+        lambda n: tree_fraction_experiment(spec, [n(0), n(1)], trials=n(2)),
+        lambda n: ratio_ceiling(MIS3, n(3), n(1), 0.06),
+    ]
+    for run in runs:
+        assert report_json(run(np.int64)) == report_json(run(int))
+    ring = cycle_graph(6)
+    assert prune(ring, "111111", np.int64(2)) == prune(ring, "111111", 2)
 
 
 def test_end_to_end_independent_set_prunes_samples():

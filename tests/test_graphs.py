@@ -73,6 +73,9 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(InputError):
         Graph.from_edges(3, [(0, 1), (1, 0)])
+    # 2.7 used to build a graph on 2 vertices
+    with pytest.raises(InputError, match="vertex count must be an integer, got 2.7"):
+        Graph.from_edges(2.7, [(0, 1)])
     with pytest.raises(InputError):
         Graph.from_edges(2, [(0, 2)])
 
@@ -269,6 +272,41 @@ def test_ensemble_spec_refuses_non_integer_sizes(n, d):
     # raised TypeError
     with pytest.raises(InputError, match="must be an integer"):
         EnsembleSpec(n, d, "general", 0)
+
+
+# A float radius, count or seed used to be compared or truncated: at 1.5,
+# edge_neighborhood returned the whole component and tree_edge_fraction 0.0;
+# edge_tree_radii and derive_seeds truncated; count_cycles raised TypeError.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: edge_neighborhood(g, g.edges[0], 1.5),
+        lambda g: edge_tree_radii(g, 1.5),
+        lambda g: tree_edge_fraction(g, 1.5),
+        lambda g: count_cycles(g, 5.5),
+        lambda g: count_cycles(g, True),
+        lambda g: derive_seeds(3, 2.7),
+        lambda g: derive_seeds(3.0, 2),
+    ],
+    ids=["edge_neighborhood", "edge_tree_radii", "tree_edge_fraction", "count_cycles",
+         "count_cycles-bool", "derive_seeds-count", "derive_seeds-seed"],
+)
+def test_graph_entry_points_refuse_non_integers(call):
+    g = sample_graph(EnsembleSpec(200, 3, "general", 0))
+    with pytest.raises(InputError, match="must be an integer"):
+        call(g)
+
+
+def test_graph_entry_points_accept_numpy_integers():
+    g = sample_graph(EnsembleSpec(200, 3, "general", 0))
+    one, five = np.int64(1), np.int32(5)
+    assert edge_neighborhood(g, g.edges[0], one) == edge_neighborhood(g, g.edges[0], 1)
+    assert edge_neighborhood(g, g.edges[0], one).n == 6
+    assert np.array_equal(edge_tree_radii(g, one), edge_tree_radii(g, 1))
+    assert tree_edge_fraction(g, one) == tree_edge_fraction(g, 1) > 0.9
+    assert count_cycles(g, five) == count_cycles(g, 5)
+    assert derive_seeds(np.uint8(3), five) == derive_seeds(3, 5)
+    assert Graph.from_edges(np.int64(2), [(0, 1)]) == Graph.from_edges(2, [(0, 1)])
 
 
 def test_ensemble_spec_stores_numpy_integers_as_int():

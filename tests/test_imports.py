@@ -202,6 +202,58 @@ def test_an_unread_dataclass_field_is_caught(tmp_path):
     assert unread_dataclass_fields(tmp_path) == [("Box", "label"), ("Tag", "extra")]
 
 
+def int_coercions(package, skip=("cli.py",)):
+    """Calls ``int(x)`` where ``x`` is a parameter of the function that makes
+    the call, as (file name, function, parameter) triples, in every module of
+    ``package`` but ``skip``. ``errors.integer`` is the one place that turns
+    a checked count, degree, depth, radius or seed into an ``int``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in skip:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if (path.name, func.name) == ("errors.py", "integer"):
+                continue
+            args = func.args
+            params = {
+                a.arg
+                for a in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+                if a is not None
+            }
+            found += [
+                (path.name, func.name, call.args[0].id)
+                for call in ast.walk(func)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id == "int"
+                and call.args
+                and isinstance(call.args[0], ast.Name)
+                and call.args[0].id in params
+            ]
+    return found
+
+
+def test_no_function_coerces_its_own_parameter_with_int():
+    found = int_coercions(PACKAGE)
+    assert not found, f"int() on a parameter, not errors.integer: {found}"
+
+
+def test_an_int_coercion_of_a_parameter_is_caught(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def size(n, edge, *, trials=1):\n    m = int(edge[0])\n"
+        "    return int(n) + int(m) + int(trials)\n\n\n"
+        "class Box:\n    def grow(self, k):\n        return [int(k) for _ in range(2)]\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "cli.py").write_text("def read(text):\n    return int(text)\n", encoding="utf-8")
+    assert sorted(int_coercions(tmp_path)) == [
+        ("a.py", "grow", "k"), ("a.py", "size", "n"), ("a.py", "size", "trials")
+    ]
+
+
 def test_importing_the_package_leaves_the_command_line_out():
     """``import qaoa_locality`` loads neither the command-line module nor
     argparse, so changes there stay off every library caller's import."""

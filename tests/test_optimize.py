@@ -103,6 +103,13 @@ def test_grid_budget_guardrail():
         grid_search(3, 1, MC, resolution=64, budget=1000)
     with pytest.raises(InputError):
         grid_search(3, 1, MC, resolution=1)
+    # 2.5 used to raise TypeError
+    with pytest.raises(InputError):
+        grid_search(3, 1, MC, resolution=2.5)
+    with pytest.raises(InputError):
+        optimize(3, 1, MC, resolution=2.5)
+    with pytest.raises(InputError):
+        optimize(3, "1", MC)
 
 
 def test_budget_below_one_is_invalid_input():
@@ -172,6 +179,9 @@ def test_refine_refuses_negative_max_passes_before_it_evaluates(monkeypatch):
     fail_on_evaluation(monkeypatch)
     with pytest.raises(InputError, match="max_passes"):
         refine(QaoaParams((0.3,), (0.2,)), 3, 1, MC, max_passes=-1)
+    # 2.5 used to run 3 passes
+    with pytest.raises(InputError, match="max_passes"):
+        refine(QaoaParams((0.3,), (0.2,)), 3, 1, MC, max_passes=2.5)
     # no pass at all is allowed, and returns the start
     monkeypatch.undo()
     result = refine(QaoaParams((0.3,), (0.2,)), 3, 1, MC, max_passes=0)

@@ -125,6 +125,9 @@ def test_cost_model_validation():
     for d in ("3", 3.0, 2.5, True, None, 0, -2):
         with pytest.raises(InputError):
             CostModel("mis", d)
+        # mis(2.5) used to be mis(2)
+        with pytest.raises(InputError):
+            CostModel.mis(d)
     assert CostModel("mis", np.int64(3)) == CostModel.mis(3)
     assert type(CostModel("mis", np.int64(3)).d) is int
 
@@ -309,6 +312,11 @@ def test_prepare_initial_states_and_cap():
     assert zero.amplitudes[0] == 1.0
     with pytest.raises(InputError):
         prepare_initial(3, "ghz")
+    # 2.9 used to give 2 qubits
+    for m in (2.9, True, 0):
+        with pytest.raises(InputError):
+            prepare_initial(m)
+    assert np.array_equal(prepare_initial(np.int64(3)).amplitudes, plus.amplitudes)
     with pytest.raises(ResourceError):
         prepare_initial(27, "plus")
     with pytest.raises(ResourceError):
@@ -320,6 +328,8 @@ def test_statevector_rejects_unnormalized():
         Statevector(2, np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
     with pytest.raises(InputError):
         Statevector(2, np.zeros(3, dtype=complex))
+    with pytest.raises(InputError):
+        Statevector(1.0, np.array([1.0, 0.0], dtype=complex))
     # a NaN norm passes no bound, so it is refused where the state is built
     with pytest.raises(InputError):
         Statevector(1, np.array([np.nan, 0.0], dtype=complex))
@@ -525,6 +535,12 @@ def test_sampling_deterministic_and_plausible():
     assert sample_bitstrings(st, 0, 1) == []
     with pytest.raises(InputError):
         sample_bitstrings(st, -1, 1)
+    # 2.5 used to draw 2 samples
+    with pytest.raises(InputError):
+        sample_bitstrings(st, 2.5, 0)
+    with pytest.raises(InputError):
+        sample_bitstrings(st, 2, 0.5)
+    assert sample_bitstrings(st, np.int64(32), np.int64(123)) == a
 
 
 def test_sampling_draws_what_generator_choice_draws():

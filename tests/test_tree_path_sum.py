@@ -180,6 +180,11 @@ def test_validates_inputs():
         TreePathSum(1, 1, MC)
     with pytest.raises(InputError):
         TreePathSum(3, -1, MC)
+    # 2.5 used to value the d=2 tree
+    with pytest.raises(InputError):
+        TreePathSum(2.5, 1, MC)
+    with pytest.raises(InputError):
+        TreePathSum(3, 1.0, MC)
     with pytest.raises(InputError):
         TreePathSum(3, 1, MC, "minus")
     with pytest.raises(InputError):
