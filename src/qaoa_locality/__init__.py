@@ -43,7 +43,6 @@ from .trees import (
     TreePathSum,
     build_canonical_tree,
     neighborhood_expectation,
-    predicted_ensemble_cost,
     tree_expectation,
     tree_vertex_count,
 )

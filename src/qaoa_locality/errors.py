@@ -1,9 +1,10 @@
-"""Shared exception types with machine-readable categories, and the one
-integer check every count, degree, depth, radius and seed goes through."""
+"""Shared exception types with machine-readable categories, the one integer
+check every count, degree, depth, radius and seed goes through, and the one
+0/1 check every bit and bipartition entry goes through."""
 
 import numpy as np
 
-__all__ = ["InputError", "ResourceError", "integer"]
+__all__ = ["InputError", "ResourceError", "integer", "zero_one"]
 
 
 class InputError(ValueError):
@@ -30,3 +31,15 @@ def integer(value, name: str, minimum: int, refusal: str | None = None) -> int:
         bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
         raise InputError(refusal or f"{name} must be {bound}, got {value}")
     return int(value)
+
+
+def zero_one(values, name: str) -> list[int]:
+    """``values`` as a list of Python ``int``s, each 0 or 1 and given as an
+    ``int`` or numpy integer, not a bool. Anything else raises
+    ``InputError`` saying ``name`` must be 0 or 1."""
+    vals = list(values)
+    if not {int}.issuperset(map(type, vals)):
+        vals = [int(b) if isinstance(b, np.integer) else b for b in vals]
+    if not ({int}.issuperset(map(type, vals)) and {0, 1}.issuperset(vals)):
+        raise InputError(f"{name} must be 0 or 1")
+    return vals

@@ -40,7 +40,7 @@ from .qaoa import (
     sample_bitstrings,
 )
 from .rng import derive_seeds
-from .trees import LightConeSum, TreePathSum, predicted_ensemble_cost
+from .trees import LightConeSum, TreePathSum
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -400,6 +400,7 @@ def cycle_oracle_mean(d: int, k: int, kind: str = "general") -> float:
     """Limiting mean number of length-k cycles in the random d-regular
     ensemble: (d-1)^k / (2k) in general; bipartite doubles the even-length
     mean and has no odd cycles at all."""
+    d = integer(d, "degree", 1)
     k = integer(k, "cycle length", 3)
     if kind == "bipartite":
         if k % 2 == 1:
@@ -573,7 +574,7 @@ def end_to_end(
         },
         "prediction": {
             "tree_value": tree_value,
-            "predicted_total": predicted_ensemble_cost(spec.n, spec.d, tree_value),
+            "predicted_total": 0.5 * spec.n * spec.d * float(tree_value),  # n*d/2 edges
             "predicted_per_edge": tree_value,
             "finite_size_correction_unquantified": True,
         },

@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InputError, ResourceError, integer
+from .errors import InputError, ResourceError, integer, zero_one
 from .rng import as_generator
 
 __all__ = [
@@ -70,6 +70,20 @@ MAX_CYCLE_LENGTH = 10**4
 _WALK_BLOCK_ENTRIES = 1 << 14
 
 
+def _edge(pair) -> tuple[int, int]:
+    # The edge rule: two endpoints, each an int or numpy integer and not a
+    # bool, as (u, v) with u <= v; the caller checks range and self-loops.
+    try:
+        u, v = pair
+    except (TypeError, ValueError):
+        raise InputError(f"an edge is two endpoints, got {pair!r}") from None
+    if type(u) is not int or type(v) is not int:
+        if any(isinstance(x, bool) or not isinstance(x, (int, np.integer)) for x in (u, v)):
+            raise InputError(f"edge endpoints must be integers, got {pair!r}")
+        u, v = int(u), int(v)
+    return (u, v) if u <= v else (v, u)
+
+
 @dataclass
 class Graph:
     """Simple undirected graph.
@@ -93,34 +107,29 @@ class Graph:
         bipartition=None,
     ) -> "Graph":
         n = integer(n, "vertex count", 1)
-        seen: set[tuple[int, int]] = set()
-        norm: list[tuple[int, int]] = []
-        for pair in edges:
-            u, v = int(pair[0]), int(pair[1])
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u}, {v}) is out of range for n={n}")
-            if u == v:
-                raise InputError(f"self-loop at vertex {u}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise InputError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            norm.append((u, v))
+        norm = [_edge(pair) for pair in edges]
         norm.sort()
         # Each row comes out sorted: a vertex x meets its smaller neighbours
         # first, in order, as the second element of (u, x), and then its
-        # larger ones as the first element of (x, v).
+        # larger ones as the first element of (x, v). A repeat sorts next
+        # to its first copy.
         adjacency: list[list[int]] = [[] for _ in range(n)]
-        for u, v in norm:
+        last = None
+        for edge in norm:
+            u, v = edge
+            if u < 0 or v >= n:
+                raise InputError(f"edge ({u}, {v}) is out of range for n={n}")
+            if u == v:
+                raise InputError(f"self-loop at vertex {u}")
+            if edge == last:
+                raise InputError(f"duplicate edge ({u}, {v})")
+            last = edge
             adjacency[u].append(v)
             adjacency[v].append(u)
         if bipartition is not None:
-            bipartition = [int(b) for b in bipartition]
+            bipartition = zero_one(bipartition, "bipartition entries")
             if len(bipartition) != n:
                 raise InputError("bipartition length must equal the vertex count")
-            if any(b not in (0, 1) for b in bipartition):
-                raise InputError("bipartition entries must be 0 or 1")
             for u, v in norm:
                 if bipartition[u] == bipartition[v]:
                     raise InputError(
@@ -276,9 +285,7 @@ def edge_neighborhood(g: Graph, edge, radius: int) -> Graph:
     ball is connected, so it is a tree exactly when ``ball.m == ball.n - 1``.
     """
     radius = integer(radius, "radius", 0)
-    u, v = int(edge[0]), int(edge[1])
-    if u > v:
-        u, v = v, u
+    u, v = _edge(edge)
     if not (0 <= u and v < g.n and v in g.adjacency[u]):
         raise InputError(f"({u}, {v}) is not an edge of the graph")
     # BFS over edges (u, v), u < v, adjacent when they share an endpoint. A sorted
@@ -527,11 +534,8 @@ def read_edgelist(path) -> Graph:
     lines = [line for line in raw if line]
     if not lines:
         raise InputError("empty edge-list file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise InputError("first line must be 'n m'")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = map(int, lines[0].split())
     except ValueError as exc:
         raise InputError("first line must be 'n m' with integers") from exc
     body = lines[1:]
@@ -546,11 +550,8 @@ def read_edgelist(path) -> Graph:
         raise InputError(f"expected {m} edge lines, found {len(body)}")
     edges = []
     for line in body:
-        parts = line.split()
-        if len(parts) != 2:
-            raise InputError(f"malformed edge line {line!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append(tuple(map(int, line.split())))
         except ValueError as exc:
             raise InputError(f"malformed edge line {line!r}") from exc
     return Graph.from_edges(n, edges, bipartition=bipartition)

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError, ResourceError, integer
-from .graphs import Graph
+from .errors import InputError, ResourceError, integer, zero_one
+from .graphs import Graph, _edge
 from .rng import as_generator
 
 __all__ = [
@@ -120,6 +120,7 @@ class QaoaParams:
 
     @classmethod
     def zeros(cls, p: int) -> "QaoaParams":
+        p = integer(p, "depth", 0)
         return cls((0.0,) * p, (0.0,) * p)
 
 
@@ -159,13 +160,11 @@ class Statevector:
 def bit_values(bits, n: int | None = None) -> list[int]:
     """Normalize a bit string ("0110") or 0/1 sequence to a list of ints."""
     if isinstance(bits, str):
-        if any(c not in "01" for c in bits):
+        if not set(bits) <= {"0", "1"}:
             raise InputError("bit strings may only contain 0 and 1")
-        vals = [int(c) for c in bits]
+        vals = [1 if c == "1" else 0 for c in bits]
     else:
-        vals = [int(b) for b in bits]
-        if any(b not in (0, 1) for b in vals):
-            raise InputError("bit values must be 0 or 1")
+        vals = zero_one(bits, "bit values")
     if n is not None and len(vals) != n:
         raise InputError(f"expected {n} bits, got {len(vals)}")
     return vals
@@ -316,17 +315,6 @@ def _edge_marginals(probs: np.ndarray, m: int, i: int, j: int) -> np.ndarray:
     return view.sum(axis=(0, 2, 4)).T
 
 
-def _ordered_edge(edge, m: int) -> tuple[int, int]:
-    u, v = int(edge[0]), int(edge[1])
-    if u == v:
-        raise InputError("edge endpoints must differ")
-    if u > v:
-        u, v = v, u
-    if v >= m or u < 0:
-        raise InputError("edge endpoint outside the register")
-    return u, v
-
-
 def expect_edges(state: Statevector, edges, model: CostModel) -> list[float]:
     """Expectation of each edge's cost in the given state, in the order
     given, from one probability vector.
@@ -338,7 +326,12 @@ def expect_edges(state: Statevector, edges, model: CostModel) -> list[float]:
     is 0 and of those whose bit j is 1, two 2**l vectors split on bit i.
     Each of these is one contiguous reduction, made once per state (the
     row halves once per high bit j) and only if an edge needs it."""
-    pairs = [_ordered_edge(edge, state.m) for edge in edges]
+    pairs = list(map(_edge, edges))
+    for u, v in pairs:
+        if u == v:
+            raise InputError("edge endpoints must differ")
+        if v >= state.m or u < 0:
+            raise InputError("edge endpoint outside the register")
     if not pairs:
         return []
     low = state.m // 2

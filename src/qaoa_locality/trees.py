@@ -42,7 +42,6 @@ __all__ = [
     "build_canonical_tree",
     "tree_expectation",
     "neighborhood_expectation",
-    "predicted_ensemble_cost",
 ]
 
 
@@ -54,6 +53,8 @@ class TreeExpectation:
 
 
 def tree_vertex_count(d: int, p: int) -> int:
+    d = integer(d, "degree", 2)
+    p = integer(p, "radius", 0)
     return 2 * sum((d - 1) ** k for k in range(p + 1))
 
 
@@ -65,8 +66,7 @@ def build_canonical_tree(d: int, p: int) -> Graph:
     same every time, and the middle edge (0, 1) is edge 0, as in every ball
     from :func:`edge_neighborhood`.
     """
-    d = integer(d, "degree", 2)
-    p = integer(p, "radius", 0)
+    n = tree_vertex_count(d, p)
     edges = [(0, 1)]
     frontier = [0, 1]
     nxt = 2
@@ -78,7 +78,7 @@ def build_canonical_tree(d: int, p: int) -> Graph:
                 grown.append(nxt)
                 nxt += 1
         frontier = grown
-    return Graph.from_edges(tree_vertex_count(d, p), edges)
+    return Graph.from_edges(n, edges)
 
 
 def tree_expectation(
@@ -336,13 +336,3 @@ class LightConeSum:
             total += self._balls[key]
         tree_edges = g.m - len(cyclic)
         return tree_edges * self.tree_value + total, tree_edges
-
-
-def predicted_ensemble_cost(n: int, d: int, tree_value: float) -> float:
-    """Leading-order predicted total cost over the ensemble: (n*d/2) * value.
-
-    The remainder is a finite-size correction that this package never
-    estimates numerically; reports carry it as the boolean flag
-    ``finite_size_correction_unquantified`` instead.
-    """
-    return 0.5 * n * d * float(tree_value)

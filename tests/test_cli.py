@@ -936,6 +936,17 @@ def test_a_value_that_looks_like_help_is_a_value(tmp_path, monkeypatch, capsys):
     assert json.loads(err)["error"]["message"] == "bit strings may only contain 0 and 1"
 
 
+@pytest.mark.parametrize(
+    "edges",
+    ["4 4\n0 1\n1 2\n2 3\n3 0.5\n", "4 4\n0 1\n1 2\n2 3\n3 0 1\n"],
+    ids=["float-endpoint", "three-endpoints"],
+)
+def test_edge_lists_the_edge_rule_refuses_exit_2(tmp_path, monkeypatch, capsys, edges):
+    monkeypatch.chdir(tmp_path)
+    Path("g.edges").write_text(edges)
+    assert_refused(*call_main(capsys, "prune", "--in", "g.edges", "--bits", "1100", "--d", "2"))
+
+
 @pytest.mark.parametrize("budget", [0, -1])
 def test_budgets_below_one_exit_2(tmp_path, monkeypatch, capsys, budget):
     """A budget below 1 is invalid input, refused before any search."""

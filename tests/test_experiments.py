@@ -361,6 +361,11 @@ def test_cycle_oracle_values():
         cycle_oracle_mean(3, 2)
     with pytest.raises(InputError):
         cycle_oracle_mean(3, 4, "planar")
+    # 3.5 used to answer for degree 3.5
+    for d in (3.5, True, 0):
+        with pytest.raises(InputError, match="degree must be"):
+            cycle_oracle_mean(d, 4)
+    assert cycle_oracle_mean(np.int64(3), np.int32(6)) == cycle_oracle_mean(3, 6)
 
 
 def test_census_bipartite_has_no_odd_cycles():

@@ -78,6 +78,15 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(2.7, [(0, 1)])
     with pytest.raises(InputError):
         Graph.from_edges(2, [(0, 2)])
+    # each of these used to build a graph: float endpoints were truncated to
+    # edge (0, 1), a third item was dropped, strings and bools were parsed,
+    # and a float or bool bipartition entry was truncated to 0 or 1
+    for edges in ([(0.5, 1.7)], [(0, 1, 2)], [("0", "1")], [(True, 2)], [(0,)], [3]):
+        with pytest.raises(InputError, match="edge"):
+            Graph.from_edges(3, edges)
+    for classes in ([0.5, 1.9, 0], [False, True, False], ["0", "1", "0"], [0, 2, 0]):
+        with pytest.raises(InputError, match="bipartition entries must be 0 or 1"):
+            Graph.from_edges(3, [(0, 1), (1, 2)], bipartition=classes)
 
 
 def test_constructors():
@@ -307,6 +316,19 @@ def test_graph_entry_points_accept_numpy_integers():
     assert count_cycles(g, five) == count_cycles(g, 5)
     assert derive_seeds(np.uint8(3), five) == derive_seeds(3, 5)
     assert Graph.from_edges(np.int64(2), [(0, 1)]) == Graph.from_edges(2, [(0, 1)])
+    # numpy endpoints and classes are stored as int
+    edges = [(0, 1), (2, 1), (2, 3), (0, 3)]
+    want = Graph.from_edges(4, edges, bipartition=[0, 1, 0, 1])
+    for kind in (np.int64, np.int32):
+        got = Graph.from_edges(
+            4, np.array(edges, dtype=kind), bipartition=np.array([0, 1, 0, 1], dtype=kind)
+        )
+        assert got == want
+        assert {type(x) for e in got.edges for x in e} == {int}
+        assert {type(b) for b in got.bipartition} == {int}
+        for u, v in edges:
+            ball = edge_neighborhood(want, (u, v), 2)
+            assert edge_neighborhood(got, (kind(u), kind(v)), 2) == ball
 
 
 def test_ensemble_spec_stores_numpy_integers_as_int():
@@ -423,8 +445,13 @@ def test_balls_match_the_incidence_bfs():
         ((5, 6), "(5, 6) is not an edge"),
         ((-1, 0), "(-1, 0) is not an edge"),
         ((7, 6), "(6, 7) is not an edge"),
+        # the ball of (0, 1) used to be returned for these
+        ((0.9, 1.7), "edge endpoints must be integers, got (0.9, 1.7)"),
+        ((0, 1, 2), "an edge is two endpoints, got (0, 1, 2)"),
+        (("0", "1"), "edge endpoints must be integers"),
     ],
-    ids=["absent", "self", "one-end-past-n", "negative", "both-ends-past-n"],
+    ids=["absent", "self", "one-end-past-n", "negative", "both-ends-past-n",
+         "float-ends", "three-items", "string-ends"],
 )
 def test_neighborhood_refuses_a_pair_that_is_not_an_edge(pair, text):
     with pytest.raises(InputError, match=re.escape(text)):

@@ -203,10 +203,15 @@ def test_an_unread_dataclass_field_is_caught(tmp_path):
 
 
 def int_coercions(package, skip=("cli.py",)):
-    """Calls ``int(x)`` where ``x`` is a parameter of the function that makes
-    the call, as (file name, function, parameter) triples, in every module of
-    ``package`` but ``skip``. ``errors.integer`` is the one place that turns
-    a checked count, degree, depth, radius or seed into an ``int``."""
+    """Calls ``int(x)`` that coerce a function's own input, as (file name,
+    function, name) triples, in every module of ``package`` but ``skip``.
+    ``x`` is a parameter of the function that makes the call; in a public
+    function or method it may also be a subscript of a parameter
+    (``int(edge[0])``) or a name bound by iterating one (``for pair in
+    edges``, ``int(b) for b in bits``), or a subscript of such a name.
+    ``errors.integer`` is the one place that turns a checked count, degree,
+    depth, radius or seed into an ``int``, ``errors.zero_one`` the one for
+    bits, and ``graphs._edge`` the one for edge endpoints."""
     found = []
     for path in sorted(package.glob("*.py")):
         if path.name in skip:
@@ -218,39 +223,64 @@ def int_coercions(package, skip=("cli.py",)):
             if (path.name, func.name) == ("errors.py", "integer"):
                 continue
             args = func.args
-            params = {
+            inputs = {
                 a.arg
                 for a in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
                 if a is not None
             }
-            found += [
-                (path.name, func.name, call.args[0].id)
-                for call in ast.walk(func)
-                if isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Name)
-                and call.func.id == "int"
-                and call.args
-                and isinstance(call.args[0], ast.Name)
-                and call.args[0].id in params
-            ]
+            public = not func.name.startswith("_") or func.name.endswith("__")
+            if public:
+                inputs |= {
+                    name.id
+                    for loop in ast.walk(func)
+                    if isinstance(loop, (ast.For, ast.AsyncFor, ast.comprehension))
+                    and isinstance(loop.iter, ast.Name)
+                    and loop.iter.id in inputs
+                    for name in ast.walk(loop.target)
+                    if isinstance(name, ast.Name)
+                }
+            for call in ast.walk(func):
+                if not (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == "int"
+                    and call.args
+                ):
+                    continue
+                arg = call.args[0]
+                if public and isinstance(arg, ast.Subscript):
+                    arg = arg.value
+                if isinstance(arg, ast.Name) and arg.id in inputs:
+                    found.append((path.name, func.name, arg.id))
     return found
 
 
 def test_no_function_coerces_its_own_parameter_with_int():
     found = int_coercions(PACKAGE)
-    assert not found, f"int() on a parameter, not errors.integer: {found}"
+    assert not found, f"int() on a function's input, not errors.integer: {found}"
 
 
 def test_an_int_coercion_of_a_parameter_is_caught(tmp_path):
+    # a public function's subscripts of its parameters and the names its
+    # loops and comprehensions bind from them are its input too; a private
+    # helper is held only to its parameters themselves
     (tmp_path / "a.py").write_text(
         "def size(n, edge, *, trials=1):\n    m = int(edge[0])\n"
         "    return int(n) + int(m) + int(trials)\n\n\n"
-        "class Box:\n    def grow(self, k):\n        return [int(k) for _ in range(2)]\n",
+        "def load(edges, bits, rows):\n"
+        "    for pair in edges:\n        print(int(pair[1]))\n"
+        "    for i, row in enumerate(rows):\n        print(int(row))\n"
+        "    return [int(b) for b in bits]\n\n\n"
+        "def _helper(k, edge):\n    return int(k) + int(edge[0]) + int(len(edge))\n\n\n"
+        "class Box:\n    def grow(self, k):\n        return [int(k) for _ in range(2)]\n\n"
+        "    def __post_init__(self):\n        return [int(x) for x in self.items]\n",
         encoding="utf-8",
     )
     (tmp_path / "cli.py").write_text("def read(text):\n    return int(text)\n", encoding="utf-8")
     assert sorted(int_coercions(tmp_path)) == [
-        ("a.py", "grow", "k"), ("a.py", "size", "n"), ("a.py", "size", "trials")
+        ("a.py", "_helper", "k"), ("a.py", "grow", "k"), ("a.py", "load", "b"),
+        ("a.py", "load", "pair"), ("a.py", "size", "edge"), ("a.py", "size", "n"),
+        ("a.py", "size", "trials"),
     ]
 
 

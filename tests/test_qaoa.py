@@ -95,6 +95,11 @@ def test_p0_returns_initial_state():
     assert np.allclose(st.amplitudes, 0.25)
     st = run_qaoa(g, MC, QaoaParams((), ()), "zero")
     assert st.amplitudes[0] == 1.0 and np.count_nonzero(st.amplitudes) == 1
+    assert QaoaParams.zeros(np.int64(2)) == QaoaParams((0.0, 0.0), (0.0, 0.0))
+    # 1.5 used to raise TypeError
+    for p in (1.5, True, -1):
+        with pytest.raises(InputError, match="depth must be"):
+            QaoaParams.zeros(p)
 
 
 # ------------------------------------------------------------- cost models
@@ -229,6 +234,26 @@ def test_bit_round_trips():
         bit_values("10", 3)
     with pytest.raises(InputError):
         bit_values("102")
+    # [1.7, 0.2, True] used to read as [1, 0, 1] and ["1", "0"] as [1, 0]
+    for bits in ([1.7, 0.2, True], [1.0, 0], ["1", "0"], [np.bool_(True)], [2, 0]):
+        with pytest.raises(InputError, match="bit values must be 0 or 1"):
+            bit_values(bits)
+        with pytest.raises(InputError, match="bit values must be 0 or 1"):
+            cost_value(MC, path_graph(len(bits)), bits)
+
+
+def test_numpy_bits_and_endpoints_give_identical_values():
+    g = cycle_graph(5)
+    for kind in (np.int64, np.int32):
+        bits = np.array([1, 0, 1, 1, 0], dtype=kind)
+        assert bit_values(bits) == [1, 0, 1, 1, 0]
+        assert {type(b) for b in bit_values(bits)} == {int}
+        assert cost_value(MIS3, g, bits) == cost_value(MIS3, g, [1, 0, 1, 1, 0])
+    st = run_qaoa(g, MC, QaoaParams((0.4,), (0.9,)))
+    want = expect_edges(st, g.edges, MC)
+    for kind in (np.int64, np.int32):
+        assert expect_edges(st, np.array(g.edges, dtype=kind), MC) == want
+        assert expect_edges(st, [(kind(v), kind(u)) for u, v in g.edges], MC) == want
 
 
 # ------------------------------------------------ in-place evolution kernel
@@ -378,6 +403,15 @@ def test_expect_edge_orientation_and_validation():
         expect_edges(st, [(0, 0)], MC)
     with pytest.raises(InputError):
         expect_edges(st, [(0, 9)], MC)
+    # strings used to be parsed, floats truncated and a third item dropped
+    for edge, text in [
+        (("0", "1"), "edge endpoints must be integers"),
+        ((0.0, 1.0), "edge endpoints must be integers"),
+        ((True, 2), "edge endpoints must be integers"),
+        ((0, 1, 2), "an edge is two endpoints"),
+    ]:
+        with pytest.raises(InputError, match=text):
+            expect_edges(st, [(0, 1), edge], MC)
 
 
 def random_state(m, rng):

@@ -10,7 +10,6 @@ from qaoa_locality.qaoa import CostModel, QaoaParams, expect_edges, run_qaoa
 from qaoa_locality.trees import (
     build_canonical_tree,
     neighborhood_expectation,
-    predicted_ensemble_cost,
     tree_expectation,
     tree_vertex_count,
 )
@@ -40,6 +39,12 @@ def test_vertex_counts():
     assert tree_vertex_count(3, 3) == 30
     assert tree_vertex_count(2, 3) == 8
     assert tree_vertex_count(4, 2) == 26
+    assert tree_vertex_count(np.int64(3), np.int32(2)) == 14
+    # a float radius used to raise TypeError and a float degree to count
+    # a fractional tree
+    for d, p in ((3, 1.5), (3.5, 1), (True, 1), (3, -1)):
+        with pytest.raises(InputError, match="(degree|radius) must be"):
+            tree_vertex_count(d, p)
 
 
 def test_structure_d3_p1():
@@ -158,10 +163,3 @@ def test_degree_two_tree_matches_ring_interior():
     ring = cycle_graph(8)
     st = run_qaoa(ring, MC, params)
     assert abs(tree_value - expect_edges(st, [(0, 1)], MC)[0]) < 1e-12
-
-
-def test_predicted_ensemble_cost_arithmetic():
-    assert predicted_ensemble_cost(20, 3, 0.5) == 15.0
-    assert predicted_ensemble_cost(14, 3, 0.6924500897298755) == pytest.approx(
-        21 * 0.6924500897298755
-    )
