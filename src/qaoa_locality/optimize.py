@@ -1,7 +1,7 @@
 """Deterministic angle search on the canonical tree.
 
-Two stages: an exhaustive periodic grid, then derivative-free local ascent
-(coordinate-wise golden-section) restarted from the best grid points. Both
+Two stages: an exhaustive periodic grid, then a BFGS ascent on
+central-difference gradients restarted from the best grid points. Both
 stages evaluate the tree by its path sum and are fully deterministic; ties
 are broken toward the lexicographically smallest (gammas, betas) vector.
 """
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,9 @@ __all__ = ["OptResult", "grid_search", "refine", "optimize", "DEFAULT_BUDGET"]
 
 DEFAULT_BUDGET = 10**6
 _STARTS = 5  # optimize refines from this many of the best grid points
-_INITIAL_STEP = 0.25  # half-width of refine's first line-search bracket
+_STEP = 1e-5  # central-difference step of refine's gradient
+_ARMIJO = 1e-4  # share of the predicted rise a line-search step must gain
+_BACKTRACKS = 40  # halvings of a line-search step before refine gives up
 
 
 @dataclass
@@ -31,9 +34,9 @@ class OptResult:
     ``trace`` holds a grid search's values as one float64 array, one entry
     per grid point in lexicographic (gammas, betas) order, gammas outermost;
     a refinement leaves it empty. ``evaluations`` counts every value
-    computed: grid points plus objective calls. ``best_value`` is the
-    objective's value at ``best_params``, as computed when that point was
-    evaluated.
+    computed: grid points plus objective calls, gradient probes included.
+    ``best_value`` is the objective's value at ``best_params``, as computed
+    when that point was evaluated.
     """
 
     best_params: QaoaParams
@@ -120,34 +123,25 @@ def grid_search(
     )
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+def _gradient(obj: _TreeObjective, x: list, p: int) -> list:
+    """Central differences of the objective at ``x`` (gammas then betas),
+    one probe schedule per call."""
+    grad = []
+    for axis in range(2 * p):
+        up, down = list(x), list(x)
+        up[axis] += _STEP
+        down[axis] -= _STEP
+        rise = obj.value(up[:p], up[p:]) - obj.value(down[:p], down[p:])
+        grad.append(rise / (2 * _STEP))
+    return grad
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float):
-    """Golden-section scan for a maximum on [lo, hi]; returns the best
-    point actually evaluated and its value."""
-    c = hi - _INVPHI * (hi - lo)
-    d_ = lo + _INVPHI * (hi - lo)
-    fc = f(c)
-    fd = f(d_)
-    if fc >= fd:
-        best_x, best_f = c, fc
-    else:
-        best_x, best_f = d_, fd
-    while hi - lo > xtol:
-        if fc >= fd:
-            hi, d_, fd = d_, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-            if fc > best_f:
-                best_x, best_f = c, fc
-        else:
-            lo, c, fc = c, d_, fd
-            d_ = lo + _INVPHI * (hi - lo)
-            fd = f(d_)
-            if fd > best_f:
-                best_x, best_f = d_, fd
-    return best_x, best_f
+def _dot(u, v) -> float:
+    return sum(map(operator.mul, u, v))
+
+
+def _identity(n: int) -> list:
+    return [[float(i == j) for j in range(n)] for i in range(n)]
 
 
 def refine(
@@ -160,13 +154,13 @@ def refine(
     *,
     max_passes: int = 80,
 ) -> OptResult:
-    """Coordinate-wise golden-section ascent from ``start``.
+    """BFGS ascent from ``start`` on central-difference gradients, each
+    step found by an Armijo backtracking line search.
 
-    Each pass line-searches every coordinate inside a shrinking bracket,
-    of half-width 0.25 at first; the loop ends once both the bracket size
-    and the value gained in the last pass fall below ``tolerance`` (so a
-    tolerance of 0.25 or more returns the start point untouched). The
-    value never drops below the start value; hitting ``max_passes`` first
+    The loop ends once every partial derivative is at most ``tolerance``
+    in size (so a start that meets it comes back untouched) or a step gains
+    nothing; the value never drops below the start value. Hitting
+    ``max_passes`` iterations first, or a gradient that is not finite,
     returns the best point so far with ``converged`` false.
     """
     if not tolerance > 0:
@@ -178,38 +172,48 @@ def refine(
     fx = obj.value(start.gammas, start.betas)
     if p == 0:
         return OptResult(start, fx, evaluations=1)
-    x = list(start.gammas) + list(start.betas)
-    xtol = max(tolerance * 0.25, 1e-12)
-    step = _INITIAL_STEP
-    gain = 0.0
-    passes = 0
-    converged = True
-    while not (step <= tolerance and gain <= tolerance):
-        if passes >= max_passes:
-            converged = False
+    n = 2 * p
+    x = [*start.gammas, *start.betas]
+    grad = _gradient(obj, x, p)
+    inverse = _identity(n)  # BFGS estimate of the inverse of minus the Hessian
+    iterations = 0
+    stalled = False
+    while not all(abs(v) <= tolerance for v in grad):
+        if iterations >= max_passes or not all(map(math.isfinite, grad)):
             break
-        gain = 0.0
-        for axis in range(2 * p):
-            here = x[axis]
-
-            def f_axis(t, _axis=axis):
-                probe = list(x)
-                probe[_axis] = t
-                return obj.value(tuple(probe[:p]), tuple(probe[p:]))
-
-            bx, bf = _golden_max(f_axis, here - step, here + step, xtol)
-            if bf > fx:
-                gain += bf - fx
-                fx = bf
-                x[axis] = bx
-        step = max(0.5 * step, 0.5 * tolerance)
-        passes += 1
-    params = QaoaParams(tuple(x[:p]), tuple(x[p:]))
+        step = [_dot(row, grad) for row in inverse]
+        slope = _dot(step, grad)
+        if not slope > 0:  # not an ascent direction: restart from the gradient
+            inverse, step, slope = _identity(n), list(grad), _dot(grad, grad)
+        t = 1.0
+        for _ in range(_BACKTRACKS):
+            trial = [a + t * s for a, s in zip(x, step)]
+            ft = obj.value(trial[:p], trial[p:])
+            if ft >= fx + _ARMIJO * t * slope:
+                break
+            t *= 0.5
+        stalled = not ft > fx
+        if stalled:
+            break
+        new_grad = _gradient(obj, trial, p)
+        s = [a - b for a, b in zip(trial, x)]
+        y = [a - b for a, b in zip(grad, new_grad)]
+        sy = _dot(s, y)
+        if sy > 0:  # the update keeps ``inverse`` positive definite
+            hy = [_dot(row, y) for row in inverse]
+            scale = (1 + _dot(y, hy) / sy) / sy
+            inverse = [
+                [h + scale * si * sj - (hyi * sj + si * hyj) / sy
+                 for h, sj, hyj in zip(row, s, hy)]
+                for row, si, hyi in zip(inverse, s, hy)
+            ]
+        x, fx, grad = trial, ft, new_grad
+        iterations += 1
     return OptResult(
-        params,
+        QaoaParams(x[:p], x[p:]),
         fx,
-        refinement_iterations=passes,
-        converged=converged,
+        refinement_iterations=iterations,
+        converged=stalled or all(abs(v) <= tolerance for v in grad),
         evaluations=obj.evaluations,
     )
 

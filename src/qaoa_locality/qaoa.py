@@ -113,6 +113,8 @@ class QaoaParams:
         object.__setattr__(self, "betas", tuple(float(x) for x in self.betas))
         if len(self.gammas) != len(self.betas):
             raise InputError("gammas and betas must have equal length")
+        if not all(map(math.isfinite, self.gammas + self.betas)):
+            raise InputError("angles must be finite numbers")
 
     @property
     def p(self) -> int:

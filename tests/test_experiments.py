@@ -503,7 +503,8 @@ def test_independent_set_end_to_end_reports_are_pinned():
     # recorded before every cost was read from the model's one edge table;
     # se_total again when the mixer went to Kronecker factors, and the
     # simulation floats again when the path sum went to fused slice factors
-    # (the searched angles moved to a symmetric point; samples stayed equal)
+    # (the searched angles moved to a symmetric point; samples stayed equal),
+    # and when refine went to BFGS (totals moved by at most 2.8e-9)
     general = end_to_end(EnsembleSpec(16, 3, "general", 7), 1, MIS3, seed=7, trials=3, samples=32)
     assert general["results"]["pruning"] == {
         "samples": 96, "all_independent": True, "positive_cost_samples": 93,
@@ -511,8 +512,8 @@ def test_independent_set_end_to_end_reports_are_pinned():
         "max_set_size": 6, "mean_input_cost": 1.5104166666666667,
     }
     assert general["results"]["simulation"] == {
-        "trials": 3, "mean_total": 1.4972116734230287, "se_total": 0.009650957785075335,
-        "mean_per_edge": 0.06238381972595953, "mean_nontree_fraction": 0.08333333333333333,
+        "trials": 3, "mean_total": 1.4972116762067296, "se_total": 0.009650956393204495,
+        "mean_per_edge": 0.06238381984194707, "mean_nontree_fraction": 0.08333333333333333,
     }
     bipartite = end_to_end(
         EnsembleSpec(12, 3, "bipartite", 8), 1, MIS3, seed=8, trials=2, samples=24
@@ -523,8 +524,8 @@ def test_independent_set_end_to_end_reports_are_pinned():
         "max_set_size": 6, "mean_input_cost": 1.1770833333333333,
     }
     assert bipartite["results"]["simulation"] == {
-        "trials": 2, "mean_total": 1.1373851917448847, "se_total": 0.0,
-        "mean_per_edge": 0.06318806620804915, "mean_nontree_fraction": 0.0,
+        "trials": 2, "mean_total": 1.1373851917448539, "se_total": 0.0,
+        "mean_per_edge": 0.06318806620804744, "mean_nontree_fraction": 0.0,
     }
 
 
@@ -548,14 +549,15 @@ def test_prune_report_is_pinned():
 def test_independent_set_optimize_report_is_pinned():
     # recorded before every cost was read from the model's one edge table,
     # and again when the path sum went to fused slice factors (the angles
-    # moved by at most 1.4e-8 and the value by 1.4e-17)
+    # moved by at most 1.4e-8 and the value by 1.4e-17), and again when
+    # refine went to BFGS (a symmetric point; the value moved by 7.0e-15)
     result = optimize(3, 2, MIS3, "plus")
-    assert result.best_value == 0.08842126322193695
+    assert result.best_value == 0.08842126322192997
     assert result.best_params == QaoaParams(
-        (7.025721544138371, 16.66737541981028), (2.766743588807201, 2.9294275995601744)
+        (7.025721660162981, 35.516931136480274), (2.7667436666342353, 0.21216513826741473)
     )
     assert (result.refinement_iterations, result.converged, result.evaluations) == (
-        90, True, 72881
+        55, True, 66076
     )
 
 
@@ -590,7 +592,11 @@ P2 = QaoaParams((0.7, 1.9), (0.4, 0.2))
 # slice factors: tree values moved by at most 2.8e-16, each end-to-end angle
 # search returned a symmetric point of its old one, simulated totals moved
 # by at most 4.1e-8, and every string, count and sample stayed equal
-# (CHANGES.md lists each move).
+# (CHANGES.md lists each move). The four end-to-end digests with an angle
+# search were recorded again when refine went to BFGS: optimized values
+# moved by at most 1.8e-15, two searches returned a symmetric point of their
+# old one, simulated totals moved by at most 2.9e-8, the refinement
+# iteration counts fell, and every sample stayed equal.
 PINNED_REPORTS = {
     "locality-p1": (
         lambda: locality_check(EnsembleSpec(14, 3, "general", 7), 1, MC, P1, trials=4),
@@ -623,25 +629,25 @@ PINNED_REPORTS = {
     # a ratio from the d=3 cut constant
     "end-to-end-maxcut-d3": (
         lambda: end_to_end(EnsembleSpec(16, 3, "general", 4), 1, MC, seed=4, trials=3),
-        "411993be1ce94d77771f82bfd11f95de92e11ee59873157b97fd4cd66ab22d18",
+        "e14c4cab829eb964d14bf0b949a39bc0e485099a524e8eaf90d0dbddca02962e",
     ),
     "end-to-end-mis-d3-bipartite": (
         lambda: end_to_end(
             EnsembleSpec(12, 3, "bipartite", 5), 1, MIS3, seed=5, trials=2, samples=16
         ),
-        "76ff41234bd1b5cc5f82b153d9775102bc103727162aca9e04b447796d54b209",
+        "1b645ad31dce70e11859b61b8c2876048cd4a36cda860c1b1d7f5ea4d3b5671e",
     ),
     # the asymptotic large-d independent-set ceiling
     "end-to-end-mis-d4": (
         lambda: end_to_end(
             EnsembleSpec(10, 4, "general", 6), 1, CostModel.mis(4), seed=6, trials=2, samples=8
         ),
-        "c4e93b3b597190ab4a9b185e45753ec7f30bd120201e751cc989330fe87eca9d",
+        "fb8e3e2d373844d9e6c0499d7f4b4752bec4c8375a9e67a5b9e4fcfbe9142472",
     ),
     # no cut constant: the ratio section holds the refusal's text
     "end-to-end-maxcut-d4": (
         lambda: end_to_end(EnsembleSpec(12, 4, "general", 2), 1, MC, seed=2, trials=2),
-        "6f5c4eeb8a01b388a20df2851e68bfd96ba638c3580fd290b98faa508081d9bb",
+        "0ca76c3764e2c550688fc0ee17b4044707979ef6ffe16127b672ab4f1e49ec39",
     ),
     "end-to-end-p0": (
         lambda: end_to_end(EnsembleSpec(10, 3, "bipartite", 3), 0, MC, seed=3, trials=3, samples=0),

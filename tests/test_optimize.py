@@ -7,13 +7,14 @@ import pytest
 from qaoa_locality.errors import InputError, ResourceError
 from qaoa_locality.optimize import (
     DEFAULT_BUDGET,
+    _gradient,
     _TreeObjective,
     grid_search,
     optimize,
     refine,
 )
 from qaoa_locality.qaoa import CostModel, QaoaParams
-from qaoa_locality.trees import tree_expectation
+from qaoa_locality.trees import TreePathSum, tree_expectation
 
 MC = CostModel.maxcut()
 MIS3 = CostModel.mis(3)
@@ -187,6 +188,125 @@ def test_refine_refuses_negative_max_passes_before_it_evaluates(monkeypatch):
     result = refine(QaoaParams((0.3,), (0.2,)), 3, 1, MC, max_passes=0)
     assert result.best_params == QaoaParams((0.3,), (0.2,))
     assert (result.refinement_iterations, result.converged) == (0, False)
+
+
+def test_angles_must_be_finite():
+    """A NaN start used to run refine to converged=True with a NaN value."""
+    for gammas, betas in (((math.nan,), (0.1,)), ((0.1, 0.2), (0.3, -math.inf))):
+        with pytest.raises(InputError, match="angles must be finite"):
+            QaoaParams(gammas, betas)
+
+
+def test_refine_stops_unconverged_on_a_gradient_that_is_not_finite(monkeypatch):
+    """NaN fails every comparison, so a NaN gradient would pass a test of
+    ``max|grad| > tolerance`` as converged; it must not."""
+    module = importlib.import_module("qaoa_locality.optimize")
+
+    class NanProbes(_TreeObjective):
+        def value(self, gammas, betas):
+            return super().value(gammas, betas) if self.evaluations == 0 else math.nan
+
+    monkeypatch.setattr(module, "_TreeObjective", NanProbes)
+    start = QaoaParams((0.3,), (0.2,))
+    result = refine(start, 3, 1, MC)
+    assert (result.best_params, result.refinement_iterations, result.converged) == (start, 0, False)
+    assert math.isfinite(result.best_value)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_gradient_matches_the_depth1_closed_form(d):
+    """Central differences of the path sum against the derivatives of
+    1/2 + 1/2 sin4b sing cos^(d-1)g, MaxCut on the d-regular tree."""
+    rng = np.random.default_rng(d)
+    obj = _TreeObjective(d, 1, MC)
+    for gamma, beta in zip(rng.uniform(0, 2 * math.pi, 4), rng.uniform(0, math.pi, 4)):
+        s, c = math.sin(gamma), math.cos(gamma)
+        d_gamma = 0.5 * math.sin(4 * beta) * (c**d - (d - 1) * s * s * c ** (d - 2))
+        d_beta = 2 * math.cos(4 * beta) * s * c ** (d - 1)
+        grad = _gradient(obj, [gamma, beta], 1)
+        assert grad == pytest.approx([d_gamma, d_beta], abs=1e-8, rel=0)
+    assert obj.evaluations == 4 * 4  # two probes per partial, one schedule each
+
+
+@pytest.mark.parametrize(
+    "d, p, model, initial",
+    [(3, 1, MC, "plus"), (3, 2, MC, "plus"), (5, 2, MC, "plus"), (3, 2, MIS3, "zero"),
+     (5, 2, CostModel.mis(5), "plus")],
+)
+def test_refine_matches_scipy_bfgs(d, p, model, initial):
+    """The same local maximum as scipy's BFGS on minus the path sum, from
+    the grid's best point."""
+    optimize_ = pytest.importorskip("scipy.optimize")
+    start = grid_search(d, p, model, initial, resolution=16 if p > 1 else 64).best_params
+    path_sum = TreePathSum(d, p, model, initial)
+    oracle = optimize_.minimize(
+        lambda x: -path_sum.value(x[:p], x[p:]),
+        np.array(start.gammas + start.betas),
+        method="BFGS", jac="3-point", options={"gtol": 1e-7},
+    )
+    result = refine(start, d, p, model, initial)
+    assert result.converged
+    assert abs(result.best_value - -oracle.fun) < 1e-9
+
+
+# optimize's value at the last coordinate search, before refine went to BFGS
+COORDINATE_SEARCH_VALUES = [
+    (2, 1, "maxcut", "plus", 0.7500000000000009),
+    (2, 1, "maxcut", "zero", 0.5),
+    (2, 1, "mis", "plus", 0.13773717848264241),
+    (2, 1, "mis", "zero", 0.06250000000000001),
+    (2, 2, "maxcut", "plus", 0.8333333333333353),
+    (2, 2, "maxcut", "zero", 0.6666666666666672),
+    (2, 2, "mis", "plus", 0.18327931101206663),
+    (2, 2, "mis", "zero", 0.1457043466633146),
+    (3, 1, "maxcut", "plus", 0.6924500897298769),
+    (3, 1, "maxcut", "zero", 0.5),
+    (3, 1, "mis", "plus", 0.06318806620804915),
+    (3, 1, "mis", "zero", 0.02777777777777775),
+    (3, 2, "maxcut", "plus", 0.7463990843795165),
+    (3, 2, "maxcut", "zero", 0.6140165976113638),
+    (3, 2, "mis", "plus", 0.08842126322193695),
+    (3, 2, "mis", "zero", 0.06687720891058402),
+    (4, 1, "maxcut", "plus", 0.6623797632095844),
+    (4, 1, "maxcut", "zero", 0.5),
+    (4, 1, "mis", "plus", 0.03537580829966673),
+    (4, 1, "mis", "zero", 0.015624999999999986),
+    (4, 2, "maxcut", "plus", 0.7160916355093965),
+    (4, 2, "maxcut", "zero", 0.5984711570744405),
+    (4, 2, "mis", "plus", 0.03537591382885138),
+    (4, 2, "mis", "zero", 0.01562500000000007),
+    (5, 1, "maxcut", "plus", 0.6431083505599893),
+    (5, 1, "maxcut", "zero", 0.5),
+    (5, 1, "mis", "plus", 0.02219898700433874),
+    (5, 1, "mis", "zero", 0.009999999999999993),
+    (5, 2, "maxcut", "plus", 0.6806296203365012),
+    (5, 2, "maxcut", "zero", 0.5902446634911881),
+    (5, 2, "mis", "plus", 0.03514644613796531),
+    (5, 2, "mis", "zero", 0.012508545815760145),
+]
+
+# The coordinate search stopped short of its basin's maximum in these cases.
+RISES = {
+    (3, 2, "maxcut", "plus"): 0.7464433,
+    (5, 2, "maxcut", "plus"): 0.6818424,
+    (5, 2, "mis", "plus"): 0.0352700,
+    (5, 2, "mis", "zero"): 0.0127780,
+}
+
+
+def test_optimize_never_falls_below_the_coordinate_search():
+    for d, p, name, initial, old in COORDINATE_SEARCH_VALUES:
+        model = MC if name == "maxcut" else CostModel.mis(d)
+        result = optimize(d, p, model, initial)
+        case = (d, p, name, initial)
+        assert result.converged, case
+        assert result.best_value >= old - 1e-9, case
+        if case in RISES:
+            assert abs(result.best_value - RISES[case]) < 5e-8, case
+        elif case == (4, 2, "mis", "plus"):
+            assert result.best_value > old + 3e-8, case
+        else:
+            assert result.best_value < old + 1e-9, case
 
 
 def test_optimize_depth1_known_values():
