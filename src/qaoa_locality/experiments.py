@@ -255,9 +255,6 @@ def locality_check(
     model.check_degree(spec.d)
     tree_value = None
     rows = []
-    worst_overall = 0.0
-    tree_edges_total = 0
-    edges_total = 0
     trial_graphs = _trial_graphs(spec, derive_seeds(spec.seed, trials))
     for trial, (child, g) in enumerate(trial_graphs):
         radii = edge_tree_radii(g, p).tolist()
@@ -279,9 +276,7 @@ def locality_check(
                 "max_abs_diff": worst,
             }
         )
-        worst_overall = max(worst_overall, worst)
-        tree_edges_total += len(tree_edges)
-        edges_total += g.m
+    tree_edges_checked = sum(row["tree_edges"] for row in rows)
     config = {
         **dataclasses.asdict(spec),
         "p": p,
@@ -291,11 +286,11 @@ def locality_check(
         "trials": trials,
     }
     payload = {
-        "max_discrepancy": worst_overall,
-        "tree_edges_checked": tree_edges_total,
-        "edges_seen": edges_total,
-        "no_tree_edges": tree_edges_total == 0,
-        "note": "no tree edges" if tree_edges_total == 0 else "",
+        "max_discrepancy": max(row["max_abs_diff"] for row in rows),
+        "tree_edges_checked": tree_edges_checked,
+        "edges_seen": sum(row["edges"] for row in rows),
+        "no_tree_edges": tree_edges_checked == 0,
+        "note": "no tree edges" if tree_edges_checked == 0 else "",
         "series": rows,
     }
     return make_report("locality-check", config, payload)
@@ -341,7 +336,6 @@ def ensemble_equivalence(
     light_cone = LightConeSum(d, model, params, initial)
     tree_value = light_cone.tree_value
     rows = []
-    all_ok = True
     for general, bipartite in specs:
         stats = []
         for spec in (general, bipartite):
@@ -360,8 +354,6 @@ def ensemble_equivalence(
         gap_tolerance = 3.0 * math.hypot(se_g, se_b) + frac_g + frac_b + 1e-9
         general_near = abs(mean_g - tree_value) <= 3.0 * se_g + frac_g + 1e-9
         bipartite_near = abs(mean_b - tree_value) <= 3.0 * se_b + frac_b + 1e-9
-        row_ok = gap <= gap_tolerance and general_near and bipartite_near
-        all_ok = all_ok and row_ok
         rows.append(
             {
                 "n": general.n,
@@ -390,7 +382,10 @@ def ensemble_equivalence(
     }
     payload = {
         "tree_value": tree_value,
-        "all_within_bands": all_ok,
+        "all_within_bands": all(
+            row["gap_within_band"] and row["general_matches_tree"] and row["bipartite_matches_tree"]
+            for row in rows
+        ),
         "series": rows,
     }
     return make_report("equivalence", config, payload)
@@ -418,16 +413,11 @@ def cycle_census_experiment(spec: EnsembleSpec, kmax: int, trials: int = 100) ->
     kmax = _check_kmax(kmax)
     trials = integer(trials, "trials", 2, "need at least two trials for standard errors")
     samples: dict[int, list[int]] = {k: [] for k in range(3, kmax + 1)}
-    odd_all_zero = True
     for _, g in _trial_graphs(spec, derive_seeds(spec.seed, trials)):
         census = count_cycles(g, kmax)
-        for k in range(3, kmax + 1):
-            c = census[k]
-            samples[k].append(c)
-            if k % 2 == 1 and c != 0:
-                odd_all_zero = False
+        for k in samples:
+            samples[k].append(census[k])
     rows = []
-    all_in_band = True
     for k in range(3, kmax + 1):
         values = np.asarray(samples[k], dtype=float)
         mean = float(values.mean())
@@ -438,7 +428,6 @@ def cycle_census_experiment(spec: EnsembleSpec, kmax: int, trials: int = 100) ->
             within = mean == 0.0
         else:
             within = abs(mean - oracle) <= 3.0 * se or mean == oracle
-        all_in_band = all_in_band and within
         rows.append(
             {
                 "k": k,
@@ -450,9 +439,9 @@ def cycle_census_experiment(spec: EnsembleSpec, kmax: int, trials: int = 100) ->
             }
         )
     config = {**dataclasses.asdict(spec), "kmax": kmax, "trials": trials}
-    payload = {"all_within_bands": all_in_band, "series": rows}
+    payload = {"all_within_bands": all(row["within_3_se"] for row in rows), "series": rows}
     if spec.kind == "bipartite":
-        payload["odd_counts_all_zero"] = odd_all_zero
+        payload["odd_counts_all_zero"] = not any(any(samples[k]) for k in samples if k % 2)
     return make_report("cycles", config, payload)
 
 
@@ -495,7 +484,7 @@ def end_to_end(
     p: int,
     model: CostModel,
     budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
+    seed: int | None = None,
     *,
     initial: str = "plus",
     trials: int = 20,
@@ -507,9 +496,9 @@ def end_to_end(
     and (independent-set model only) sample bitstrings from each graph's full
     state and prune them into independent sets.
 
-    Every graph and every sample is drawn from ``seed``, which the report
-    echoes as ``seed_graphs``; ``spec.seed`` is never read, so two specs
-    that differ only in their seed give the same report."""
+    Every graph and every sample is drawn from ``seed``, or from
+    ``spec.seed`` when ``seed`` is None; the report echoes it as ``seed_graphs``."""
+    seed = spec.seed if seed is None else seed
     p = integer(p, "depth", 0)
     trials = integer(trials, "trials", 1)
     samples = integer(samples, "sample count", 0)
@@ -520,12 +509,9 @@ def end_to_end(
     light_cone = LightConeSum(spec.d, model, params, initial)
     totals = []
     nontree = []
-    prune_total = 0
-    prune_independent = 0
-    prune_size_ok = 0
-    prune_positive_cost = 0
-    prune_sizes = []
-    prune_input_costs = []
+    independent = []
+    sizes = []
+    input_costs = []
     for t, (_, g) in enumerate(_trial_graphs(spec, children[:trials])):
         total, tree_edges = light_cone.total(g)
         totals.append(total)
@@ -536,16 +522,10 @@ def end_to_end(
             del state  # freed before the next trial builds its own
             for bits in picks:
                 result = prune(g, bits, spec.d)
-                prune_total += 1
                 out = bit_values(result.output_bitstring, g.n)
-                if all(not (out[u] and out[v]) for u, v in g.edges):
-                    prune_independent += 1
-                if result.input_cost > 0:
-                    prune_positive_cost += 1
-                    if result.output_set_size >= result.input_cost:
-                        prune_size_ok += 1
-                prune_sizes.append(result.output_set_size)
-                prune_input_costs.append(float(result.input_cost))
+                independent.append(all(not (out[u] and out[v]) for u, v in g.edges))
+                sizes.append(result.output_set_size)
+                input_costs.append(float(result.input_cost))
     mean_total, se_total = _mean_se(totals)
     edges = spec.n * spec.d // 2
     try:
@@ -587,15 +567,18 @@ def end_to_end(
         },
         "ratio": ratio,
     }
-    if model.kind == MIS and prune_total > 0:
+    if sizes:
+        # input costs are half-integers, so the float comparison is exact
         payload["pruning"] = {
-            "samples": prune_total,
-            "all_independent": prune_independent == prune_total,
-            "positive_cost_samples": prune_positive_cost,
-            "size_at_least_cost": prune_size_ok == prune_positive_cost,
-            "mean_set_size": float(np.mean(prune_sizes)),
-            "max_set_size": int(max(prune_sizes)),
-            "mean_input_cost": float(np.mean(prune_input_costs)),
+            "samples": len(sizes),
+            "all_independent": all(independent),
+            "positive_cost_samples": sum(cost > 0 for cost in input_costs),
+            "size_at_least_cost": all(
+                size >= cost for size, cost in zip(sizes, input_costs) if cost > 0
+            ),
+            "mean_set_size": float(np.mean(sizes)),
+            "max_set_size": max(sizes),
+            "mean_input_cost": float(np.mean(input_costs)),
         }
     return make_report("end-to-end", config, payload)
 

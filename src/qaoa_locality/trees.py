@@ -64,20 +64,11 @@ def build_canonical_tree(d: int, p: int) -> Graph:
     Endpoint A is 0 and endpoint B is 1; then A's children, B's children,
     and so on level by level, so the numbering (and the edge list) is the
     same every time, and the middle edge (0, 1) is edge 0, as in every ball
-    from :func:`edge_neighborhood`.
+    from :func:`edge_neighborhood`. Vertex k >= 2 is then the child of
+    vertex (k - 2) // (d - 1).
     """
     n = tree_vertex_count(d, p)
-    edges = [(0, 1)]
-    frontier = [0, 1]
-    nxt = 2
-    for _ in range(p):
-        grown = []
-        for parent in frontier:
-            for _ in range(d - 1):
-                edges.append((parent, nxt))
-                grown.append(nxt)
-                nxt += 1
-        frontier = grown
+    edges = [(0, 1)] + [((k - 2) // (d - 1), k) for k in range(2, n)]
     return Graph.from_edges(n, edges)
 
 

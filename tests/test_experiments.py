@@ -368,14 +368,23 @@ def test_cycle_oracle_values():
     assert cycle_oracle_mean(np.int64(3), np.int32(6)) == cycle_oracle_mean(3, 6)
 
 
-def test_census_bipartite_has_no_odd_cycles():
+def test_census_bipartite_has_no_odd_cycles(monkeypatch):
     spec = EnsembleSpec(60, 3, "bipartite", 9)
     report = cycle_census_experiment(spec, 5, trials=12)
     results = report["results"]
     assert results["odd_counts_all_zero"]
+    assert results["all_within_bands"]
     for row in results["series"]:
         if row["k"] % 2 == 1:
             assert row["mean"] == 0.0 and row["within_3_se"]
+    # an odd count at the odd kmax itself clears both summaries
+    count_cycles = graphs_module.count_cycles
+    monkeypatch.setattr(
+        experiments_module, "count_cycles", lambda g, kmax: {**count_cycles(g, kmax), 5: 1}
+    )
+    results = cycle_census_experiment(spec, 5, trials=12)["results"]
+    assert not results["odd_counts_all_zero"]
+    assert not results["all_within_bands"]
 
 
 def test_census_report_shape(monkeypatch):
@@ -464,6 +473,9 @@ def test_end_to_end_refuses_a_negative_seed_before_it_searches(monkeypatch):
     monkeypatch.setattr(experiments_module, "optimize", no_search)
     with pytest.raises(InputError, match="seed must be nonnegative, got -1"):
         end_to_end(EnsembleSpec(8, 3, "general", 0), 2, MC, seed=-1, trials=2)
+    # without a seed the spec's own is read
+    with pytest.raises(InputError, match="seed must be nonnegative, got -1"):
+        end_to_end(EnsembleSpec(8, 3, "general", -1), 2, MC, trials=2)
 
 
 def test_numpy_integers_give_the_same_reports():
@@ -497,6 +509,7 @@ def test_end_to_end_independent_set_prunes_samples():
     assert pruning["all_independent"]
     assert pruning["size_at_least_cost"]
     assert report["results"]["ratio"]["available"]
+    assert "pruning" not in end_to_end(spec, 1, MIS3, seed=11, trials=2, samples=0)["results"]
 
 
 def test_independent_set_end_to_end_reports_are_pinned():
@@ -515,6 +528,9 @@ def test_independent_set_end_to_end_reports_are_pinned():
         "trials": 3, "mean_total": 1.4972116762067296, "se_total": 0.009650956393204495,
         "mean_per_edge": 0.06238381984194707, "mean_nontree_fraction": 0.08333333333333333,
     }
+    # without a seed the spec's own is read
+    unseeded = end_to_end(EnsembleSpec(16, 3, "general", 7), 1, MIS3, trials=3, samples=32)
+    assert report_json(unseeded) == report_json(general)
     bipartite = end_to_end(
         EnsembleSpec(12, 3, "bipartite", 8), 1, MIS3, seed=8, trials=2, samples=24
     )

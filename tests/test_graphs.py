@@ -472,6 +472,11 @@ def test_regular_tree_neighborhood_matches_canonical_tree():
         assert ball.edges == tree.edges
         assert ball.edges[0] == tree.edges[0] == (0, 1)
     assert seen > 0
+    # each canonical tree is the radius-p ball of the next one's middle edge
+    for d in range(2, 7):
+        for p in range(5):
+            bigger = build_canonical_tree(d, p + 1)
+            assert edge_neighborhood(bigger, (0, 1), p) == build_canonical_tree(d, p)
 
 
 # ------------------------------------------------------------ tree radii
