@@ -350,7 +350,7 @@ def _cmd_end_to_end(options: _Options) -> dict:
         _spec(options),
         options["p"],
         model,
-        **_given(options, "budget", "seed", "init", "trials", "samples"),
+        **_given(options, "budget", "init", "trials", "samples"),
     )
 
 

@@ -431,8 +431,6 @@ def _short_cycle_vertices(g: Graph, kmax: int) -> list[int]:
     # A vertex on a cycle of length k <= kmax is the start of two walks of
     # length <= ceil(k/2) that run round the cycle both ways and meet, so
     # every such vertex is among those returned.
-    if g.m == 0:
-        return []
     head, out, turns = _walk_tables(g)
     levels = (kmax + 1) // 2
     first = _first_collisions(head, turns, np.arange(g.n)[:, None], out, levels)

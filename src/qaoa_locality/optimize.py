@@ -147,7 +147,6 @@ def _identity(n: int) -> list:
 def refine(
     start: QaoaParams,
     d: int,
-    p: int,
     model: CostModel,
     initial: str = "plus",
     tolerance: float = 1e-6,
@@ -155,7 +154,8 @@ def refine(
     max_passes: int = 80,
 ) -> OptResult:
     """BFGS ascent from ``start`` on central-difference gradients, each
-    step found by an Armijo backtracking line search.
+    step found by an Armijo backtracking line search, at the depth of
+    ``start``.
 
     The loop ends once every partial derivative is at most ``tolerance``
     in size (so a start that meets it comes back untouched) or a step gains
@@ -166,12 +166,9 @@ def refine(
     if not tolerance > 0:
         raise InputError(f"tolerance must be positive, got {tolerance}")
     max_passes = integer(max_passes, "max_passes", 0)
-    if start.p != p:
-        raise InputError(f"start has depth {start.p}, expected {p}")
+    p = start.p
     obj = _TreeObjective(d, p, model, initial)
     fx = obj.value(start.gammas, start.betas)
-    if p == 0:
-        return OptResult(start, fx, evaluations=1)
     n = 2 * p
     x = [*start.gammas, *start.betas]
     grad = _gradient(obj, x, p)
@@ -249,7 +246,7 @@ def optimize(
     best = np.flatnonzero(trace >= cut).tolist()
     starts = sorted(best, key=trace.__getitem__, reverse=True)[:_STARTS]
     results = [
-        refine(_grid_point(i, p, grid.grid_resolution, model.gamma_period), d, p, model, initial)
+        refine(_grid_point(i, p, grid.grid_resolution, model.gamma_period), d, model, initial)
         for i in starts
     ]
     best = min([grid, *results], key=_rank)

@@ -95,6 +95,11 @@ class CostModel:
         return 1 if self.kind == MAXCUT else 2 * self.d
 
     @property
+    def costs(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        # int / int is correctly rounded, so each cost is exact as a float
+        return tuple(tuple(n / self.denominator for n in row) for row in self.numerators)
+
+    @property
     def gamma_period(self) -> float:
         # The cost spectrum lives on (1/denominator)*Z, so the phase
         # exp(-i*gamma*C) repeats with this gamma period.
@@ -341,8 +346,7 @@ def expect_edges(state: Statevector, edges, model: CostModel) -> list[float]:
     matrix = state.probabilities().reshape(-1, 1 << low)
     cols = rows = None
     halves = {}
-    # int / int is correctly rounded, so each cost is exact as a float
-    costs = [[c / model.denominator for c in row] for row in model.numerators]
+    costs = model.costs
     values = []
     for i, j in pairs:
         if j < low:

@@ -133,8 +133,7 @@ class TreePathSum:
             raise InputError(f"unknown initial state {initial!r}")
         model.check_degree(self.d)
         self._check_size(1)
-        den = model.denominator
-        self.cost = np.array([[n / den for n in row] for row in model.numerators])
+        self.cost = np.array(model.costs)
         amp = [1.0, 0.0] if initial == "zero" else [math.sqrt(0.5)] * 2
         self.start = np.array(amp, dtype=np.complex128)
         # Reverses the p+1 bits of a ket-chain index: the bra-chain order.

@@ -311,8 +311,9 @@ def test_equivalence_tree_value_matches_statevector(model, params):
         ([16, 9], {}, "general ensemble needs n*d even"),
         ([16], {"trials": 1}, "need at least two trials for standard errors"),
         ([16], {"seed": -1}, "seed must be nonnegative, got -1"),
+        ([16], {"p": 2}, "parameter depth 1 must equal p=2"),
     ],
-    ids=["later-n", "trials", "seed"],
+    ids=["later-n", "trials", "seed", "depth"],
 )
 def test_equivalence_refuses_bad_input_before_any_work(monkeypatch, n_list, kwargs, message):
     """Every ensemble is built and checked before the first graph is drawn,
@@ -322,8 +323,9 @@ def test_equivalence_refuses_bad_input_before_any_work(monkeypatch, n_list, kwar
         raise AssertionError("sampled a graph")
 
     monkeypatch.setattr(experiments_module, "sample_graph", no_sampling)
+    kwargs = {"p": 1, **kwargs}
     with pytest.raises(InputError) as refusal:
-        ensemble_equivalence(n_list, 3, 1, MC, QaoaParams((0.9,), (0.5,)), **kwargs)
+        ensemble_equivalence(n_list, 3, model=MC, params=QaoaParams((0.9,), (0.5,)), **kwargs)
     assert str(refusal.value) == message
 
 

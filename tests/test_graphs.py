@@ -87,6 +87,10 @@ def test_from_edges_rejects_bad_input():
     for classes in ([0.5, 1.9, 0], [False, True, False], ["0", "1", "0"], [0, 2, 0]):
         with pytest.raises(InputError, match="bipartition entries must be 0 or 1"):
             Graph.from_edges(3, [(0, 1), (1, 2)], bipartition=classes)
+    with pytest.raises(InputError, match="bipartition length must equal the vertex count"):
+        Graph.from_edges(3, [(0, 1), (1, 2)], bipartition=[0, 1])
+    with pytest.raises(InputError, match=r"edge \(1, 2\) stays inside one bipartition class"):
+        Graph.from_edges(3, [(0, 1), (1, 2)], bipartition=[0, 1, 1])
 
 
 def test_constructors():
@@ -110,6 +114,13 @@ def test_generate_regular_is_simple_and_regular(n, d):
         assert all(g.degree_of(v) == d for v in range(n))
         assert len(set(g.edges)) == g.m
         assert all(u != v for u, v in g.edges)
+
+
+def test_each_generator_refuses_the_other_kind():
+    with pytest.raises(InputError, match="generate_regular expects a general-kind spec"):
+        generate_regular(EnsembleSpec(8, 3, "bipartite", 0))
+    with pytest.raises(InputError, match="generate_bipartite_regular expects a bipartite"):
+        generate_bipartite_regular(EnsembleSpec(8, 3, "general", 0))
 
 
 def test_generate_regular_is_deterministic():
@@ -564,6 +575,13 @@ def brute_force_counts(g, kmax):
     return counts
 
 
+def test_an_edgeless_graph_has_no_cycles_and_only_tree_balls():
+    g = Graph.from_edges(4, [])
+    assert count_cycles(g, 7) == {k: 0 for k in range(3, 8)}
+    assert edge_tree_radii(g, 2).tolist() == []
+    assert tree_edge_fraction(g, 2) == 1.0
+
+
 def test_count_cycles_pinned_examples():
     assert count_cycles(complete_graph(4), 4) == {3: 4, 4: 3}
     assert count_cycles(complete_bipartite_graph(3, 3), 4) == {3: 0, 4: 9}
@@ -675,3 +693,11 @@ def test_edgelist_rejects_malformed(tmp_path):
         read_edgelist(path)
     with pytest.raises(InputError):
         read_edgelist(tmp_path / "missing.edges")
+    for text, message in (
+        ("\n\n", "empty edge-list file"),
+        ("2 1\n0 1\nbipartition: 0x\n", "bipartition line must be a 0/1 string"),
+        ("3 2\n0 1\n", "expected 2 edge lines, found 1"),
+    ):
+        path.write_text(text)
+        with pytest.raises(InputError, match=message):
+            read_edgelist(path)

@@ -4,9 +4,11 @@ package, and every public name is read somewhere in the package or the
 benchmark; an import or a helper nothing reads is dead weight that hides
 real dependencies."""
 import ast
+import importlib
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -282,6 +284,26 @@ def test_an_int_coercion_of_a_parameter_is_caught(tmp_path):
         ("a.py", "load", "pair"), ("a.py", "size", "edge"), ("a.py", "size", "n"),
         ("a.py", "size", "trials"),
     ]
+
+
+def test_the_package_exports_its_modules_public_names():
+    """The package's public names, its submodules aside, are the union of
+    the six layer modules' ``__all__`` and the two error types, each the
+    object of its defining module; so the re-exports cannot drift from
+    ``__all__``, and ``errors.integer`` and ``errors.zero_one`` stay out."""
+    package = importlib.import_module("qaoa_locality")
+    errors = importlib.import_module("qaoa_locality.errors")
+    want = {"InputError": errors.InputError, "ResourceError": errors.ResourceError}
+    for layer in ("graphs", "qaoa", "trees", "optimize", "experiments", "rng"):
+        module = importlib.import_module(f"qaoa_locality.{layer}")
+        want.update((name, getattr(module, name)) for name in module.__all__)
+    got = {
+        name: value
+        for name, value in vars(package).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(got) == sorted(want)
+    assert [name for name in want if got[name] is not want[name]] == []
 
 
 def test_importing_the_package_leaves_the_command_line_out():

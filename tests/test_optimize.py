@@ -132,7 +132,7 @@ def test_grid_p0_single_evaluation():
 
 def test_refine_tolerance_one_returns_start():
     start = QaoaParams((0.3,), (0.2,))
-    result = refine(start, 3, 1, MC, tolerance=1.0)
+    result = refine(start, 3, MC, tolerance=1.0)
     assert result.best_params == start
     assert result.refinement_iterations == 0
     assert result.converged
@@ -141,23 +141,21 @@ def test_refine_tolerance_one_returns_start():
 def test_refine_never_decreases():
     start = QaoaParams((3.7,), (2.7,))  # near the depth-1 optimum
     base = tree_expectation(3, 1, MC, start).value
-    result = refine(start, 3, 1, MC, tolerance=1e-6)
+    result = refine(start, 3, MC, tolerance=1e-6)
     assert result.best_value >= base - 1e-15
     assert abs(result.best_value - D3_P1_OPT) < 1e-3
 
 
 def test_refine_iteration_cap_flags_non_convergence():
     start = QaoaParams((0.3,), (0.2,))
-    result = refine(start, 3, 1, MC, tolerance=1e-9, max_passes=2)
+    result = refine(start, 3, MC, tolerance=1e-9, max_passes=2)
     assert not result.converged
     assert result.refinement_iterations == 2
 
 
 def test_refine_validates_inputs():
     with pytest.raises(InputError):
-        refine(QaoaParams((0.1,), (0.1,)), 3, 1, MC, tolerance=0.0)
-    with pytest.raises(InputError):
-        refine(QaoaParams((0.1,), (0.1,)), 3, 2, MC)
+        refine(QaoaParams((0.1,), (0.1,)), 3, MC, tolerance=0.0)
 
 
 def fail_on_evaluation(monkeypatch):
@@ -173,21 +171,48 @@ def fail_on_evaluation(monkeypatch):
 def test_refine_refuses_a_nan_tolerance_before_it_evaluates(monkeypatch):
     fail_on_evaluation(monkeypatch)
     with pytest.raises(InputError, match="tolerance"):
-        refine(QaoaParams((0.3,), (0.2,)), 3, 1, MC, tolerance=float("nan"))
+        refine(QaoaParams((0.3,), (0.2,)), 3, MC, tolerance=float("nan"))
 
 
 def test_refine_refuses_negative_max_passes_before_it_evaluates(monkeypatch):
     fail_on_evaluation(monkeypatch)
     with pytest.raises(InputError, match="max_passes"):
-        refine(QaoaParams((0.3,), (0.2,)), 3, 1, MC, max_passes=-1)
+        refine(QaoaParams((0.3,), (0.2,)), 3, MC, max_passes=-1)
     # 2.5 used to run 3 passes
     with pytest.raises(InputError, match="max_passes"):
-        refine(QaoaParams((0.3,), (0.2,)), 3, 1, MC, max_passes=2.5)
+        refine(QaoaParams((0.3,), (0.2,)), 3, MC, max_passes=2.5)
     # no pass at all is allowed, and returns the start
     monkeypatch.undo()
-    result = refine(QaoaParams((0.3,), (0.2,)), 3, 1, MC, max_passes=0)
+    result = refine(QaoaParams((0.3,), (0.2,)), 3, MC, max_passes=0)
     assert result.best_params == QaoaParams((0.3,), (0.2,))
     assert (result.refinement_iterations, result.converged) == (0, False)
+
+
+def test_refine_at_depth_zero_returns_the_start():
+    start = QaoaParams((), ())
+    result = refine(start, 3, MC)
+    assert (result.best_params, result.refinement_iterations, result.converged) == (start, 0, True)
+    assert result.evaluations == 1
+    assert result.best_value == TreePathSum(3, 0, MC).value((), ())
+
+
+def test_refine_stops_converged_when_no_step_gains(monkeypatch):
+    """A kink at the start: the central differences see only the smooth
+    slope, but every step along it falls, so the line search stalls and the
+    start comes back, converged."""
+    module = importlib.import_module("qaoa_locality.optimize")
+    corner = (0.3, 0.2)
+
+    class Kinked(_TreeObjective):
+        def value(self, gammas, betas):
+            gap = sum(abs(a - b) for a, b in zip((*gammas, *betas), corner))
+            return super().value(gammas, betas) - 1e3 * gap
+
+    monkeypatch.setattr(module, "_TreeObjective", Kinked)
+    start = QaoaParams(corner[:1], corner[1:])
+    result = refine(start, 3, MC)
+    assert (result.best_params, result.refinement_iterations, result.converged) == (start, 0, True)
+    assert result.best_value == TreePathSum(3, 1, MC).value(start.gammas, start.betas)
 
 
 def test_angles_must_be_finite():
@@ -208,7 +233,7 @@ def test_refine_stops_unconverged_on_a_gradient_that_is_not_finite(monkeypatch):
 
     monkeypatch.setattr(module, "_TreeObjective", NanProbes)
     start = QaoaParams((0.3,), (0.2,))
-    result = refine(start, 3, 1, MC)
+    result = refine(start, 3, MC)
     assert (result.best_params, result.refinement_iterations, result.converged) == (start, 0, False)
     assert math.isfinite(result.best_value)
 
@@ -244,7 +269,7 @@ def test_refine_matches_scipy_bfgs(d, p, model, initial):
         np.array(start.gammas + start.betas),
         method="BFGS", jac="3-point", options={"gtol": 1e-7},
     )
-    result = refine(start, d, p, model, initial)
+    result = refine(start, d, model, initial)
     assert result.converged
     assert abs(result.best_value - -oracle.fun) < 1e-9
 

@@ -348,6 +348,11 @@ def test_prepare_initial_states_and_cap():
         run_qaoa(cycle_graph(30), MC, QaoaParams((0.1,), (0.2,)))
 
 
+def test_params_need_one_beta_per_gamma():
+    with pytest.raises(InputError, match="gammas and betas must have equal length"):
+        QaoaParams((0.1, 0.2), (0.3,))
+
+
 def test_statevector_rejects_unnormalized():
     with pytest.raises(InputError):
         Statevector(2, np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
@@ -381,6 +386,8 @@ def test_expect_total_is_sum_of_edges():
             total = expect_total(st, g, model)
             per_edge = sum(expect_edges(st, g.edges, model))
             assert abs(total - per_edge) < 1e-10
+    with pytest.raises(InputError, match="state register and graph sizes differ"):
+        expect_total(prepare_initial(4), g, MC)
 
 
 def test_single_edge_closed_form():

@@ -164,7 +164,7 @@ def test_optimizer_runs_beyond_the_qubit_cap():
     grid = grid_search(3, 3, MC, resolution=3)
     assert len(grid.trace) == 3**6
     start = grid.best_params
-    refined = refine(start, 3, 3, MC, tolerance=1e-3)
+    refined = refine(start, 3, MC, tolerance=1e-3)
     assert refined.best_value >= TreePathSum(3, 3, MC).value(start.gammas, start.betas)
     assert refined.best_value >= grid.best_value - 1e-12
 
