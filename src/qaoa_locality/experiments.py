@@ -22,7 +22,7 @@ from .errors import InputError, integer
 from .graphs import (
     EnsembleSpec,
     Graph,
-    _check_kmax,
+    _check_census,
     count_cycles,
     edge_tree_radii,
     sample_graph,
@@ -410,7 +410,7 @@ def cycle_census_experiment(spec: EnsembleSpec, kmax: int, trials: int = 100) ->
     """Empirical short-cycle counts across seeds, banded against the
     limiting means; bipartite runs additionally require every odd count to
     be exactly zero."""
-    kmax = _check_kmax(kmax)
+    kmax = _check_census(kmax, spec.n, spec.d)
     trials = integer(trials, "trials", 2, "need at least two trials for standard errors")
     samples: dict[int, list[int]] = {k: [] for k in range(3, kmax + 1)}
     for _, g in _trial_graphs(spec, derive_seeds(spec.seed, trials)):

@@ -53,20 +53,20 @@ MATCHING_BUDGET_FACTOR = 50
 _PAIR_CHUNK = 64
 
 # count_cycles refuses a search that may follow more than MAX_CYCLE_PATHS
-# paths, its bound n*D*(D-1)**(kmax-2) for maximum degree D. The slowest
-# searches measured near the limit, on random 3- and 4-regular graphs on a
-# 2-vCPU VM, took 45-80 ns per path of the bound (n=3000, d=3, kmax=14:
-# 3.7e7 paths in 2.8 s), so a search at the limit runs for up to about 8 s.
-# The census at n=1000, d=3, kmax=7 is 96,000 paths.
+# paths, its bound n*D*(D-1)**(kmax-2) for maximum degree D. On random 3- to
+# 6-regular graphs near the limit (2-vCPU VM) it took 6-10 ns a path of the
+# bound, up to 1 s, and its chunks of about kmax**2/2 arrays of 2**14 entries
+# peaked at 4.5-17 MiB. The census at n=1000, d=3, kmax=7 is 96,000 paths.
 MAX_CYCLE_PATHS = 10**8
 # A census holds one count per length 3..kmax, and on graphs of maximum
 # degree <= 2 the path bound above does not grow with kmax, so kmax itself
 # is capped too.
 MAX_CYCLE_LENGTH = 10**4
 
-# The walk kernel behind edge_tree_radii and count_cycles handles its roots
-# in blocks, so that the walks of one level of one block hold at most about
-# this many entries; its hash table has four slots per entry.
+# The walk kernel behind edge_tree_radii handles its roots in blocks, so
+# that the walks of one level of one block hold at most about this many
+# entries; its hash table has four slots per entry. count_cycles grows its
+# paths in chunks that make at most this many new paths.
 _WALK_BLOCK_ENTRIES = 1 << 14
 
 
@@ -427,21 +427,19 @@ def edge_tree_radii(g: Graph, rmax: int) -> np.ndarray:
     return _first_collisions(head, turns, head[middles], first_steps, rmax) - 1
 
 
-def _short_cycle_vertices(g: Graph, kmax: int) -> list[int]:
-    # A vertex on a cycle of length k <= kmax is the start of two walks of
-    # length <= ceil(k/2) that run round the cycle both ways and meet, so
-    # every such vertex is among those returned.
-    head, out, turns = _walk_tables(g)
-    levels = (kmax + 1) // 2
-    first = _first_collisions(head, turns, np.arange(g.n)[:, None], out, levels)
-    return np.flatnonzero(levels + 1 - first).tolist()
-
-
-def _check_kmax(kmax: int) -> int:
+def _check_census(kmax, n: int, top: int) -> int:
     kmax = integer(kmax, "kmax", 3)
     if kmax > MAX_CYCLE_LENGTH:
         raise ResourceError(
             f"a cycle census to length {kmax} is above the limit of {MAX_CYCLE_LENGTH}"
+        )
+    # from D=3 on, (D-1)**64 alone is above the limit, and below it the
+    # power is 0 or 1, so a capped exponent gives the same answer
+    if n * top * max(top - 1, 0) ** min(kmax - 2, 64) > MAX_CYCLE_PATHS:
+        raise ResourceError(
+            f"a cycle census to length {kmax} on n={n} vertices of degree up "
+            f"to {top} may follow up to {n}*{top}*{top - 1}^{kmax - 2} "
+            f"paths, above the limit of {MAX_CYCLE_PATHS:.0e}"
         )
     return kmax
 
@@ -451,51 +449,51 @@ def count_cycles(g: Graph, kmax: int) -> dict[int, int]:
 
     Refused with ``ResourceError`` before any search when kmax exceeds
     ``MAX_CYCLE_LENGTH`` or n*D*(D-1)^(kmax-2), D the maximum degree, exceeds
-    ``MAX_CYCLE_PATHS``. The search keeps to the vertices that can lie on a
-    cycle of length <= kmax, found by the walk kernel of
-    :func:`edge_tree_radii`: DFS from each such anchor vertex over strictly
-    larger ones; a cycle is recorded once, at its lexicographically canonical
-    traversal (smallest vertex first, smaller of its two cycle neighbors
-    second).
+    ``MAX_CYCLE_PATHS``. The search walks the simple paths that start at
+    their smallest vertex, one length at a time; each cycle is two of them
+    that return to the start.
     """
-    kmax = _check_kmax(kmax)
     top = max(map(len, g.adjacency))
-    # from D=3 on, (D-1)**64 alone is above the limit, and below it the
-    # power is 0 or 1, so a capped exponent gives the same answer
-    if g.n * top * max(top - 1, 0) ** min(kmax - 2, 64) > MAX_CYCLE_PATHS:
-        raise ResourceError(
-            f"a cycle census to length {kmax} on n={g.n} vertices of degree up "
-            f"to {top} may follow up to {g.n}*{top}*{top - 1}^{kmax - 2} "
-            f"paths, above the limit of {MAX_CYCLE_PATHS:.0e}"
-        )
-    counts = {k: 0 for k in range(3, kmax + 1)}
-    anchors = _short_cycle_vertices(g, kmax)
-    keep = bytearray(g.n)
-    for v in anchors:
-        keep[v] = 1
-    adjacency = g.adjacency
-    on_path = bytearray(g.n)
-
-    def extend(start: int, second: int, vertex: int, length: int) -> None:
-        # the search never leaves the kept vertices
-        on_path[vertex] = 1
-        for w in adjacency[vertex]:
-            if w <= start or on_path[w] or not keep[w]:
-                continue
-            grown = length + 1
-            if grown >= 3 and second < w and start in adjacency[w]:
-                counts[grown] += 1
-            if grown < kmax:
-                extend(start, second, w, grown)
-        on_path[vertex] = 0
-
-    for s in anchors:
-        on_path[s] = 1
-        for a in adjacency[s]:
-            if a > s and keep[a]:
-                extend(s, a, a, 2)
-        on_path[s] = 0
-    return counts
+    kmax = _check_census(kmax, g.n, top)
+    counts = dict.fromkeys(range(3, kmax + 1), 0)
+    head, out, turns = _walk_tables(g)
+    width = turns.shape[1]
+    # A chunk of paths s, v1, .., vL holds the columns s, v1, .., v(L-1) and
+    # the directed edge into vL; the sentinel's end, -1, is below every s.
+    ends = np.append(head[:-1], -1)
+    steps, starts = out.reshape(-1), np.repeat(np.arange(g.n), top)
+    live = np.flatnonzero(np.maximum(ends.take(steps) - starts, 0))
+    stack = [(1, steps.take(live), [starts.take(live)])]
+    block = _WALK_BLOCK_ENTRIES // max(width, 1)
+    while stack:
+        length, steps, path = stack.pop()
+        if steps.size > block:
+            stack.append((length, steps[block:], [v[block:] for v in path]))
+            steps, path = steps[:block], [v[:block] for v in path]
+        grown = turns.take(steps, axis=0).reshape(-1)
+        row = np.repeat(np.arange(steps.size), width)
+        w = ends.take(grown)
+        gap = w - path[0].take(row)
+        if length > 1:
+            counts[length + 1] += gap.size - int(np.count_nonzero(gap))
+        if length + 1 == kmax:
+            continue
+        # keep ends above s that repeat none of v1..v(L-2); turns skip v(L-1)
+        keep = np.flatnonzero(np.maximum(gap, 0, out=gap))
+        w, row = w.take(keep), row.take(keep)
+        for v in path[1:-1]:
+            hit = np.flatnonzero(w - v.take(row))
+            if hit.size < w.size:
+                w, row, keep = w.take(hit), row.take(hit), keep.take(hit)
+        if length + 2 < kmax and width > 1:
+            path = [v.take(row) for v in path] + [ends.take(steps.take(row))]
+        else:
+            # the last level only closes cycles, and on degree <= 2 a walk
+            # meets no vertex twice before it returns to s
+            path = [path[0].take(row)]
+        stack.append((length + 1, grown.take(keep), path))
+        del grown, gap, keep, w, row  # freed before the next chunk grows
+    return {k: c // 2 for k, c in counts.items()}
 
 
 def tree_edge_fraction(g: Graph, radius: int) -> float:

@@ -404,11 +404,14 @@ def test_census_report_shape(monkeypatch):
     cycle = EnsembleSpec(10, 2, "general", 0)
     with pytest.raises(ResourceError, match="above the limit"):
         cycle_census_experiment(cycle, graphs_module.MAX_CYCLE_LENGTH + 1, trials=2)
+    # and so is one whose path bound n*d*(d-1)^(kmax-2) is above the limit
+    for spec in (EnsembleSpec(100, 7, "general", 0), EnsembleSpec(60, 6, "bipartite", 0)):
+        with pytest.raises(ResourceError, match=r"may follow up to .* above the limit of 1e"):
+            cycle_census_experiment(spec, 12, trials=2)
 
 
 def test_census_reports_are_pinned():
-    # recorded before the walk kernel restricted the search to the vertices
-    # that can lie on a short cycle; the counts must not move
+    # recorded with the first, recursive search; the counts must not move
     general = cycle_census_experiment(EnsembleSpec(300, 3, "general", 1), 7, trials=10)
     rows = general["results"]["series"]
     assert [row["mean"] for row in rows] == [1.9, 1.8, 4.0, 5.3, 8.7]

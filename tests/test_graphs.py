@@ -1,4 +1,6 @@
+import math
 import re
+import tracemalloc
 from collections import deque
 
 import networkx as nx
@@ -553,17 +555,6 @@ def test_edge_tree_radii_pinned_examples():
         edge_tree_radii(path_graph(4), -1)
 
 
-def test_short_cycle_vertices_cover_every_short_cycle():
-    for g in random_regular_graphs() + irregular_graphs():
-        if g.n > 40:
-            continue
-        for kmax in (3, 4, 5, 6, 7):
-            marked = set(graphs_module._short_cycle_vertices(g, kmax))
-            for cycle in nx.simple_cycles(to_networkx(g), length_bound=kmax):
-                if len(cycle) >= 3:
-                    assert set(cycle) <= marked, (g.edges, kmax, cycle)
-
-
 # ------------------------------------------------------------ cycle census
 
 
@@ -573,6 +564,14 @@ def brute_force_counts(g, kmax):
         if len(cyc) >= 3:
             counts[len(cyc)] += 1
     return counts
+
+
+def test_count_cycles_matches_networkx_at_every_kmax():
+    for g in random_regular_graphs() + irregular_graphs():
+        if g.n > 40:
+            continue
+        for kmax in (3, 4, 5, 6, 7):
+            assert count_cycles(g, kmax) == brute_force_counts(g, kmax), (g.edges, kmax)
 
 
 def test_an_edgeless_graph_has_no_cycles_and_only_tree_balls():
@@ -613,7 +612,7 @@ def test_count_cycles_matches_brute_force_on_irregular_and_larger_graphs():
 def test_count_cycles_refuses_a_search_above_the_budget(monkeypatch):
     g = sample_graph(EnsembleSpec(1000, 3, "general", 1))
     # 1000 * 3 * 2**38 paths: refused before any walk or search
-    monkeypatch.setattr(graphs_module, "_short_cycle_vertices", None)
+    monkeypatch.setattr(graphs_module, "_walk_tables", None)
     with pytest.raises(ResourceError, match="above the limit of 1e"):
         count_cycles(g, 40)
     # even a length whose power would be huge is refused at once
@@ -631,6 +630,23 @@ def test_count_cycles_refuses_a_search_above_the_budget(monkeypatch):
     assert count_cycles(cycle_graph(9), 1000)[9] == 1
 
 
+def test_count_cycles_on_complete_graphs():
+    # K_n has C(n, k) * (k-1)!/2 cycles of length k; dense graphs are where
+    # a path that repeats a vertex must be dropped at once
+    for n in range(4, 10):
+        expected = {k: math.comb(n, k) * math.factorial(k - 1) // 2 for k in range(3, n + 1)}
+        assert count_cycles(complete_graph(n), n) == expected
+    g = complete_graph(11)
+    tracemalloc.start()
+    try:
+        counts = count_cycles(g, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[8] == math.comb(11, 8) * math.factorial(7) // 2
+    assert peak < 4 * 2**20
+
+
 def test_count_cycles_rejects_small_kmax():
     with pytest.raises(InputError):
         count_cycles(complete_graph(4), 2)
@@ -644,6 +660,9 @@ def test_two_regular_census_matches_components():
     counts = count_cycles(g, 8)
     assert counts[5] == 1 and counts[7] == 1
     assert sum(counts.values()) == 2
+    # a cycle longer than Python's recursion limit is one cycle too
+    counts = count_cycles(cycle_graph(2000), 2000)
+    assert counts[2000] == 1 and sum(counts.values()) == 1
 
 
 # -------------------------------------------------------- tree fractions
