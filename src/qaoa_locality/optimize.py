@@ -1,9 +1,10 @@
 """Deterministic angle search on the canonical tree.
 
-Two stages: an exhaustive periodic grid, then a BFGS ascent on
-central-difference gradients restarted from the best grid points. Both
-stages evaluate the tree by its path sum and are fully deterministic; ties
-are broken toward the lexicographically smallest (gammas, betas) vector.
+Two stages: an exhaustive grid over one box of the tree value's angle
+symmetries, then a BFGS ascent on central-difference gradients restarted
+from grid peaks of distinct value. Both stages evaluate the tree by its
+path sum and are fully deterministic; ties are broken toward the
+lexicographically smallest (gammas, betas) vector.
 """
 from __future__ import annotations
 
@@ -15,16 +16,40 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ResourceError, integer
-from .qaoa import CostModel, QaoaParams
+from .qaoa import MAXCUT, MIS, CostModel, QaoaParams
 from .trees import TreePathSum
 
 __all__ = ["OptResult", "grid_search", "refine", "optimize", "DEFAULT_BUDGET"]
 
 DEFAULT_BUDGET = 10**6
-_STARTS = 5  # optimize refines from this many of the best grid points
+_STARTS = 5  # optimize refines from this many grid peaks of distinct value
+_DISTINCT = 1e-11  # two grid values are distinct if they differ by more
 _STEP = 1e-5  # central-difference step of refine's gradient
 _ARMIJO = 1e-4  # share of the predicted rise a line-search step must gain
 _BACKTRACKS = 40  # halvings of a line-search step before refine gives up
+
+
+# The tree value's angle symmetries, one row per (model, d parity, initial):
+# the periods T_gamma of each gamma_k and T_beta of each beta_k; whether
+# gamma_k + T_gamma/2 holds only with every beta_j, j >= k, negated (else it
+# is a symmetry alone); and whether any gamma_1 gives the same value. The
+# half gamma shift is exp(-i*pi*C) for MaxCut, which is 1 at even d and the
+# product of all Z at odd d, and exp(-2i*pi*C) = that product for mis(d),
+# where C is sum(b)/2 - sum(b_i*b_j) on a d-regular graph; a product of all Z
+# flips the sign of every later mixer. beta_k + pi/2 flips every bit, which
+# leaves the MaxCut cost unchanged. From "zero" the first phase layer is a
+# global phase. Time reversal (gamma, beta) -> (-gamma, -beta) holds in every
+# row but stays out of the box, as it would halve a different axis per row.
+_SYMMETRIES = {
+    (MAXCUT, 0, "plus"): (2 * math.pi, math.pi / 2, False, False),
+    (MAXCUT, 0, "zero"): (2 * math.pi, math.pi / 2, False, True),
+    (MAXCUT, 1, "plus"): (2 * math.pi, math.pi / 2, True, False),
+    (MAXCUT, 1, "zero"): (2 * math.pi, math.pi / 2, True, True),
+    (MIS, 0, "plus"): (4 * math.pi, math.pi, True, False),
+    (MIS, 0, "zero"): (4 * math.pi, math.pi, True, True),
+    (MIS, 1, "plus"): (4 * math.pi, math.pi, True, False),
+    (MIS, 1, "zero"): (4 * math.pi, math.pi, True, True),
+}
 
 
 @dataclass
@@ -32,11 +57,11 @@ class OptResult:
     """Search outcome.
 
     ``trace`` holds a grid search's values as one float64 array, one entry
-    per grid point in lexicographic (gammas, betas) order, gammas outermost;
-    a refinement leaves it empty. ``evaluations`` counts every value
-    computed: grid points plus objective calls, gradient probes included.
-    ``best_value`` is the objective's value at ``best_params``, as computed
-    when that point was evaluated.
+    per point of the box lattice in lexicographic (gammas, betas) order,
+    gammas outermost; a refinement leaves it empty. ``evaluations`` counts
+    every value computed: grid points plus objective calls, gradient probes
+    included. ``best_value`` is the objective's value at ``best_params``, as
+    computed when that point was evaluated.
     """
 
     best_params: QaoaParams
@@ -68,13 +93,74 @@ def _rank(result: OptResult):
     return (-result.best_value, (params.gammas, params.betas))
 
 
-def _grid_point(index: int, p: int, resolution: int, gamma_period: float) -> QaoaParams:
+def _wrap(x: float, period: float) -> tuple[float, float]:
+    """divmod(x, period) with the remainder in [0, period): divmod rounds
+    the remainder of a tiny negative x up to the period itself."""
+    turns, rest = divmod(x, period)
+    return (turns, rest) if rest < period else (turns + 1, 0.0)
+
+
+def _canonical(params: QaoaParams, d: int, model: CostModel, initial: str) -> QaoaParams:
+    """The image of ``params`` in the box gamma_k in [0, T_gamma/2),
+    beta_k in [0, T_beta) under the generators of ``_SYMMETRIES``, with
+    gamma_1 = 0 from "zero"; the tree value is the same there."""
+    period, beta_period, negates, free = _SYMMETRIES[model.kind, d % 2, initial]
+    gammas, betas = list(params.gammas), list(params.betas)
+    if free and gammas:
+        gammas[0] = 0.0
+    for k, gamma in enumerate(gammas):
+        turns, gammas[k] = _wrap(gamma, period / 2)
+        if negates and turns % 2:
+            betas[k:] = [-b for b in betas[k:]]
+    return QaoaParams(gammas, [_wrap(b, beta_period)[1] for b in betas])
+
+
+def _box_axes(d: int, p: int, model: CostModel, initial: str, resolution: int) -> list:
+    """The lattice values of each axis of the box, p gamma axes then p beta
+    axes: ``resolution`` points per period, those below the half period on
+    a gamma axis, and gamma_1 = 0 alone from "zero"."""
+    period, beta_period, _, free = _SYMMETRIES[model.kind, d % 2, initial]
+    gammas = [period * k / resolution for k in range((resolution + 1) // 2)]
+    betas = [beta_period * k / resolution for k in range(resolution)]
+    return [gammas[:1] if free and k == 0 else gammas for k in range(p)] + [betas] * p
+
+
+def _grid_point(index: int, axes: list) -> QaoaParams:
     """Angles of the grid point at ``index`` of a grid search's trace."""
-    ks = [int(k) for k in np.unravel_index(index, (resolution,) * (2 * p))]
-    return QaoaParams(
-        tuple(gamma_period * k / resolution for k in ks[:p]),
-        tuple(math.pi * k / resolution for k in ks[p:]),
-    )
+    ks = np.unravel_index(index, [len(axis) for axis in axes])
+    angles = [axis[int(k)] for axis, k in zip(axes, ks)]
+    p = len(axes) // 2
+    return QaoaParams(angles[:p], angles[p:])
+
+
+def _starts(trace: np.ndarray, axes: list) -> list:
+    """Trace indices of the _STARTS best local maxima of distinct value.
+
+    A local maximum is no lower than any lattice neighbour along one axis;
+    the beta axes wrap around, and a point on a gamma box edge has no
+    neighbour past that edge. Masked maxima pick the starts without sorting
+    or copying the trace: each is the first peak at the highest value more
+    than _DISTINCT below the last one taken, so symmetric twins of a start
+    are skipped.
+    """
+    shape = [len(axis) for axis in axes]
+    box = trace.reshape(shape)
+    top = np.full(shape, -np.inf)  # the highest neighbour of each point
+    for axis in range(len(shape)):
+        b, t = np.moveaxis(box, axis, 0), np.moveaxis(top, axis, 0)
+        np.maximum(t[1:], b[:-1], out=t[1:])
+        np.maximum(t[:-1], b[1:], out=t[:-1])
+        if axis >= len(shape) // 2:
+            np.maximum(t[0], b[-1], out=t[0])
+            np.maximum(t[-1], b[0], out=t[-1])
+    peaks = (box >= top).reshape(-1)
+    starts, cut = [], np.inf
+    for _ in range(_STARTS):
+        cut = np.max(trace, where=peaks & (trace < cut - _DISTINCT), initial=-np.inf)
+        if cut == -np.inf:
+            break
+        starts.append(int(np.argmax(peaks & (trace == cut))))
+    return starts
 
 
 def grid_search(
@@ -86,36 +172,39 @@ def grid_search(
     resolution: int,
     budget: int = DEFAULT_BUDGET,
 ) -> OptResult:
-    """Evaluate every point of the periodic grid and return the argmax.
+    """Evaluate every lattice point of one box of the angle symmetries and
+    return the argmax.
 
-    The grid has ``resolution`` points per axis over the half-open periods,
-    [0, model.gamma_period) for gammas and [0, pi) for betas, so p layers
-    cost resolution**(2p) evaluations; a ``budget`` below 1 is refused, and
-    exceeding it raises, before any work happens. One path-sum call per
-    gamma tuple evaluates every beta tuple at once. The first maximum in
-    the trace is the best point.
+    The box is gamma_k in [0, T_gamma/2) and beta_k in [0, T_beta), where
+    T_gamma and T_beta are the tree value's own periods: 2*pi and pi/2 for
+    MaxCut, 4*pi and pi for mis(d), at every d. From "zero" gamma_1 is 0
+    alone, since the first phase layer is then a global phase. Each axis
+    has ``resolution`` points per period, so a gamma axis holds the
+    ceil(resolution/2) below its half period. A ``budget`` below 1 is
+    refused, and a box of more points raises, before any work happens. One
+    path-sum call per gamma tuple evaluates every beta tuple at once. The
+    first maximum in the trace is the best point.
     """
     resolution = integer(resolution, "resolution", 2)
     p = integer(p, "depth", 0)
     budget = integer(budget, "budget", 1)
     path_sum = TreePathSum(d, p, model, initial)
-    total = resolution ** (2 * p)
+    axes = _box_axes(d, p, model, initial, resolution)
+    total = math.prod(map(len, axes))
     if total > budget:
         raise ResourceError(
             f"grid of {total} evaluations exceeds the budget of {budget}"
         )
-    gvals = [model.gamma_period * k / resolution for k in range(resolution)]
-    bvals = [math.pi * k / resolution for k in range(resolution)]
     # At p=0 the one beta tuple is (), so columns has shape (0, 1).
-    columns = np.array(list(itertools.product(bvals, repeat=p))).T
+    columns = np.array(list(itertools.product(*axes[p:]))).T
     # Each call fills one row of the trace, so no list of rows is held.
-    trace = np.empty((resolution**p, columns.shape[1]))
-    for row, gs in zip(trace, itertools.product(gvals, repeat=p)):
+    trace = np.empty((total // columns.shape[1], columns.shape[1]))
+    for row, gs in zip(trace, itertools.product(*axes[:p])):
         row[:] = path_sum.value(gs, columns)
     trace = trace.reshape(-1)
     best = int(np.argmax(trace))
     return OptResult(
-        best_params=_grid_point(best, p, resolution, model.gamma_period),
+        best_params=_grid_point(best, axes),
         best_value=float(trace[best]),
         trace=trace,
         grid_resolution=resolution,
@@ -224,10 +313,16 @@ def optimize(
     resolution: int | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> OptResult:
-    """Grid search, then refinement from the five best grid points.
+    """Grid search, then refinement from grid peaks of distinct value.
 
-    The default resolution is 64 points per axis up to depth 1 and 16 from
-    depth 2 on. Deterministic for fixed arguments.
+    The grid scans one box of the angle symmetries (:func:`grid_search`)
+    with a default ``resolution`` of 64 points per period up to depth 1 and
+    16 from depth 2 on. ``refine`` starts from the five best local maxima of
+    the trace whose values differ pairwise by more than 1e-11, each the
+    first in trace order of its value. The winner is mapped into the box
+    and evaluated once there, so ``best_value`` is the value at
+    ``best_params``, and from "zero" gamma_1 reads 0. Deterministic for
+    fixed arguments.
     """
     p = integer(p, "depth", 0)
     if resolution is None:
@@ -235,27 +330,18 @@ def optimize(
     grid = grid_search(d, p, model, initial, resolution=resolution, budget=budget)
     if p == 0:
         return grid
-    # The starts lie at or above the _STARTS-th largest distinct value,
-    # found by masked maxima without a copy of the trace; a stable sort of
-    # them keeps flat-index order among equal values, which is the
-    # lexicographic (gammas, betas) order of _rank's tie-break.
-    trace = grid.trace
-    cut = np.inf
-    for _ in range(_STARTS):
-        cut = np.max(trace, where=trace < cut, initial=-np.inf)
-    best = np.flatnonzero(trace >= cut).tolist()
-    starts = sorted(best, key=trace.__getitem__, reverse=True)[:_STARTS]
-    results = [
-        refine(_grid_point(i, p, grid.grid_resolution, model.gamma_period), d, model, initial)
-        for i in starts
-    ]
+    axes = _box_axes(d, p, model, initial, grid.grid_resolution)
+    starts = _starts(grid.trace, axes)
+    results = [refine(_grid_point(i, axes), d, model, initial) for i in starts]
     best = min([grid, *results], key=_rank)
+    params = _canonical(best.best_params, d, model, initial)
+    obj = _TreeObjective(d, p, model, initial)
     return OptResult(
-        best_params=best.best_params,
-        best_value=best.best_value,
+        best_params=params,
+        best_value=obj.value(params.gammas, params.betas),
         trace=grid.trace,
         grid_resolution=grid.grid_resolution,
         refinement_iterations=sum(res.refinement_iterations for res in results),
         converged=all(res.converged for res in results),
-        evaluations=grid.evaluations + sum(res.evaluations for res in results),
+        evaluations=grid.evaluations + sum(res.evaluations for res in results) + obj.evaluations,
     )

@@ -101,8 +101,9 @@ class CostModel:
 
     @property
     def gamma_period(self) -> float:
-        # The cost spectrum lives on (1/denominator)*Z, so the phase
-        # exp(-i*gamma*C) repeats with this gamma period.
+        """The gamma period of the phase exp(-i*gamma*C) on any graph: the
+        cost spectrum lives on (1/denominator)*Z. On a d-regular graph the
+        mis(d) cost lies in Z/2, so there its phase repeats after 4*pi."""
         return 2.0 * math.pi * self.denominator
 
 

@@ -87,7 +87,8 @@ def test_optimize_subcommand():
     assert results["best_value"] == pytest.approx(0.75, abs=1e-6)
     assert len(results["gammas"]) == 1 and len(results["betas"]) == 1
     assert results["converged"] is True
-    assert results["evaluations"] >= 64
+    # the grid's 4 x 8 box points, then the refinement's path-sum calls
+    assert results["evaluations"] > 4 * 8
 
 
 def test_ratio_bound_from_value():
@@ -557,24 +558,27 @@ def test_help_exits_0():
 # after which each search returns a symmetric point of its old one, with a
 # value within 6e-11 of the old; all four again when refine went to BFGS:
 # maxcut-d3-p2 rose by 4.4e-5 to its basin's maximum, the other values moved
-# by at most 1.8e-15, and the evaluation and iteration counts fell
+# by at most 1.8e-15, and the evaluation and iteration counts fell; all four
+# again when the grid went to one box of the angle symmetries: every search
+# reports the canonical point in the box, maxcut-d3-p2 rose to the published
+# p=2 optimum 0.7559064585, the other values moved by at most 1.5e-15, and
+# the evaluation counts fell
 PINNED_OPTIMIZE_REPORTS = {
     "maxcut-d3-p1": (
         ["--d", "3", "--p", "1"],
-        "f02fff138290541c78e681c62654e627a67880b174fa11993937fd53647032a7",
+        "21aea4fbf6bf8af0cd0f3fe992f94b2fed7ed64596f6b1f038e7b0f1d6100138",
     ),
     "maxcut-d3-p2": (
         ["--d", "3", "--p", "2"],
-        "c4619f92da53b2b75f90aebb3a867a9860c0ff5c11c9a0099d13d5691336e701",
+        "a2355ab83751921737fee014bcbb678f911b1e55d43b871270260764924b766f",
     ),
-    # 64 grid points tie for the best value
     "mis3-zero-p1": (
         ["--d", "3", "--p", "1", "--model", "mis", "--init", "zero"],
-        "7007f2a33d6553bac5ef71566d31ba796de8fc5123f1c30f5fe7fd28216cb89a",
+        "3e2cbd6ebb4d7534e27af5fa6a3f736d01508a1dc914cfa6f6fec0ff48f06deb",
     ),
     "maxcut-d2-p2": (
         ["--d", "2", "--p", "2"],
-        "7ce09c2b613d400b7d9f3dae1024db13afee35f19d48de7186702ac7c015673d",
+        "7637ad14052aa089148b490ebaf8f4c0ab4f72435a8486519386cecde63b4408",
     ),
 }
 
@@ -593,7 +597,8 @@ def test_optimize_reports_are_pinned(capsys, case):
 # tree-expect and ratio-bound-optimize digests again when the path sum went
 # to fused slice factors (values moved by at most 8.9e-16), and the two
 # ratio-bound-optimize digests again when refine went to BFGS (values moved
-# by at most 1.8e-15)
+# by at most 1.8e-15); ratio-bound-optimize again when the grid went to one
+# box of the angle symmetries (the value moved by 1.1e-16)
 PINNED_COMMAND_REPORTS = {
     "ratio-bound-value": (
         ["ratio-bound", "--d", "3", "--p", "1", "--tree-value", "0.6924500897298755"],
@@ -609,7 +614,7 @@ PINNED_COMMAND_REPORTS = {
     ),
     "ratio-bound-optimize": (
         ["ratio-bound", "--d", "3", "--p", "1", "--optimize"],
-        "896497c2f630574f0d8559076504fbf5f6ae5b4fe90a774d6c589d1459b7c9d0",
+        "52e6dbafa714ed62553cc4d66022ac5f387e714e1085c72ac025be774a3fa982",
     ),
     "ratio-bound-optimize-mis-zero": (
         ["ratio-bound", "--model", "mis", "--d", "3", "--p", "1", "--optimize", "--init", "zero"],

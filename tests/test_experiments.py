@@ -522,7 +522,9 @@ def test_independent_set_end_to_end_reports_are_pinned():
     # se_total again when the mixer went to Kronecker factors, and the
     # simulation floats again when the path sum went to fused slice factors
     # (the searched angles moved to a symmetric point; samples stayed equal),
-    # and when refine went to BFGS (totals moved by at most 2.8e-9)
+    # and when refine went to BFGS (totals moved by at most 2.8e-9), and when
+    # the grid went to one box of the angle symmetries (the canonical point;
+    # totals moved by at most 1.9e-13, samples stayed equal)
     general = end_to_end(EnsembleSpec(16, 3, "general", 7), 1, MIS3, seed=7, trials=3, samples=32)
     assert general["results"]["pruning"] == {
         "samples": 96, "all_independent": True, "positive_cost_samples": 93,
@@ -530,8 +532,8 @@ def test_independent_set_end_to_end_reports_are_pinned():
         "max_set_size": 6, "mean_input_cost": 1.5104166666666667,
     }
     assert general["results"]["simulation"] == {
-        "trials": 3, "mean_total": 1.4972116762067296, "se_total": 0.009650956393204495,
-        "mean_per_edge": 0.06238381984194707, "mean_nontree_fraction": 0.08333333333333333,
+        "trials": 3, "mean_total": 1.4972116762069145, "se_total": 0.009650956393112864,
+        "mean_per_edge": 0.06238381984195477, "mean_nontree_fraction": 0.08333333333333333,
     }
     # without a seed the spec's own is read
     unseeded = end_to_end(EnsembleSpec(16, 3, "general", 7), 1, MIS3, trials=3, samples=32)
@@ -545,8 +547,8 @@ def test_independent_set_end_to_end_reports_are_pinned():
         "max_set_size": 6, "mean_input_cost": 1.1770833333333333,
     }
     assert bipartite["results"]["simulation"] == {
-        "trials": 2, "mean_total": 1.1373851917448539, "se_total": 0.0,
-        "mean_per_edge": 0.06318806620804744, "mean_nontree_fraction": 0.0,
+        "trials": 2, "mean_total": 1.1373851917448552, "se_total": 0.0,
+        "mean_per_edge": 0.06318806620804751, "mean_nontree_fraction": 0.0,
     }
 
 
@@ -571,14 +573,16 @@ def test_independent_set_optimize_report_is_pinned():
     # recorded before every cost was read from the model's one edge table,
     # and again when the path sum went to fused slice factors (the angles
     # moved by at most 1.4e-8 and the value by 1.4e-17), and again when
-    # refine went to BFGS (a symmetric point; the value moved by 7.0e-15)
+    # refine went to BFGS (a symmetric point; the value moved by 7.0e-15),
+    # and again when the grid went to one box of the angle symmetries and
+    # refine to distinct starts: a higher basin, 0.08842126322192997 before
     result = optimize(3, 2, MIS3, "plus")
-    assert result.best_value == 0.08842126322192997
+    assert result.best_value == 0.08937931564893899
     assert result.best_params == QaoaParams(
-        (7.025721660162981, 35.516931136480274), (2.7667436666342353, 0.21216513826741473)
+        (0.6446328876073221, 1.9277044874530092), (2.0757325096596104, 1.3549677516253147)
     )
     assert (result.refinement_iterations, result.converged, result.evaluations) == (
-        55, True, 66076
+        73, True, 17093
     )
 
 
@@ -617,7 +621,10 @@ P2 = QaoaParams((0.7, 1.9), (0.4, 0.2))
 # search were recorded again when refine went to BFGS: optimized values
 # moved by at most 1.8e-15, two searches returned a symmetric point of their
 # old one, simulated totals moved by at most 2.9e-8, the refinement
-# iteration counts fell, and every sample stayed equal.
+# iteration counts fell, and every sample stayed equal. The same four again
+# when the grid went to one box of the angle symmetries: each search reports
+# the canonical point in the box, optimized values moved by at most 2.2e-16,
+# simulated totals by at most 1.9e-8, and every sample stayed equal.
 PINNED_REPORTS = {
     "locality-p1": (
         lambda: locality_check(EnsembleSpec(14, 3, "general", 7), 1, MC, P1, trials=4),
@@ -650,25 +657,25 @@ PINNED_REPORTS = {
     # a ratio from the d=3 cut constant
     "end-to-end-maxcut-d3": (
         lambda: end_to_end(EnsembleSpec(16, 3, "general", 4), 1, MC, seed=4, trials=3),
-        "e14c4cab829eb964d14bf0b949a39bc0e485099a524e8eaf90d0dbddca02962e",
+        "d4ea1a45f3306f33f3dbeca8749ac982b367ab1cd96cb21ac466e98a3bee2816",
     ),
     "end-to-end-mis-d3-bipartite": (
         lambda: end_to_end(
             EnsembleSpec(12, 3, "bipartite", 5), 1, MIS3, seed=5, trials=2, samples=16
         ),
-        "1b645ad31dce70e11859b61b8c2876048cd4a36cda860c1b1d7f5ea4d3b5671e",
+        "8006f307fca2594065964a0667c8169760305142c4c44f5be9b151fe1f4f5db4",
     ),
     # the asymptotic large-d independent-set ceiling
     "end-to-end-mis-d4": (
         lambda: end_to_end(
             EnsembleSpec(10, 4, "general", 6), 1, CostModel.mis(4), seed=6, trials=2, samples=8
         ),
-        "fb8e3e2d373844d9e6c0499d7f4b4752bec4c8375a9e67a5b9e4fcfbe9142472",
+        "259eb0fd31635d522c4011eaaa333a268db9d9eec050420289ddaaa8f5d61e52",
     ),
     # no cut constant: the ratio section holds the refusal's text
     "end-to-end-maxcut-d4": (
         lambda: end_to_end(EnsembleSpec(12, 4, "general", 2), 1, MC, seed=2, trials=2),
-        "0ca76c3764e2c550688fc0ee17b4044707979ef6ffe16127b672ab4f1e49ec39",
+        "5507697a8086346e67037a1c72a5fea2a24014e6e50a0207b251b47061e1aaa9",
     ),
     "end-to-end-p0": (
         lambda: end_to_end(EnsembleSpec(10, 3, "bipartite", 3), 0, MC, seed=3, trials=3, samples=0),

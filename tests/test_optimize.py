@@ -6,8 +6,11 @@ import pytest
 
 from qaoa_locality.errors import InputError, ResourceError
 from qaoa_locality.optimize import (
+    _SYMMETRIES,
     DEFAULT_BUDGET,
+    _canonical,
     _gradient,
+    _starts,
     _TreeObjective,
     grid_search,
     optimize,
@@ -35,11 +38,23 @@ def test_grid_resolution_has_no_default():
         grid_search(3, 1, MC)
 
 
-def grid_angles(index, p, res, model):
+# The tree value's own periods (T_gamma, T_beta) per model kind.
+PERIODS = {"maxcut": (2 * math.pi, math.pi / 2), "mis": (4 * math.pi, math.pi)}
+
+
+def box_shape(p, res, initial="plus"):
+    """Points per axis of the grid's box: gammas below half their period,
+    gamma_1 = 0 alone from "zero", then the betas over a whole period."""
+    gammas = [1 if initial == "zero" and k == 0 else (res + 1) // 2 for k in range(p)]
+    return gammas + [res] * p
+
+
+def grid_angles(index, p, res, model, initial="plus"):
     """Angles of a trace index: gammas outermost, each axis rising."""
-    ks = np.unravel_index(index, (res,) * (2 * p))
-    gammas = tuple(model.gamma_period * int(k) / res for k in ks[:p])
-    betas = tuple(math.pi * int(k) / res for k in ks[p:])
+    ks = np.unravel_index(index, box_shape(p, res, initial))
+    t_gamma, t_beta = PERIODS[model.kind]
+    gammas = tuple(t_gamma * int(k) / res for k in ks[:p])
+    betas = tuple(t_beta * int(k) / res for k in ks[p:])
     return QaoaParams(gammas, betas)
 
 
@@ -47,11 +62,14 @@ def test_grid_fast_path_matches_direct_evaluation():
     """The grid evaluates a whole row of betas per path-sum call; every
     trace value must equal the statevector on the tree, an independent
     engine."""
-    for model, p, res in ((MC, 1, 6), (MIS3, 1, 6), (MC, 2, 3)):
-        result = grid_search(3, p, model, resolution=res)
-        assert result.trace.shape == (res ** (2 * p),)
+    for model, p, res, initial in (
+        (MC, 1, 6, "plus"), (MIS3, 1, 6, "plus"), (MC, 2, 3, "plus"), (MIS3, 2, 3, "zero"),
+    ):
+        result = grid_search(3, p, model, initial, resolution=res)
+        assert result.trace.shape == (math.prod(box_shape(p, res, initial)),)
         for index, value in enumerate(result.trace):
-            want = tree_expectation(3, p, model, grid_angles(index, p, res, model)).value
+            params = grid_angles(index, p, res, model, initial)
+            want = tree_expectation(3, p, model, params, initial).value
             assert abs(value - want) < 1e-12
 
 
@@ -62,20 +80,23 @@ def test_grid_flat_landscape_breaks_ties_lexicographically():
 
 
 def test_grid_tie_is_pinned():
-    # recorded before the grid was one array: all four points tie exactly
+    # recorded before the grid was one array: all four points tie exactly;
+    # the box holds two of them, gamma = 0 and beta = 0 or pi/4
     result = grid_search(2, 1, MC, resolution=2)
-    assert result.trace.tolist() == [0.5000000000000004] * 4
+    assert result.trace.tolist() == [0.5000000000000004] * 2
     assert result.best_params == QaoaParams((0.0,), (0.0,))
     assert repr(result.best_value) == "0.5000000000000004"
-    assert (result.evaluations, result.grid_resolution) == (4, 2)
+    assert (result.evaluations, result.grid_resolution) == (2, 2)
 
 
-# Tie counts as recorded; the MaxCut count at resolution 8 went from 1 to 2
-# when the path sum went to fused slice factors: points 47 and 63, at
-# gamma = 5pi/4 and 7pi/4 where sin(gamma) * cos(gamma)**2 is the same, now
-# agree to the last bit.
+# Tie counts as recorded. At MaxCut resolution 8 two points agree to the last
+# bit since the path sum went to fused slice factors: in the box they are
+# points 10 and 26, at beta = pi/8 and gamma = pi/4 and 3pi/4, where
+# sin(gamma) * cos(gamma)**2 is the same. From "zero" the box holds gamma_1 =
+# 0 alone, so the 64 mis(3) points that tied over gamma_1 are one; at
+# resolution 2 the box holds two of the four tied points.
 @pytest.mark.parametrize(
-    "model, initial, res, ties", [(MIS3, "zero", 64, 64), (MC, "plus", 8, 2), (MC, "plus", 2, 4)]
+    "model, initial, res, ties", [(MIS3, "zero", 64, 1), (MC, "plus", 8, 2), (MC, "plus", 2, 2)]
 )
 def test_grid_best_point_is_the_first_maximum(model, initial, res, ties):
     """The best point is the first maximum of the trace, whose index gives
@@ -83,7 +104,7 @@ def test_grid_best_point_is_the_first_maximum(model, initial, res, ties):
     result = grid_search(3, 1, model, initial, resolution=res)
     top = np.flatnonzero(result.trace == result.trace.max())
     assert len(top) == ties
-    assert result.best_params == grid_angles(top[0], 1, res, model)
+    assert result.best_params == grid_angles(top[0], 1, res, model, initial)
     assert result.best_value == result.trace[top[0]]
 
 
@@ -310,28 +331,130 @@ COORDINATE_SEARCH_VALUES = [
     (5, 2, "mis", "zero", 0.012508545815760145),
 ]
 
-# The coordinate search stopped short of its basin's maximum in these cases.
-RISES = {
-    (3, 2, "maxcut", "plus"): 0.7464433,
-    (5, 2, "maxcut", "plus"): 0.6818424,
-    (5, 2, "mis", "plus"): 0.0352700,
-    (5, 2, "mis", "zero"): 0.0127780,
+# optimize's value where it is not the coordinate search's to 1e-9. The BFGS
+# refine climbed to the top of the coordinate search's basin at d=5 MaxCut
+# and mis(5) `zero`; the distinct starts in the box of the angle symmetries
+# reach higher basins in all seven cases but one.
+MOVED = {
+    (3, 2, "maxcut", "plus"): 0.7559064585,  # the published p=2 optimum
+    (3, 2, "mis", "plus"): 0.0893793156,
+    (4, 2, "mis", "plus"): 0.0529501823,
+    (4, 2, "mis", "zero"): 0.0392440763,
+    (5, 2, "maxcut", "plus"): 0.6907089419,
+    (5, 2, "mis", "plus"): 0.0340728763,
+    (5, 2, "mis", "zero"): 0.0213678706,
 }
+# The one fall: this basin lies at gamma ~ (0.460, 4.803), beta ~ (1.993,
+# 1.766), between the box's gamma lattice points, and the whole-torus grid
+# reached it by aliasing.
+FELL = (5, 2, "mis", "plus")
 
 
-def test_optimize_never_falls_below_the_coordinate_search():
+def test_optimize_against_the_coordinate_search():
     for d, p, name, initial, old in COORDINATE_SEARCH_VALUES:
         model = MC if name == "maxcut" else CostModel.mis(d)
         result = optimize(d, p, model, initial)
         case = (d, p, name, initial)
         assert result.converged, case
-        assert result.best_value >= old - 1e-9, case
-        if case in RISES:
-            assert abs(result.best_value - RISES[case]) < 5e-8, case
-        elif case == (4, 2, "mis", "plus"):
-            assert result.best_value > old + 3e-8, case
-        else:
-            assert result.best_value < old + 1e-9, case
+        assert abs(result.best_value - MOVED.get(case, old)) < 1e-9, case
+        assert (result.best_value >= old - 1e-9) == (case != FELL), case
+
+
+def test_optimize_depth2_reaches_the_published_optimum():
+    """The five starts used to be one basin, whose top 0.7464433 missed
+    the p=2 optimum of Farhi, Goldstone & Gutmann (arXiv:1411.4028)."""
+    assert optimize(3, 2, MC).best_value >= 0.755906458453 - 1e-6
+
+
+def test_optimize_finds_the_higher_mis4_basin():
+    """A local maximum 0.0366082144 lay above the old search's 0.0353759."""
+    assert optimize(4, 2, CostModel.mis(4), "plus").best_value > 0.0366082144
+
+
+def test_the_default_mis4_grid_is_not_flat():
+    """Over the old gamma period 16*pi, 16 points stepped gamma by pi and
+    every point read -0.125 to 1.4e-14; the tree value's period is 4*pi."""
+    trace = grid_search(4, 2, CostModel.mis(4), "plus", resolution=16).trace
+    assert trace.max() - trace.min() > 1e-11
+
+
+@pytest.mark.parametrize("name", ["maxcut", "mis"])
+def test_default_grids_scan_one_box(name):
+    """A count guard in place of a timing test: a return to the whole torus
+    (4**p times as many points from "plus") fails here."""
+    model = MC if name == "maxcut" else MIS3
+    sizes = {(p, initial): len(optimize(3, p, model, initial).trace)
+             for p in (1, 2) for initial in ("plus", "zero")}
+    assert sizes == {(1, "plus"): 2048, (1, "zero"): 64, (2, "plus"): 16384, (2, "zero"): 2048}
+    # the budget counts box points, not resolution**(2p)
+    assert grid_search(3, 2, model, resolution=16, budget=16384).evaluations == 16384
+    with pytest.raises(ResourceError, match="grid of 16384 evaluations"):
+        grid_search(3, 2, model, resolution=16, budget=16383)
+
+
+def shifted(gammas, betas, k, gamma=0.0, beta=0.0, negate=False):
+    """Add ``gamma`` to gamma_k and ``beta`` to beta_k; ``negate`` flips
+    the sign of every beta_j, j >= k."""
+    gammas, betas = list(gammas), list(betas)
+    gammas[k] += gamma
+    betas[k] += beta
+    if negate:
+        betas[k:] = [-b for b in betas[k:]]
+    return gammas, betas
+
+
+def test_the_symmetry_table_covers_every_case():
+    assert set(_SYMMETRIES) == {
+        (kind, parity, initial)
+        for kind in ("maxcut", "mis") for parity in (0, 1) for initial in ("plus", "zero")
+    }
+
+
+@pytest.mark.parametrize("name", ["maxcut", "mis"])
+@pytest.mark.parametrize("initial", ["plus", "zero"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_angle_symmetry_generators(d, initial, name):
+    """Every generator of the symmetry table holds on the path sum, at
+    p = 1..4 and 20 random schedules each, to 1e-12, and ``_canonical``
+    maps each schedule into the box at an equal value."""
+    model = MC if name == "maxcut" else CostModel.mis(d)
+    period, beta_period, negates, free = _SYMMETRIES[name, d % 2, initial]
+    assert (period, beta_period) == PERIODS[name]
+    rng = np.random.default_rng(100 * d + len(initial) + len(name))
+    for p in range(1, 5):
+        path_sum = TreePathSum(d, p, model, initial)
+        for _ in range(20):
+            gammas = rng.uniform(-period, period, p)
+            betas = rng.uniform(-beta_period, beta_period, p)
+            value = path_sum.value(gammas, betas)
+            images = [(-gammas, -betas)]  # time reversal
+            for k in range(p):
+                images.append(shifted(gammas, betas, k, beta=beta_period))
+                images.append(shifted(gammas, betas, k, gamma=period))
+                images.append(shifted(gammas, betas, k, gamma=period / 2, negate=negates))
+            if free:
+                images.append(shifted(gammas, betas, 0, gamma=rng.uniform(-10, 10)))
+            for image in images:
+                assert abs(path_sum.value(*image) - value) < 1e-12, (p, image)
+            box = _canonical(QaoaParams(gammas, betas), d, model, initial)
+            assert all(0 <= g < period / 2 for g in box.gammas)
+            assert all(0 <= b < beta_period for b in box.betas)
+            assert not free or box.gammas[0] == 0.0
+            assert abs(path_sum.value(box.gammas, box.betas) - value) < 1e-12
+
+
+def test_the_half_gamma_shift_needs_its_beta_flip_where_the_table_says():
+    """Where a row negates the later betas, the half gamma shift alone is no
+    symmetry; where it does not, the shift with the betas negated is none."""
+    rng = np.random.default_rng(5)
+    for d in (3, 4):
+        for name in ("maxcut", "mis"):
+            model = MC if name == "maxcut" else CostModel.mis(d)
+            period, _, negates, _ = _SYMMETRIES[name, d % 2, "plus"]
+            path_sum = TreePathSum(d, 2, model)
+            gammas, betas = rng.uniform(0, period, 2), rng.uniform(0, math.pi, 2)
+            wrong = shifted(gammas, betas, 0, gamma=period / 2, negate=not negates)
+            assert abs(path_sum.value(*wrong) - path_sum.value(gammas, betas)) > 1e-6, (d, name)
 
 
 def test_optimize_depth1_known_values():
@@ -351,14 +474,46 @@ def test_optimize_counts_grid_points_and_objective_calls(monkeypatch):
 
     monkeypatch.setattr(module, "_TreeObjective", Recording)
     result = optimize(2, 1, MC, resolution=8)
-    # one objective per refinement start; the grid calls the path sum itself
-    assert len(built) == 5
+    # one objective per refinement start, here two peaks of distinct value,
+    # and one for the value at the reported point; the grid calls the path
+    # sum itself
+    assert [obj.evaluations > 1 for obj in built] == [True, True, False]
     calls = sum(obj.evaluations for obj in built)
-    assert all(obj.evaluations > 0 for obj in built)
-    assert result.evaluations == 8**2 + calls
-    assert len(result.trace) == 8**2
+    assert result.evaluations == 4 * 8 + calls
+    assert len(result.trace) == 4 * 8
     # the grid alone: every scanned point, and no objective call
-    assert grid_search(3, 1, MC, resolution=4).evaluations == 4**2
+    assert grid_search(3, 1, MC, resolution=4).evaluations == 2 * 4
+
+
+def test_optimize_reports_the_canonical_point_of_its_value():
+    """The reported angles lie in the box, from "zero" gamma_1 is 0, and
+    ``best_value`` is the path sum at ``best_params``. At d=3, p=1 the
+    refinement ends outside the box, at gamma ~ -0.615."""
+    for d, p, model, initial in (
+        (3, 1, MC, "plus"), (3, 2, MC, "plus"), (3, 2, MIS3, "zero"),
+        (4, 2, CostModel.mis(4), "plus"),
+    ):
+        result = optimize(d, p, model, initial)
+        params = result.best_params
+        period, beta_period = PERIODS[model.kind]
+        assert all(0 <= g < period / 2 for g in params.gammas)
+        assert all(0 <= b < beta_period for b in params.betas)
+        assert initial == "plus" or params.gammas[0] == 0.0
+        value = TreePathSum(d, p, model, initial).value(params.gammas, params.betas)
+        assert result.best_value == value
+
+
+def test_starts_are_grid_peaks_of_distinct_value():
+    """Beta axes wrap around, a point on a gamma box edge lacks the
+    neighbour past it, and a value within 1e-11 of a start taken is
+    skipped; each start is the first point of its value."""
+    one = [0.0]
+    # index 0 is no peak: its wrapped neighbour 4 is higher
+    assert _starts(np.array([3.0, 1.0, 2.0, 4.0]), [one, [0.0] * 4]) == [3]
+    # both gamma edges are peaks, though 5 > 4 across the box
+    assert _starts(np.array([5.0, 1.0, 4.0]), [[0.0] * 3, one]) == [0, 2]
+    trace = np.array([2.0, 0.0, 2.0 - 1e-12, 0.0, 1.0, 0.0, 2.0, 0.0])
+    assert _starts(trace, [one, [0.0] * 8]) == [0, 4]
 
 
 def test_optimize_depth2_degree2_hits_five_sixths():
