@@ -29,27 +29,18 @@ _ARMIJO = 1e-4  # share of the predicted rise a line-search step must gain
 _BACKTRACKS = 40  # halvings of a line-search step before refine gives up
 
 
-# The tree value's angle symmetries, one row per (model, d parity, initial):
-# the periods T_gamma of each gamma_k and T_beta of each beta_k; whether
-# gamma_k + T_gamma/2 holds only with every beta_j, j >= k, negated (else it
-# is a symmetry alone); and whether any gamma_1 gives the same value. The
-# half gamma shift is exp(-i*pi*C) for MaxCut, which is 1 at even d and the
+# The tree value's angle symmetries. Each gamma_k has the period T_gamma and
+# each beta_k the period T_beta of _PERIODS, at every d. The half shift
+# gamma_k + T_gamma/2 is exp(-i*pi*C) for MaxCut, which is 1 at even d and the
 # product of all Z at odd d, and exp(-2i*pi*C) = that product for mis(d),
-# where C is sum(b)/2 - sum(b_i*b_j) on a d-regular graph; a product of all Z
-# flips the sign of every later mixer. beta_k + pi/2 flips every bit, which
-# leaves the MaxCut cost unchanged. From "zero" the first phase layer is a
-# global phase. Time reversal (gamma, beta) -> (-gamma, -beta) holds in every
-# row but stays out of the box, as it would halve a different axis per row.
-_SYMMETRIES = {
-    (MAXCUT, 0, "plus"): (2 * math.pi, math.pi / 2, False, False),
-    (MAXCUT, 0, "zero"): (2 * math.pi, math.pi / 2, False, True),
-    (MAXCUT, 1, "plus"): (2 * math.pi, math.pi / 2, True, False),
-    (MAXCUT, 1, "zero"): (2 * math.pi, math.pi / 2, True, True),
-    (MIS, 0, "plus"): (4 * math.pi, math.pi, True, False),
-    (MIS, 0, "zero"): (4 * math.pi, math.pi, True, True),
-    (MIS, 1, "plus"): (4 * math.pi, math.pi, True, False),
-    (MIS, 1, "zero"): (4 * math.pi, math.pi, True, True),
-}
+# where C is sum(b)/2 - sum(b_i*b_j) on a d-regular graph. A product of all Z
+# flips the sign of every later mixer, so for MaxCut at odd d and for mis(d)
+# the half shift holds only with every beta_j, j >= k, negated. beta_k + pi/2
+# flips every bit, which leaves the MaxCut cost unchanged. From "zero" the
+# first phase layer is a global phase, so any gamma_1 gives the same value.
+# Time reversal (gamma, beta) -> (-gamma, -beta) always holds but stays out of
+# the box, as it would halve a different axis per model and d parity.
+_PERIODS = {MAXCUT: (2 * math.pi, math.pi / 2), MIS: (4 * math.pi, math.pi)}
 
 
 @dataclass
@@ -102,11 +93,12 @@ def _wrap(x: float, period: float) -> tuple[float, float]:
 
 def _canonical(params: QaoaParams, d: int, model: CostModel, initial: str) -> QaoaParams:
     """The image of ``params`` in the box gamma_k in [0, T_gamma/2),
-    beta_k in [0, T_beta) under the generators of ``_SYMMETRIES``, with
-    gamma_1 = 0 from "zero"; the tree value is the same there."""
-    period, beta_period, negates, free = _SYMMETRIES[model.kind, d % 2, initial]
+    beta_k in [0, T_beta) under the generators above, with gamma_1 = 0
+    from "zero"; the tree value is the same there."""
+    period, beta_period = _PERIODS[model.kind]
+    negates = model.kind == MIS or d % 2 == 1
     gammas, betas = list(params.gammas), list(params.betas)
-    if free and gammas:
+    if initial == "zero" and gammas:
         gammas[0] = 0.0
     for k, gamma in enumerate(gammas):
         turns, gammas[k] = _wrap(gamma, period / 2)
@@ -115,14 +107,20 @@ def _canonical(params: QaoaParams, d: int, model: CostModel, initial: str) -> Qa
     return QaoaParams(gammas, [_wrap(b, beta_period)[1] for b in betas])
 
 
-def _box_axes(d: int, p: int, model: CostModel, initial: str, resolution: int) -> list:
-    """The lattice values of each axis of the box, p gamma axes then p beta
-    axes: ``resolution`` points per period, those below the half period on
-    a gamma axis, and gamma_1 = 0 alone from "zero"."""
-    period, beta_period, _, free = _SYMMETRIES[model.kind, d % 2, initial]
-    gammas = [period * k / resolution for k in range((resolution + 1) // 2)]
-    betas = [beta_period * k / resolution for k in range(resolution)]
-    return [gammas[:1] if free and k == 0 else gammas for k in range(p)] + [betas] * p
+def _box_shape(p: int, initial: str, resolution: int) -> list:
+    """Lattice points on each axis of the box, p gamma axes then p beta
+    axes: ``resolution`` per period, the ceil(resolution/2) below the half
+    period on a gamma axis, and gamma_1 = 0 alone from "zero"."""
+    half = (resolution + 1) // 2
+    gammas = [1 if initial == "zero" and k == 0 else half for k in range(p)]
+    return gammas + [resolution] * p
+
+
+def _box_axes(p: int, model: CostModel, initial: str, resolution: int) -> list:
+    """The lattice values of each axis of the box of :func:`_box_shape`."""
+    periods = [period for period in _PERIODS[model.kind] for _ in range(p)]
+    shape = _box_shape(p, initial, resolution)
+    return [[t * k / resolution for k in range(n)] for t, n in zip(periods, shape)]
 
 
 def _grid_point(index: int, axes: list) -> QaoaParams:
@@ -189,12 +187,12 @@ def grid_search(
     p = integer(p, "depth", 0)
     budget = integer(budget, "budget", 1)
     path_sum = TreePathSum(d, p, model, initial)
-    axes = _box_axes(d, p, model, initial, resolution)
-    total = math.prod(map(len, axes))
+    total = math.prod(_box_shape(p, initial, resolution))
     if total > budget:
         raise ResourceError(
             f"grid of {total} evaluations exceeds the budget of {budget}"
         )
+    axes = _box_axes(p, model, initial, resolution)
     # At p=0 the one beta tuple is (), so columns has shape (0, 1).
     columns = np.array(list(itertools.product(*axes[p:]))).T
     # Each call fills one row of the trace, so no list of rows is held.
@@ -330,7 +328,7 @@ def optimize(
     grid = grid_search(d, p, model, initial, resolution=resolution, budget=budget)
     if p == 0:
         return grid
-    axes = _box_axes(d, p, model, initial, grid.grid_resolution)
+    axes = _box_axes(p, model, initial, grid.grid_resolution)
     starts = _starts(grid.trace, axes)
     results = [refine(_grid_point(i, axes), d, model, initial) for i in starts]
     best = min([grid, *results], key=_rank)

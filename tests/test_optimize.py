@@ -6,7 +6,6 @@ import pytest
 
 from qaoa_locality.errors import InputError, ResourceError
 from qaoa_locality.optimize import (
-    _SYMMETRIES,
     DEFAULT_BUDGET,
     _canonical,
     _gradient,
@@ -392,6 +391,21 @@ def test_default_grids_scan_one_box(name):
         grid_search(3, 2, model, resolution=16, budget=16383)
 
 
+def test_the_budget_is_checked_before_the_grid_is_built(monkeypatch):
+    """An oversized box is refused from its axis lengths alone: at a
+    resolution of 10**12 the axes would hold 10**12 floats."""
+    module = importlib.import_module("qaoa_locality.optimize")
+
+    def unbuilt(*args):
+        raise AssertionError("axes built before the budget check")
+
+    monkeypatch.setattr(module, "_box_axes", unbuilt)
+    with pytest.raises(ResourceError, match=f"grid of {5 * 10**23} evaluations"):
+        grid_search(3, 1, MC, resolution=10**12)
+    with pytest.raises(ResourceError, match=f"grid of {10**12} evaluations"):
+        grid_search(3, 1, MC, "zero", resolution=10**12)
+
+
 def shifted(gammas, betas, k, gamma=0.0, beta=0.0, negate=False):
     """Add ``gamma`` to gamma_k and ``beta`` to beta_k; ``negate`` flips
     the sign of every beta_j, j >= k."""
@@ -403,23 +417,16 @@ def shifted(gammas, betas, k, gamma=0.0, beta=0.0, negate=False):
     return gammas, betas
 
 
-def test_the_symmetry_table_covers_every_case():
-    assert set(_SYMMETRIES) == {
-        (kind, parity, initial)
-        for kind in ("maxcut", "mis") for parity in (0, 1) for initial in ("plus", "zero")
-    }
-
-
 @pytest.mark.parametrize("name", ["maxcut", "mis"])
 @pytest.mark.parametrize("initial", ["plus", "zero"])
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_angle_symmetry_generators(d, initial, name):
-    """Every generator of the symmetry table holds on the path sum, at
+    """Every generator of the angle symmetries holds on the path sum, at
     p = 1..4 and 20 random schedules each, to 1e-12, and ``_canonical``
     maps each schedule into the box at an equal value."""
     model = MC if name == "maxcut" else CostModel.mis(d)
-    period, beta_period, negates, free = _SYMMETRIES[name, d % 2, initial]
-    assert (period, beta_period) == PERIODS[name]
+    period, beta_period = PERIODS[name]
+    negates, free = name == "mis" or d % 2 == 1, initial == "zero"
     rng = np.random.default_rng(100 * d + len(initial) + len(name))
     for p in range(1, 5):
         path_sum = TreePathSum(d, p, model, initial)
@@ -443,14 +450,15 @@ def test_angle_symmetry_generators(d, initial, name):
             assert abs(path_sum.value(box.gammas, box.betas) - value) < 1e-12
 
 
-def test_the_half_gamma_shift_needs_its_beta_flip_where_the_table_says():
-    """Where a row negates the later betas, the half gamma shift alone is no
-    symmetry; where it does not, the shift with the betas negated is none."""
+def test_the_half_gamma_shift_needs_its_beta_flip_only_where_stated():
+    """Where the later betas must be negated (MaxCut at odd d, mis(d)), the
+    half gamma shift alone is no symmetry; where not, the shift with the
+    betas negated is none."""
     rng = np.random.default_rng(5)
     for d in (3, 4):
         for name in ("maxcut", "mis"):
             model = MC if name == "maxcut" else CostModel.mis(d)
-            period, _, negates, _ = _SYMMETRIES[name, d % 2, "plus"]
+            period, negates = PERIODS[name][0], name == "mis" or d % 2 == 1
             path_sum = TreePathSum(d, 2, model)
             gammas, betas = rng.uniform(0, period, 2), rng.uniform(0, math.pi, 2)
             wrong = shifted(gammas, betas, 0, gamma=period / 2, negate=not negates)
