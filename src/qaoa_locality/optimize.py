@@ -2,9 +2,9 @@
 
 Two stages: an exhaustive grid over one box of the tree value's angle
 symmetries, then a BFGS ascent on central-difference gradients restarted
-from grid peaks of distinct value. Both stages evaluate the tree by its
-path sum and are fully deterministic; ties are broken toward the
-lexicographically smallest (gammas, betas) vector.
+from grid peaks of distinct value. Both stages evaluate the one tree path
+sum that :func:`optimize` builds per call and are fully deterministic;
+ties are broken toward the lexicographically smallest (gammas, betas).
 """
 from __future__ import annotations
 
@@ -24,6 +24,8 @@ __all__ = ["OptResult", "grid_search", "refine", "optimize", "DEFAULT_BUDGET"]
 DEFAULT_BUDGET = 10**6
 _STARTS = 5  # optimize refines from this many grid peaks of distinct value
 _DISTINCT = 1e-11  # two grid values are distinct if they differ by more
+_TOLERANCE = 1e-6  # refine has converged once every partial is at most this
+_MAX_PASSES = 80  # BFGS steps before refine stops unconverged
 _STEP = 1e-5  # central-difference step of refine's gradient
 _ARMIJO = 1e-4  # share of the predicted rise a line-search step must gain
 _BACKTRACKS = 40  # halvings of a line-search step before refine gives up
@@ -65,16 +67,16 @@ class OptResult:
 
 
 class _TreeObjective:
-    """Middle-edge expectation on the canonical tree by its path sum,
-    counting the calls; the grid scan calls ``path_sum`` directly."""
+    """Middle-edge expectation of ``tree`` by its path sum, counting the
+    calls; the grid scan calls the tree directly."""
 
-    def __init__(self, d, p, model, initial="plus"):
-        self.path_sum = TreePathSum(d, p, model, initial)
+    def __init__(self, tree: TreePathSum):
+        self.tree = tree
         self.evaluations = 0
 
     def value(self, gammas, betas) -> float:
         self.evaluations += 1
-        return self.path_sum.value(gammas, betas)
+        return self.tree.value(gammas, betas)
 
 
 def _rank(result: OptResult):
@@ -91,14 +93,14 @@ def _wrap(x: float, period: float) -> tuple[float, float]:
     return (turns, rest) if rest < period else (turns + 1, 0.0)
 
 
-def _canonical(params: QaoaParams, d: int, model: CostModel, initial: str) -> QaoaParams:
+def _canonical(params: QaoaParams, tree: TreePathSum) -> QaoaParams:
     """The image of ``params`` in the box gamma_k in [0, T_gamma/2),
     beta_k in [0, T_beta) under the generators above, with gamma_1 = 0
-    from "zero"; the tree value is the same there."""
-    period, beta_period = _PERIODS[model.kind]
-    negates = model.kind == MIS or d % 2 == 1
+    from "zero"; the value of ``tree`` is the same there."""
+    period, beta_period = _PERIODS[tree.model.kind]
+    negates = tree.model.kind == MIS or tree.d % 2 == 1
     gammas, betas = list(params.gammas), list(params.betas)
-    if initial == "zero" and gammas:
+    if tree.initial == "zero" and gammas:
         gammas[0] = 0.0
     for k, gamma in enumerate(gammas):
         turns, gammas[k] = _wrap(gamma, period / 2)
@@ -107,19 +109,19 @@ def _canonical(params: QaoaParams, d: int, model: CostModel, initial: str) -> Qa
     return QaoaParams(gammas, [_wrap(b, beta_period)[1] for b in betas])
 
 
-def _box_shape(p: int, initial: str, resolution: int) -> list:
+def _box_shape(tree: TreePathSum, resolution: int) -> list:
     """Lattice points on each axis of the box, p gamma axes then p beta
     axes: ``resolution`` per period, the ceil(resolution/2) below the half
     period on a gamma axis, and gamma_1 = 0 alone from "zero"."""
     half = (resolution + 1) // 2
-    gammas = [1 if initial == "zero" and k == 0 else half for k in range(p)]
-    return gammas + [resolution] * p
+    gammas = [1 if tree.initial == "zero" and k == 0 else half for k in range(tree.p)]
+    return gammas + [resolution] * tree.p
 
 
-def _box_axes(p: int, model: CostModel, initial: str, resolution: int) -> list:
+def _box_axes(tree: TreePathSum, resolution: int) -> list:
     """The lattice values of each axis of the box of :func:`_box_shape`."""
-    periods = [period for period in _PERIODS[model.kind] for _ in range(p)]
-    shape = _box_shape(p, initial, resolution)
+    periods = [period for period in _PERIODS[tree.model.kind] for _ in range(tree.p)]
+    shape = _box_shape(tree, resolution)
     return [[t * k / resolution for k in range(n)] for t, n in zip(periods, shape)]
 
 
@@ -142,16 +144,15 @@ def _starts(trace: np.ndarray, axes: list) -> list:
     are skipped.
     """
     shape = [len(axis) for axis in axes]
-    box = trace.reshape(shape)
-    top = np.full(shape, -np.inf)  # the highest neighbour of each point
-    for axis in range(len(shape)):
-        b, t = np.moveaxis(box, axis, 0), np.moveaxis(top, axis, 0)
-        np.maximum(t[1:], b[:-1], out=t[1:])
-        np.maximum(t[:-1], b[1:], out=t[:-1])
-        if axis >= len(shape) // 2:
-            np.maximum(t[0], b[-1], out=t[0])
-            np.maximum(t[-1], b[0], out=t[-1])
-    peaks = (box >= top).reshape(-1)
+    peaks = np.ones(trace.size, dtype=bool)
+    for axis, n in enumerate(shape):
+        step = math.prod(shape[axis + 1 :])
+        box, mask = trace.reshape(-1, n, step), peaks.reshape(-1, n, step)
+        pairs = [(slice(1, None), slice(None, -1)), (slice(None, -1), slice(1, None))]
+        if axis >= len(shape) // 2:  # the first and last points of a beta axis are neighbours
+            pairs += [(0, -1), (-1, 0)]
+        for near, far in pairs:  # each point against its neighbour, where still a peak
+            np.greater_equal(box[:, near], box[:, far], out=mask[:, near], where=mask[:, near])
     starts, cut = [], np.inf
     for _ in range(_STARTS):
         cut = np.max(trace, where=peaks & (trace < cut - _DISTINCT), initial=-np.inf)
@@ -161,17 +162,10 @@ def _starts(trace: np.ndarray, axes: list) -> list:
     return starts
 
 
-def grid_search(
-    d: int,
-    p: int,
-    model: CostModel,
-    initial: str = "plus",
-    *,
-    resolution: int,
-    budget: int = DEFAULT_BUDGET,
-) -> OptResult:
-    """Evaluate every lattice point of one box of the angle symmetries and
-    return the argmax.
+def grid_search(tree: TreePathSum, *, resolution: int, budget: int = DEFAULT_BUDGET) -> OptResult:
+    """Evaluate ``tree`` at every lattice point of one box of its angle
+    symmetries and return the argmax; d, p, the model and the initial
+    state are the tree's.
 
     The box is gamma_k in [0, T_gamma/2) and beta_k in [0, T_beta), where
     T_gamma and T_beta are the tree value's own periods: 2*pi and pi/2 for
@@ -184,21 +178,19 @@ def grid_search(
     first maximum in the trace is the best point.
     """
     resolution = integer(resolution, "resolution", 2)
-    p = integer(p, "depth", 0)
     budget = integer(budget, "budget", 1)
-    path_sum = TreePathSum(d, p, model, initial)
-    total = math.prod(_box_shape(p, initial, resolution))
+    total = math.prod(_box_shape(tree, resolution))
     if total > budget:
         raise ResourceError(
             f"grid of {total} evaluations exceeds the budget of {budget}"
         )
-    axes = _box_axes(p, model, initial, resolution)
+    axes = _box_axes(tree, resolution)
     # At p=0 the one beta tuple is (), so columns has shape (0, 1).
-    columns = np.array(list(itertools.product(*axes[p:]))).T
+    columns = np.array(list(itertools.product(*axes[tree.p :]))).T
     # Each call fills one row of the trace, so no list of rows is held.
     trace = np.empty((total // columns.shape[1], columns.shape[1]))
-    for row, gs in zip(trace, itertools.product(*axes[:p])):
-        row[:] = path_sum.value(gs, columns)
+    for row, gs in zip(trace, itertools.product(*axes[: tree.p])):
+        row[:] = tree.value(gs, columns)
     trace = trace.reshape(-1)
     best = int(np.argmax(trace))
     return OptResult(
@@ -231,30 +223,21 @@ def _identity(n: int) -> list:
     return [[float(i == j) for j in range(n)] for i in range(n)]
 
 
-def refine(
-    start: QaoaParams,
-    d: int,
-    model: CostModel,
-    initial: str = "plus",
-    tolerance: float = 1e-6,
-    *,
-    max_passes: int = 80,
-) -> OptResult:
-    """BFGS ascent from ``start`` on central-difference gradients, each
-    step found by an Armijo backtracking line search, at the depth of
-    ``start``.
+def refine(start: QaoaParams, tree: TreePathSum) -> OptResult:
+    """BFGS ascent of ``tree``'s value from ``start``, which must have the
+    tree's depth, on central-difference gradients, each step found by an
+    Armijo backtracking line search.
 
-    The loop ends once every partial derivative is at most ``tolerance``
+    The loop ends once every partial derivative is at most ``_TOLERANCE``
     in size (so a start that meets it comes back untouched) or a step gains
     nothing; the value never drops below the start value. Hitting
-    ``max_passes`` iterations first, or a gradient that is not finite,
+    ``_MAX_PASSES`` iterations first, or a gradient that is not finite,
     returns the best point so far with ``converged`` false.
     """
-    if not tolerance > 0:
-        raise InputError(f"tolerance must be positive, got {tolerance}")
-    max_passes = integer(max_passes, "max_passes", 0)
     p = start.p
-    obj = _TreeObjective(d, p, model, initial)
+    if p != tree.p:
+        raise InputError(f"start depth {p} must equal the tree's radius {tree.p}")
+    obj = _TreeObjective(tree)
     fx = obj.value(start.gammas, start.betas)
     n = 2 * p
     x = [*start.gammas, *start.betas]
@@ -262,8 +245,8 @@ def refine(
     inverse = _identity(n)  # BFGS estimate of the inverse of minus the Hessian
     iterations = 0
     stalled = False
-    while not all(abs(v) <= tolerance for v in grad):
-        if iterations >= max_passes or not all(map(math.isfinite, grad)):
+    while not all(abs(v) <= _TOLERANCE for v in grad):
+        if iterations >= _MAX_PASSES or not all(map(math.isfinite, grad)):
             break
         step = [_dot(row, grad) for row in inverse]
         slope = _dot(step, grad)
@@ -297,7 +280,7 @@ def refine(
         QaoaParams(x[:p], x[p:]),
         fx,
         refinement_iterations=iterations,
-        converged=stalled or all(abs(v) <= tolerance for v in grad),
+        converged=stalled or all(abs(v) <= _TOLERANCE for v in grad),
         evaluations=obj.evaluations,
     )
 
@@ -325,15 +308,18 @@ def optimize(
     p = integer(p, "depth", 0)
     if resolution is None:
         resolution = 64 if p <= 1 else 16
-    grid = grid_search(d, p, model, initial, resolution=resolution, budget=budget)
+    tree = TreePathSum(d, p, model, initial)
+    grid = grid_search(tree, resolution=resolution, budget=budget)
     if p == 0:
         return grid
-    axes = _box_axes(p, model, initial, grid.grid_resolution)
-    starts = _starts(grid.trace, axes)
-    results = [refine(_grid_point(i, axes), d, model, initial) for i in starts]
+    # The grid's best point is always the first start. Refining it first
+    # frees the tree's kept grid weight before the peak search runs.
+    results = [refine(grid.best_params, tree)]
+    axes = _box_axes(tree, grid.grid_resolution)
+    results += [refine(_grid_point(i, axes), tree) for i in _starts(grid.trace, axes)[1:]]
     best = min([grid, *results], key=_rank)
-    params = _canonical(best.best_params, d, model, initial)
-    obj = _TreeObjective(d, p, model, initial)
+    params = _canonical(best.best_params, tree)
+    obj = _TreeObjective(tree)
     return OptResult(
         best_params=params,
         best_value=obj.value(params.gammas, params.betas),

@@ -116,13 +116,14 @@ class TreePathSum:
     gammas alone and the weight on the betas alone; the last of each is
     kept, so a call that repeats either one reuses it.
 
-    Build one per (d, p, model, initial) and call :meth:`value` per angle
-    schedule; it equals :func:`tree_expectation`, whose register grows
-    with the tree, while the path sum grows with p alone. ``gammas`` must
-    be p numbers. ``betas`` of shape (p, n) evaluates n beta schedules at
-    once: the batch rides as a further axis through the same code, and the
-    n values come back as an array. The weight holds n * 2**(2p+1) complex
-    entries and is refused above 2**(DEFAULT_QUBIT_CAP - 1) before
+    Build one per (d, p, model, initial), kept as attributes of those
+    names, and call :meth:`value` per angle schedule; one object serves a
+    whole angle search. It equals :func:`tree_expectation`, whose register
+    grows with the tree, while the path sum grows with p alone. ``gammas``
+    must be p numbers. ``betas`` of shape (p, n) evaluates n beta schedules
+    at once: the batch rides as a further axis through the same code, and
+    the n values come back as an array. The weight holds n * 2**(2p+1)
+    complex entries and is refused above 2**(DEFAULT_QUBIT_CAP - 1) before
     anything is allocated, which allows p <= 12 for one schedule.
     """
 
@@ -133,6 +134,7 @@ class TreePathSum:
             raise InputError(f"unknown initial state {initial!r}")
         model.check_degree(self.d)
         self._check_size(1)
+        self.model, self.initial = model, initial
         self.cost = np.array(model.costs)
         amp = [1.0, 0.0] if initial == "zero" else [math.sqrt(0.5)] * 2
         self.start = np.array(amp, dtype=np.complex128)

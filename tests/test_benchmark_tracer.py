@@ -3,7 +3,8 @@ the public functions by name, reads ``run_qaoa``'s graph and schedule and
 ``cost_table``'s graph by position and a state's ``Statevector.m``, swaps
 ``graphs.as_generator`` for a proxy that counts stub matchings, and
 subclasses ``optimize._TreeObjective`` to count its ``value`` calls. A
-small traced pass must move every counter that these hooks feed."""
+small traced pass must move every counter that these hooks feed, and the
+optimizer's counters must add up to the evaluations ``optimize`` reports."""
 import json
 import os
 import subprocess
@@ -41,12 +42,40 @@ HOOKED = (
 )
 
 
-def test_traced_pass_moves_every_hooked_counter():
-    code = PASS.format(perfbench=str(ROOT / "perfbench"))
+OPTIMIZE_PASS = """
+import json, sys
+sys.path.insert(0, {perfbench!r})
+import qaoa_locality as q
+from tracing import Tracer
+
+tracer = Tracer()
+tracer.install()
+result = q.optimize(3, 2, q.CostModel.maxcut())
+print(json.dumps([tracer.summary(1.0), result.evaluations, len(result.trace)]))
+"""
+
+
+def traced(template):
+    """The last stdout line of ``template`` run in a fresh interpreter, as
+    JSON."""
+    code = template.format(perfbench=str(ROOT / "perfbench"))
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    summary = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traced_pass_moves_every_hooked_counter():
+    summary = traced(PASS)
     assert {key: summary[key] for key in HOOKED if not summary[key]} == {}
+
+
+def test_traced_optimize_counts_every_evaluation():
+    """Every objective call goes through the counting subclass and every
+    grid point through the wrapped ``grid_search``: an objective built out
+    of the tracer's reach would undercount here."""
+    summary, evaluations, grid_points = traced(OPTIMIZE_PASS)
+    assert summary["optimize.grid_points"] == grid_points
+    assert summary["optimize.evals"] == evaluations - grid_points

@@ -27,14 +27,14 @@ D3_P1_OPT = 0.5 + 1.0 / (3.0 * math.sqrt(3.0))  # triangle-free closed form
 def test_search_domain_periods():
     assert MC.gamma_period == 2 * math.pi
     assert MIS3.gamma_period == 12 * math.pi
-    with pytest.raises(InputError, match="depth must be nonnegative"):
-        grid_search(3, -1, MC, resolution=64)
+    with pytest.raises(InputError, match="radius must be nonnegative"):
+        grid_search(TreePathSum(3, -1, MC), resolution=64)
 
 
 def test_grid_resolution_has_no_default():
     """optimize holds the one default resolution; grid_search needs one given."""
     with pytest.raises(TypeError, match="resolution"):
-        grid_search(3, 1, MC)
+        grid_search(TreePathSum(3, 1, MC))
 
 
 # The tree value's own periods (T_gamma, T_beta) per model kind.
@@ -64,7 +64,7 @@ def test_grid_fast_path_matches_direct_evaluation():
     for model, p, res, initial in (
         (MC, 1, 6, "plus"), (MIS3, 1, 6, "plus"), (MC, 2, 3, "plus"), (MIS3, 2, 3, "zero"),
     ):
-        result = grid_search(3, p, model, initial, resolution=res)
+        result = grid_search(TreePathSum(3, p, model, initial), resolution=res)
         assert result.trace.shape == (math.prod(box_shape(p, res, initial)),)
         for index, value in enumerate(result.trace):
             params = grid_angles(index, p, res, model, initial)
@@ -73,7 +73,7 @@ def test_grid_fast_path_matches_direct_evaluation():
 
 
 def test_grid_flat_landscape_breaks_ties_lexicographically():
-    result = grid_search(2, 1, MC, resolution=2)
+    result = grid_search(TreePathSum(2, 1, MC), resolution=2)
     assert all(abs(v - 0.5) < 1e-12 for v in result.trace)
     assert result.best_params == QaoaParams((0.0,), (0.0,))
 
@@ -81,7 +81,7 @@ def test_grid_flat_landscape_breaks_ties_lexicographically():
 def test_grid_tie_is_pinned():
     # recorded before the grid was one array: all four points tie exactly;
     # the box holds two of them, gamma = 0 and beta = 0 or pi/4
-    result = grid_search(2, 1, MC, resolution=2)
+    result = grid_search(TreePathSum(2, 1, MC), resolution=2)
     assert result.trace.tolist() == [0.5000000000000004] * 2
     assert result.best_params == QaoaParams((0.0,), (0.0,))
     assert repr(result.best_value) == "0.5000000000000004"
@@ -100,7 +100,7 @@ def test_grid_tie_is_pinned():
 def test_grid_best_point_is_the_first_maximum(model, initial, res, ties):
     """The best point is the first maximum of the trace, whose index gives
     the angles, also where several points tie for the best value."""
-    result = grid_search(3, 1, model, initial, resolution=res)
+    result = grid_search(TreePathSum(3, 1, model, initial), resolution=res)
     top = np.flatnonzero(result.trace == result.trace.max())
     assert len(top) == ties
     assert result.best_params == grid_angles(top[0], 1, res, model, initial)
@@ -108,25 +108,25 @@ def test_grid_best_point_is_the_first_maximum(model, initial, res, ties):
 
 
 def test_grid_contains_zero_angles():
-    result = grid_search(3, 1, MC, resolution=2)
+    result = grid_search(TreePathSum(3, 1, MC), resolution=2)
     assert result.best_value >= 0.5 - 1e-12
 
 
 def test_grid_resolution_64_reaches_good_value():
-    result = grid_search(3, 1, MC, resolution=64)
+    result = grid_search(TreePathSum(3, 1, MC), resolution=64)
     assert result.best_value >= 0.69
 
 
 def test_grid_budget_guardrail():
     with pytest.raises(ResourceError):
-        grid_search(3, 2, MC, resolution=64, budget=DEFAULT_BUDGET)
+        grid_search(TreePathSum(3, 2, MC), resolution=64, budget=DEFAULT_BUDGET)
     with pytest.raises(ResourceError):
-        grid_search(3, 1, MC, resolution=64, budget=1000)
+        grid_search(TreePathSum(3, 1, MC), resolution=64, budget=1000)
     with pytest.raises(InputError):
-        grid_search(3, 1, MC, resolution=1)
+        grid_search(TreePathSum(3, 1, MC), resolution=1)
     # 2.5 used to raise TypeError
     with pytest.raises(InputError):
-        grid_search(3, 1, MC, resolution=2.5)
+        grid_search(TreePathSum(3, 1, MC), resolution=2.5)
     with pytest.raises(InputError):
         optimize(3, 1, MC, resolution=2.5)
     with pytest.raises(InputError):
@@ -136,13 +136,13 @@ def test_grid_budget_guardrail():
 def test_budget_below_one_is_invalid_input():
     for budget in (0, -1):
         with pytest.raises(InputError, match=f"budget must be at least 1, got {budget}"):
-            grid_search(3, 0, MC, resolution=2, budget=budget)
+            grid_search(TreePathSum(3, 0, MC), resolution=2, budget=budget)
     # a budget of 1 still pays for the one point of a p=0 grid
-    assert grid_search(3, 0, MC, resolution=2, budget=1).evaluations == 1
+    assert grid_search(TreePathSum(3, 0, MC), resolution=2, budget=1).evaluations == 1
 
 
 def test_grid_p0_single_evaluation():
-    result = grid_search(3, 0, MC, resolution=64)
+    result = grid_search(TreePathSum(3, 0, MC), resolution=64)
     assert result.best_params.p == 0
     assert abs(result.best_value - 0.5) < 1e-12
     assert len(result.trace) == 1
@@ -150,9 +150,10 @@ def test_grid_p0_single_evaluation():
     assert result.evaluations == 1
 
 
-def test_refine_tolerance_one_returns_start():
+def test_refine_tolerance_one_returns_start(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("qaoa_locality.optimize"), "_TOLERANCE", 1.0)
     start = QaoaParams((0.3,), (0.2,))
-    result = refine(start, 3, MC, tolerance=1.0)
+    result = refine(start, TreePathSum(3, 1, MC))
     assert result.best_params == start
     assert result.refinement_iterations == 0
     assert result.converged
@@ -161,21 +162,34 @@ def test_refine_tolerance_one_returns_start():
 def test_refine_never_decreases():
     start = QaoaParams((3.7,), (2.7,))  # near the depth-1 optimum
     base = tree_expectation(3, 1, MC, start).value
-    result = refine(start, 3, MC, tolerance=1e-6)
+    result = refine(start, TreePathSum(3, 1, MC))
     assert result.best_value >= base - 1e-15
     assert abs(result.best_value - D3_P1_OPT) < 1e-3
 
 
-def test_refine_iteration_cap_flags_non_convergence():
+def test_refine_iteration_cap_flags_non_convergence(monkeypatch):
+    module = importlib.import_module("qaoa_locality.optimize")
+    monkeypatch.setattr(module, "_TOLERANCE", 1e-9)
+    monkeypatch.setattr(module, "_MAX_PASSES", 2)
     start = QaoaParams((0.3,), (0.2,))
-    result = refine(start, 3, MC, tolerance=1e-9, max_passes=2)
+    result = refine(start, TreePathSum(3, 1, MC))
     assert not result.converged
     assert result.refinement_iterations == 2
+    # no pass at all returns the start
+    monkeypatch.setattr(module, "_MAX_PASSES", 0)
+    result = refine(start, TreePathSum(3, 1, MC))
+    assert result.best_params == start
+    assert (result.refinement_iterations, result.converged) == (0, False)
 
 
-def test_refine_validates_inputs():
-    with pytest.raises(InputError):
-        refine(QaoaParams((0.1,), (0.1,)), 3, MC, tolerance=0.0)
+def test_refine_validates_inputs(monkeypatch):
+    """A start of another depth than the tree's is refused before any
+    evaluation: the tree, not the start, sets the depth."""
+    fail_on_evaluation(monkeypatch)
+    for depth in (0, 2):
+        start = QaoaParams.zeros(depth)
+        with pytest.raises(InputError, match=f"start depth {depth} must equal the tree's radius 1"):
+            refine(start, TreePathSum(3, 1, MC))
 
 
 def fail_on_evaluation(monkeypatch):
@@ -188,29 +202,9 @@ def fail_on_evaluation(monkeypatch):
     monkeypatch.setattr(module, "_TreeObjective", Refusing)
 
 
-def test_refine_refuses_a_nan_tolerance_before_it_evaluates(monkeypatch):
-    fail_on_evaluation(monkeypatch)
-    with pytest.raises(InputError, match="tolerance"):
-        refine(QaoaParams((0.3,), (0.2,)), 3, MC, tolerance=float("nan"))
-
-
-def test_refine_refuses_negative_max_passes_before_it_evaluates(monkeypatch):
-    fail_on_evaluation(monkeypatch)
-    with pytest.raises(InputError, match="max_passes"):
-        refine(QaoaParams((0.3,), (0.2,)), 3, MC, max_passes=-1)
-    # 2.5 used to run 3 passes
-    with pytest.raises(InputError, match="max_passes"):
-        refine(QaoaParams((0.3,), (0.2,)), 3, MC, max_passes=2.5)
-    # no pass at all is allowed, and returns the start
-    monkeypatch.undo()
-    result = refine(QaoaParams((0.3,), (0.2,)), 3, MC, max_passes=0)
-    assert result.best_params == QaoaParams((0.3,), (0.2,))
-    assert (result.refinement_iterations, result.converged) == (0, False)
-
-
 def test_refine_at_depth_zero_returns_the_start():
     start = QaoaParams((), ())
-    result = refine(start, 3, MC)
+    result = refine(start, TreePathSum(3, 0, MC))
     assert (result.best_params, result.refinement_iterations, result.converged) == (start, 0, True)
     assert result.evaluations == 1
     assert result.best_value == TreePathSum(3, 0, MC).value((), ())
@@ -230,7 +224,7 @@ def test_refine_stops_converged_when_no_step_gains(monkeypatch):
 
     monkeypatch.setattr(module, "_TreeObjective", Kinked)
     start = QaoaParams(corner[:1], corner[1:])
-    result = refine(start, 3, MC)
+    result = refine(start, TreePathSum(3, 1, MC))
     assert (result.best_params, result.refinement_iterations, result.converged) == (start, 0, True)
     assert result.best_value == TreePathSum(3, 1, MC).value(start.gammas, start.betas)
 
@@ -253,7 +247,7 @@ def test_refine_stops_unconverged_on_a_gradient_that_is_not_finite(monkeypatch):
 
     monkeypatch.setattr(module, "_TreeObjective", NanProbes)
     start = QaoaParams((0.3,), (0.2,))
-    result = refine(start, 3, MC)
+    result = refine(start, TreePathSum(3, 1, MC))
     assert (result.best_params, result.refinement_iterations, result.converged) == (start, 0, False)
     assert math.isfinite(result.best_value)
 
@@ -263,7 +257,7 @@ def test_gradient_matches_the_depth1_closed_form(d):
     """Central differences of the path sum against the derivatives of
     1/2 + 1/2 sin4b sing cos^(d-1)g, MaxCut on the d-regular tree."""
     rng = np.random.default_rng(d)
-    obj = _TreeObjective(d, 1, MC)
+    obj = _TreeObjective(TreePathSum(d, 1, MC))
     for gamma, beta in zip(rng.uniform(0, 2 * math.pi, 4), rng.uniform(0, math.pi, 4)):
         s, c = math.sin(gamma), math.cos(gamma)
         d_gamma = 0.5 * math.sin(4 * beta) * (c**d - (d - 1) * s * s * c ** (d - 2))
@@ -282,14 +276,14 @@ def test_refine_matches_scipy_bfgs(d, p, model, initial):
     """The same local maximum as scipy's BFGS on minus the path sum, from
     the grid's best point."""
     optimize_ = pytest.importorskip("scipy.optimize")
-    start = grid_search(d, p, model, initial, resolution=16 if p > 1 else 64).best_params
     path_sum = TreePathSum(d, p, model, initial)
+    start = grid_search(path_sum, resolution=16 if p > 1 else 64).best_params
     oracle = optimize_.minimize(
         lambda x: -path_sum.value(x[:p], x[p:]),
         np.array(start.gammas + start.betas),
         method="BFGS", jac="3-point", options={"gtol": 1e-7},
     )
-    result = refine(start, d, model, initial)
+    result = refine(start, path_sum)
     assert result.converged
     assert abs(result.best_value - -oracle.fun) < 1e-9
 
@@ -373,7 +367,7 @@ def test_optimize_finds_the_higher_mis4_basin():
 def test_the_default_mis4_grid_is_not_flat():
     """Over the old gamma period 16*pi, 16 points stepped gamma by pi and
     every point read -0.125 to 1.4e-14; the tree value's period is 4*pi."""
-    trace = grid_search(4, 2, CostModel.mis(4), "plus", resolution=16).trace
+    trace = grid_search(TreePathSum(4, 2, CostModel.mis(4), "plus"), resolution=16).trace
     assert trace.max() - trace.min() > 1e-11
 
 
@@ -386,9 +380,9 @@ def test_default_grids_scan_one_box(name):
              for p in (1, 2) for initial in ("plus", "zero")}
     assert sizes == {(1, "plus"): 2048, (1, "zero"): 64, (2, "plus"): 16384, (2, "zero"): 2048}
     # the budget counts box points, not resolution**(2p)
-    assert grid_search(3, 2, model, resolution=16, budget=16384).evaluations == 16384
+    assert grid_search(TreePathSum(3, 2, model), resolution=16, budget=16384).evaluations == 16384
     with pytest.raises(ResourceError, match="grid of 16384 evaluations"):
-        grid_search(3, 2, model, resolution=16, budget=16383)
+        grid_search(TreePathSum(3, 2, model), resolution=16, budget=16383)
 
 
 def test_the_budget_is_checked_before_the_grid_is_built(monkeypatch):
@@ -401,9 +395,9 @@ def test_the_budget_is_checked_before_the_grid_is_built(monkeypatch):
 
     monkeypatch.setattr(module, "_box_axes", unbuilt)
     with pytest.raises(ResourceError, match=f"grid of {5 * 10**23} evaluations"):
-        grid_search(3, 1, MC, resolution=10**12)
+        grid_search(TreePathSum(3, 1, MC), resolution=10**12)
     with pytest.raises(ResourceError, match=f"grid of {10**12} evaluations"):
-        grid_search(3, 1, MC, "zero", resolution=10**12)
+        grid_search(TreePathSum(3, 1, MC, "zero"), resolution=10**12)
 
 
 def shifted(gammas, betas, k, gamma=0.0, beta=0.0, negate=False):
@@ -423,7 +417,10 @@ def shifted(gammas, betas, k, gamma=0.0, beta=0.0, negate=False):
 def test_angle_symmetry_generators(d, initial, name):
     """Every generator of the angle symmetries holds on the path sum, at
     p = 1..4 and 20 random schedules each, to 1e-12, and ``_canonical``
-    maps each schedule into the box at an equal value."""
+    maps each schedule into the box at an equal value. From "zero" the
+    value also keeps every gamma with every beta negated (a product of all
+    Z fixes the initial state and flips each mixer); the box does not halve
+    on it yet."""
     model = MC if name == "maxcut" else CostModel.mis(d)
     period, beta_period = PERIODS[name]
     negates, free = name == "mis" or d % 2 == 1, initial == "zero"
@@ -441,9 +438,10 @@ def test_angle_symmetry_generators(d, initial, name):
                 images.append(shifted(gammas, betas, k, gamma=period / 2, negate=negates))
             if free:
                 images.append(shifted(gammas, betas, 0, gamma=rng.uniform(-10, 10)))
+                images.append((gammas, -betas))
             for image in images:
                 assert abs(path_sum.value(*image) - value) < 1e-12, (p, image)
-            box = _canonical(QaoaParams(gammas, betas), d, model, initial)
+            box = _canonical(QaoaParams(gammas, betas), path_sum)
             assert all(0 <= g < period / 2 for g in box.gammas)
             assert all(0 <= b < beta_period for b in box.betas)
             assert not free or box.gammas[0] == 0.0
@@ -490,7 +488,23 @@ def test_optimize_counts_grid_points_and_objective_calls(monkeypatch):
     assert result.evaluations == 4 * 8 + calls
     assert len(result.trace) == 4 * 8
     # the grid alone: every scanned point, and no objective call
-    assert grid_search(3, 1, MC, resolution=4).evaluations == 2 * 4
+    assert grid_search(TreePathSum(3, 1, MC), resolution=4).evaluations == 2 * 4
+
+
+def test_optimize_builds_one_tree(monkeypatch):
+    """The grid, every refinement and the value at the reported point
+    share one path sum; seven were built per call at p >= 1."""
+    module = importlib.import_module("qaoa_locality.optimize")
+    built = []
+
+    class Counting(TreePathSum):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(module, "TreePathSum", Counting)
+    optimize(3, 2, MC)
+    assert len(built) == 1
 
 
 def test_optimize_reports_the_canonical_point_of_its_value():
@@ -522,6 +536,12 @@ def test_starts_are_grid_peaks_of_distinct_value():
     assert _starts(np.array([5.0, 1.0, 4.0]), [[0.0] * 3, one]) == [0, 2]
     trace = np.array([2.0, 0.0, 2.0 - 1e-12, 0.0, 1.0, 0.0, 2.0, 0.0])
     assert _starts(trace, [one, [0.0] * 8]) == [0, 4]
+    # optimize refines the grid's best point before it looks for the rest
+    for model, initial in ((MC, "plus"), (MIS3, "zero")):
+        tree = TreePathSum(3, 2, model, initial)
+        grid = grid_search(tree, resolution=16)
+        axes = [[0.0] * n for n in box_shape(2, 16, initial)]
+        assert _starts(grid.trace, axes)[0] == np.argmax(grid.trace)
 
 
 def test_optimize_depth2_degree2_hits_five_sixths():

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -159,12 +160,14 @@ def test_betas_changed_in_place_are_read_again():
     assert np.array_equal(again, TreePathSum(3, 2, MC).value(gammas, [[0.5, 0.7], [0.3, 0.2]]))
 
 
-def test_optimizer_runs_beyond_the_qubit_cap():
+def test_optimizer_runs_beyond_the_qubit_cap(monkeypatch):
     # the d=3, p=3 tree has 30 qubits; the optimizer never builds it
-    grid = grid_search(3, 3, MC, resolution=3)
+    monkeypatch.setattr(importlib.import_module("qaoa_locality.optimize"), "_TOLERANCE", 1e-3)
+    tree = TreePathSum(3, 3, MC)
+    grid = grid_search(tree, resolution=3)
     assert len(grid.trace) == 2**3 * 3**3  # 2 of 3 gammas below the half period
     start = grid.best_params
-    refined = refine(start, 3, MC, tolerance=1e-3)
+    refined = refine(start, tree)
     assert refined.best_value >= TreePathSum(3, 3, MC).value(start.gammas, start.betas)
     assert refined.best_value >= grid.best_value - 1e-12
 
@@ -213,4 +216,4 @@ def test_weight_size_is_capped_before_allocation():
     assert "2 x 2**25" in str(err.value)
     # within the default budget, but 2**9 beta columns of 2**19 entries each
     with pytest.raises(ResourceError):
-        grid_search(2, 9, MC, resolution=2)
+        grid_search(TreePathSum(2, 9, MC), resolution=2)
