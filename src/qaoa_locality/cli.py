@@ -28,7 +28,7 @@ import json
 import math
 import sys
 
-from .errors import InputError, ResourceError
+from .errors import InputError, ResourceError, integer
 from .experiments import (
     _equivalence_specs,
     _model_config,
@@ -177,8 +177,7 @@ def _params_for(options: _Options, p: int) -> QaoaParams:
 
 
 def _random_params(model: CostModel, p: int, seed: int) -> QaoaParams:
-    if p < 0:
-        raise InputError("depth must be nonnegative")
+    p = integer(p, "depth", 0)
     rng = as_generator(seed)
     gammas = tuple(float(x) for x in rng.uniform(0.0, model.gamma_period, size=p))
     betas = tuple(float(x) for x in rng.uniform(0.0, math.pi, size=p))

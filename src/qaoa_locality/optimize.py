@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,25 +201,17 @@ def grid_search(tree: TreePathSum, *, resolution: int, budget: int = DEFAULT_BUD
     )
 
 
-def _gradient(obj: _TreeObjective, x: list, p: int) -> list:
+def _gradient(obj: _TreeObjective, x: np.ndarray, p: int) -> np.ndarray:
     """Central differences of the objective at ``x`` (gammas then betas),
-    one probe schedule per call."""
-    grad = []
+    one probe schedule per call; each probe moves one axis of a copy."""
+    grad = np.empty(2 * p)
     for axis in range(2 * p):
-        up, down = list(x), list(x)
+        up, down = x.copy(), x.copy()
         up[axis] += _STEP
         down[axis] -= _STEP
         rise = obj.value(up[:p], up[p:]) - obj.value(down[:p], down[p:])
-        grad.append(rise / (2 * _STEP))
+        grad[axis] = rise / (2 * _STEP)
     return grad
-
-
-def _dot(u, v) -> float:
-    return sum(map(operator.mul, u, v))
-
-
-def _identity(n: int) -> list:
-    return [[float(i == j) for j in range(n)] for i in range(n)]
 
 
 def refine(start: QaoaParams, tree: TreePathSum) -> OptResult:
@@ -239,22 +230,21 @@ def refine(start: QaoaParams, tree: TreePathSum) -> OptResult:
         raise InputError(f"start depth {p} must equal the tree's radius {tree.p}")
     obj = _TreeObjective(tree)
     fx = obj.value(start.gammas, start.betas)
-    n = 2 * p
-    x = [*start.gammas, *start.betas]
+    x = np.array(start.gammas + start.betas)
     grad = _gradient(obj, x, p)
-    inverse = _identity(n)  # BFGS estimate of the inverse of minus the Hessian
+    inverse = np.eye(2 * p)  # BFGS estimate of the inverse of minus the Hessian
     iterations = 0
     stalled = False
     while not all(abs(v) <= _TOLERANCE for v in grad):
         if iterations >= _MAX_PASSES or not all(map(math.isfinite, grad)):
             break
-        step = [_dot(row, grad) for row in inverse]
-        slope = _dot(step, grad)
+        step = (inverse * grad).sum(axis=1)
+        slope = (step * grad).sum()
         if not slope > 0:  # not an ascent direction: restart from the gradient
-            inverse, step, slope = _identity(n), list(grad), _dot(grad, grad)
+            inverse, step, slope = np.eye(2 * p), grad, (grad * grad).sum()
         t = 1.0
         for _ in range(_BACKTRACKS):
-            trial = [a + t * s for a, s in zip(x, step)]
+            trial = x + t * step
             ft = obj.value(trial[:p], trial[p:])
             if ft >= fx + _ARMIJO * t * slope:
                 break
@@ -263,17 +253,12 @@ def refine(start: QaoaParams, tree: TreePathSum) -> OptResult:
         if stalled:
             break
         new_grad = _gradient(obj, trial, p)
-        s = [a - b for a, b in zip(trial, x)]
-        y = [a - b for a, b in zip(grad, new_grad)]
-        sy = _dot(s, y)
+        s, y = trial - x, grad - new_grad
+        sy = (s * y).sum()
         if sy > 0:  # the update keeps ``inverse`` positive definite
-            hy = [_dot(row, y) for row in inverse]
-            scale = (1 + _dot(y, hy) / sy) / sy
-            inverse = [
-                [h + scale * si * sj - (hyi * sj + si * hyj) / sy
-                 for h, sj, hyj in zip(row, s, hy)]
-                for row, si, hyi in zip(inverse, s, hy)
-            ]
+            hy = (inverse * y).sum(axis=1)
+            scale = (1 + (y * hy).sum() / sy) / sy
+            inverse = inverse + scale * s[:, None] * s - (hy[:, None] * s + s[:, None] * hy) / sy
         x, fx, grad = trial, ft, new_grad
         iterations += 1
     return OptResult(

@@ -422,46 +422,85 @@ def test_run_config_generate_writes_the_edge_list(tmp_path, monkeypatch):
     assert from_config.stdout == direct.stdout.replace("a.edges", "b.edges")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["generate", "--d", "3", "--out", "g.edges"],
-        ["cycles", "--n", "x", "--d", "3"],
+REFUSED_COMMAND_LINES = {
+    "missing-option": (
+        ["generate", "--d", "3", "--out", "g.edges"], "missing required option 'n'"),
+    "non-integer": (
+        ["cycles", "--n", "x", "--d", "3"], "option 'n' must be an integer, got 'x'"),
+    "unknown-model": (
         ["tree-expect", "--d", "3", "--p", "1", "--model", "foo"],
+        "unknown model 'foo' (expected 'maxcut' or 'mis')"),
+    "unknown-kind": (
         ["tree-fraction", "--n", "16", "--d", "3", "--p-list", "1", "--kind", "foo"],
+        "unknown ensemble kind 'foo'"),
+    "empty-kind": (
         ["generate", "--n", "16", "--d", "3", "--kind", "", "--out", "g.edges"],
-        ["tree-expect", "--d", "3", "--p", "1", "--init", "foo"],
+        "unknown ensemble kind ''"),
+    "unknown-init": (
+        ["tree-expect", "--d", "3", "--p", "1", "--init", "foo"], "unknown initial state 'foo'"),
+    "both-tree-value-and-optimize": (
         ["ratio-bound", "--d", "3", "--p", "1", "--tree-value", "0.5", "--optimize"],
-        ["ratio-bound", "--d", "3", "--p", "1"],
+        "give exactly one of --tree-value or --optimize"),
+    "neither-tree-value-nor-optimize": (
+        ["ratio-bound", "--d", "3", "--p", "1"], "give exactly one of --tree-value or --optimize"),
+    "non-numeric-tree-value": (
         ["ratio-bound", "--d", "3", "--p", "1", "--tree-value", "x"],
+        "tree value must be a finite number, got 'x'"),
+    "unknown-flag": (
         ["tree-expect", "--d", "3", "--p", "1", "--kind", "general"],
+        "tree-expect does not read option(s) kind"),
+    "flag-without-value": (
         ["generate", "--n", "16", "--d", "3", "--out"],
+        "invalid command line: argument --out: expected one argument"),
+    "unknown-command": (
         ["frobnicate"],
+        "unknown command 'frobnicate' (known: cycles, end-to-end, equivalence, generate,"
+        " locality-check, optimize, prune, ratio-bound, run, tree-expect, tree-fraction)"),
+    "ensemble-keys-with-in": (
         ["cycles", "--in", "ring.edges", "--n", "x", "--trials", "-3", "--kind", "nonsense"],
+        "option 'n' must be an integer, got 'x'"),
+    "init-with-tree-value": (
         ["ratio-bound", "--d", "3", "--p", "1", "--tree-value", "0.6", "--init", "bogus"],
-        ["run", "--config", "typo.json"],
-    ],
-    ids=[
-        "missing-option", "non-integer", "unknown-model", "unknown-kind",
-        "empty-kind", "unknown-init", "both-tree-value-and-optimize",
-        "neither-tree-value-nor-optimize", "non-numeric-tree-value",
-        "unknown-flag", "flag-without-value", "unknown-command",
-        "ensemble-keys-with-in", "init-with-tree-value", "config-key-not-read",
-    ],
-)
-def test_refused_command_lines_exit_2(tmp_path, monkeypatch, capsys, argv):
-    """Refused before anything is written; every key given must be one the
-    chosen command and form reads, from the command line or a config file."""
+        "ratio-bound --tree-value does not read option(s) init"),
+    "config-key-not-read": (
+        ["run", "--config", "typo.json"], "tree-fraction does not read option(s) trails"),
+    "locality-check-negative-depth": (
+        ["locality-check", "--n", "12", "--d", "3", "--p", "-1"],
+        "depth must be nonnegative, got -1"),
+    "tree-expect-negative-depth": (
+        ["tree-expect", "--d", "3", "--p", "-1"], "depth must be nonnegative, got -1"),
+    "optimize-negative-depth": (
+        ["optimize", "--d", "3", "--p", "-1"], "depth must be nonnegative, got -1"),
+    "angles-of-another-depth": (
+        ["tree-expect", "--d", "3", "--p", "2", "--gamma", "0.1", "--beta", "0.2"],
+        "expected 2 gamma and 2 beta values, got 1 and 1"),
+    "config-not-an-object": (
+        ["run", "--config", "array.json"], "config file must hold a JSON object"),
+    "config-without-command": (
+        ["run", "--config", "no-command.json"], "config needs a 'command' field"),
+    "no-command": (
+        [], "invalid command line: the following arguments are required: command"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_COMMAND_LINES))
+def test_refused_command_lines_exit_2(tmp_path, monkeypatch, capsys, case):
+    """Refused before anything is written, with a message that names the
+    cause; every key given must be one the chosen command and form reads,
+    from the command line or a config file."""
+    argv, message = REFUSED_COMMAND_LINES[case]
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ring.edges").write_text(RING)
     (tmp_path / "typo.json").write_text(json.dumps(
         {"command": "tree-fraction", "n": 16, "d": 3, "p_list": "1", "trails": 2}
     ))
+    (tmp_path / "array.json").write_text(json.dumps([{"command": "optimize"}]))
+    (tmp_path / "no-command.json").write_text(json.dumps({"d": 3, "p": 1}))
     before = sorted(tmp_path.iterdir())
     code, out, err = call_main(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert json.loads(err)["error"]["category"] == "invalid-input"
+    assert json.loads(err)["error"] == {"category": "invalid-input", "message": message}
     assert sorted(tmp_path.iterdir()) == before
 
 
